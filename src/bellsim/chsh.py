@@ -33,13 +33,19 @@ import numpy as np
 
 from . import parallel
 from ._version import __version__
-from .correlation import CorrelationEstimate, estimate_correlation, station_products
+from .correlation import (
+    CorrelationEstimate,
+    estimate_correlation,
+    setting_dots,
+    station_products,
+)
 from .experiment import ConfigurationError, TrialDatabase, generate_database
 from .geometry import UnitVector, direction_at_angle, sample_uniform_directions
 from .rng import CounterStream
 from .stats import hoeffding_bound
 
 _MIN_PARALLEL_TRIALS = 4096
+_BLOCK_QUADS = 32  # bounds the sign bits and pair table the search holds at once
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,12 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad, workers: int = 1) -> n
     return x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
 
 
+def _reuse_statistic(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> float:
+    # numerator = T11 - T12 - T22 - T21 with T_ij = 2*pos_ij - n; a single
+    # division keeps S exactly equal to the per-trial term mean.
+    return (2 * (pos11 - pos12 - pos22 - pos21) + 2 * n) / n
+
+
 def _reuse_result(db: TrialDatabase, quad: SettingQuad, workers: int) -> ChshResult:
     if workers > 1 and db.n >= _MIN_PARALLEL_TRIALS:
         ranges = parallel.chunk_ranges(db.n, workers)
@@ -166,15 +178,12 @@ def _reuse_result(db: TrialDatabase, quad: SettingQuad, workers: int) -> ChshRes
 
     n = db.n
     pos11, pos12, pos21, pos22, tie11, tie12, tie21, tie22 = merged
-    # numerator = T11 - T12 - T22 - T21 with T_ij = 2*pos_ij - n; a single
-    # division keeps S exactly equal to the per-trial term mean.
-    numerator = 2 * (pos11 - pos12 - pos22 - pos21) + 2 * n
     return ChshResult(
         e11=CorrelationEstimate.from_tallies(n, pos11, tie11),
         e12=CorrelationEstimate.from_tallies(n, pos12, tie12),
         e21=CorrelationEstimate.from_tallies(n, pos21, tie21),
         e22=CorrelationEstimate.from_tallies(n, pos22, tie22),
-        statistic=numerator / n,
+        statistic=_reuse_statistic(n, pos11, pos12, pos21, pos22),
         mode="reuse",
         n=n,
         per_trial_min=t_min,
@@ -264,10 +273,56 @@ def standard_combination(e11: float, e12: float, e21: float, e22: float) -> floa
 # adversarial settings search
 
 
+def _packed_signs(columns: np.ndarray, directions, is_plus) -> np.ndarray:
+    """One row of packed station signs per direction, bit 1 for sign +1.
+
+    ``is_plus`` is ``np.greater_equal`` for station A and ``np.less_equal``
+    for station B: the comparisons of ``station_products``, including its
+    sign(0) := +1 rule. The padding bits of the last byte are 0 at both
+    stations, so they never count as a disagreement.
+    """
+    bits = np.empty((len(directions), (columns.shape[1] + 7) // 8), dtype=np.uint8)
+    for row, d in zip(bits, directions):
+        row[:] = np.packbits(is_plus(setting_dots(*columns, d), 0.0))
+    return bits
+
+
+def _reuse_statistics(spins: np.ndarray, quads: list[SettingQuad]) -> list[float]:
+    """Reuse-mode statistics of many quads, equal bit for bit to
+    ``chsh_statistic(db, quad, "reuse").statistic``.
+
+    A pair tally is n - popcount(bitsA(a) XOR bitsB(b)), so each block
+    of quads computes the signs of its distinct directions once.
+    """
+    n = spins.shape[0]
+    columns = np.ascontiguousarray(spins.T)  # unit-stride columns make each pass faster
+    stats = []
+    for lo in range(0, len(quads), _BLOCK_QUADS):
+        block = quads[lo : lo + _BLOCK_QUADS]
+        a_rows, b_rows = {}, {}
+        a_of_quad = [[a_rows.setdefault(d, len(a_rows)) for d in (q.a1, q.a2)] for q in block]
+        b_of_quad = [[b_rows.setdefault(d, len(b_rows)) for d in (q.b1, q.b2)] for q in block]
+        a_bits = _packed_signs(columns, list(a_rows), np.greater_equal)
+        b_bits = _packed_signs(columns, list(b_rows), np.less_equal)
+        # rows of the pairs (a1,b1), (a1,b2), (a2,b1), (a2,b2) of each quad
+        a_idx = np.repeat(a_of_quad, 2, axis=1).ravel()
+        b_idx = np.tile(b_of_quad, 2).ravel()
+        disagree = np.bitwise_count(a_bits[a_idx] ^ b_bits[b_idx]).sum(axis=1, dtype=np.int64)
+        pos = n - disagree.reshape(-1, 4)
+        stats.extend(_reuse_statistic(n, *row) for row in pos.tolist())
+    return stats
+
+
 def _eval_candidates(db, quads, mode, base_key, offset, workers):
-    """Statistics for a list of candidate quads; fresh candidates derive
-    their private stream from (base_key, global candidate index)."""
-    tasks = [(q, mode, base_key, offset + i) for i, q in enumerate(quads)]
+    """Statistics for a list of candidate quads.
+
+    Reuse mode runs in this process on packed sign bits. Fresh
+    candidates derive their private stream from (base_key, global
+    candidate index) and are spread over a process pool.
+    """
+    if mode == "reuse":
+        return _reuse_statistics(db.spins, quads)
+    tasks = [(q, base_key, offset + i) for i, q in enumerate(quads)]
     if workers > 1 and len(tasks) > 1:
         chunks = parallel.chunk_ranges(len(tasks), 4 * workers)
         with parallel.db_pool(db, workers) as pool:
@@ -277,15 +332,10 @@ def _eval_candidates(db, quads, mode, base_key, offset, workers):
 
 
 def _eval_chunk(db, tasks):
-    out = []
-    for quad, mode, base_key, index in tasks:
-        if mode == "fresh":
-            stream = CounterStream(base_key).derive(index)
-            res = chsh_statistic(db, quad, "fresh", stream)
-        else:
-            res = chsh_statistic(db, quad, "reuse")
-        out.append(res.statistic)
-    return out
+    return [
+        chsh_statistic(db, quad, "fresh", CounterStream(base_key).derive(index)).statistic
+        for quad, base_key, index in tasks
+    ]
 
 
 def _eval_chunk_task(tasks):
@@ -335,7 +385,8 @@ def search_max_chsh(
     (canonical saturating quad by default), so budget 1 just evaluates
     that quad. The best candidate is reduced with an associative max
     keyed on (statistic, quad ordering), making the outcome independent
-    of evaluation order and worker count.
+    of evaluation order and worker count. Reuse mode runs in this
+    process and ignores ``workers``.
     """
     if budget < 1:
         raise ConfigurationError(f"search budget must be >= 1, got {budget}")
@@ -365,9 +416,10 @@ def search_max_chsh(
         remaining -= n_random
 
     stats = _eval_candidates(db, candidates, mode, base_key, 0, workers)
-    scored = list(zip(stats, candidates))
-    best_stat, best_quad = max(scored, key=lambda sq: (sq[0], sq[1].sort_key()))
-    best_index = max(range(len(scored)), key=lambda i: (scored[i][0], scored[i][1].sort_key()))
+    best_stat, best_quad, best_index = max(
+        ((s, q, i) for i, (s, q) in enumerate(zip(stats, candidates))),
+        key=lambda c: (c[0], c[1].sort_key()),
+    )
 
     # local refinement: perturb the incumbent with shrinking radius
     offset = len(candidates)
@@ -389,7 +441,7 @@ def search_max_chsh(
             db, best_quad, "fresh", CounterStream(base_key).derive(best_index), workers=workers
         )
     else:
-        best_result = chsh_statistic(db, best_quad, "reuse", workers=workers)
+        best_result = chsh_statistic(db, best_quad, "reuse")
     return best_result, best_quad
 
 

@@ -55,19 +55,28 @@ class CorrelationEstimate:
         )
 
 
+def setting_dots(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: UnitVector) -> np.ndarray:
+    """Per-trial dot products s_k . d from the three spin columns.
+
+    Every station sign in the package is taken from this expression.
+    It is formed elementwise rather than with BLAS matvec calls, whose
+    kernel choice can depend on operand size; elementwise ufuncs give
+    bit-identical per-trial values under any partitioning of the rows.
+    """
+    return s0 * d.x + s1 * d.y + s2 * d.z
+
+
 def station_products(
     spins: np.ndarray, a: UnitVector, b: UnitVector
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial station signs and tie masks for a setting pair.
 
     Returns (x, y, tie_a, tie_b) where x_k = sign(+s_k . a) and
-    y_k = sign(-s_k . b), with sign(0) := +1. Dot products are formed
-    elementwise rather than with BLAS matvec calls, whose kernel choice
-    can depend on operand size; elementwise ufuncs give bit-identical
-    per-trial values under any partitioning of the rows.
+    y_k = sign(-s_k . b), with sign(0) := +1.
     """
-    da = spins[:, 0] * a.x + spins[:, 1] * a.y + spins[:, 2] * a.z
-    db = spins[:, 0] * b.x + spins[:, 1] * b.y + spins[:, 2] * b.z
+    s0, s1, s2 = spins[:, 0], spins[:, 1], spins[:, 2]
+    da = setting_dots(s0, s1, s2, a)
+    db = setting_dots(s0, s1, s2, b)
     x = np.where(da >= 0.0, 1, -1).astype(np.int8)
     y = np.where(db <= 0.0, 1, -1).astype(np.int8)
     return x, y, da == 0.0, db == 0.0

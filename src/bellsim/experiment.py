@@ -123,9 +123,9 @@ class Mixture(DistributionSpec):
         if not self.components:
             raise ConfigurationError("mixture needs at least one component")
         weights = [w for w, _ in self.components]
-        if any(w <= 0.0 for w in weights):
+        if any(not w > 0.0 for w in weights):  # NaN-safe: NaN fails every comparison
             raise ConfigurationError(f"mixture weights must be positive, got {weights}")
-        if abs(sum(weights) - 1.0) > _WEIGHT_TOLERANCE:
+        if not abs(sum(weights) - 1.0) <= _WEIGHT_TOLERANCE:
             raise ConfigurationError(f"mixture weights must sum to 1, got {sum(weights)}")
 
     def tag(self) -> str:
@@ -246,7 +246,7 @@ def generate_database(
     Trial k's direction depends only on (seed, k), so the result is
     identical at any worker count and under any index partitioning.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, int) or not 0 <= seed < _SEED_LIMIT:
         raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
@@ -389,8 +389,10 @@ def read_database(fileobj) -> TrialDatabase:
             spins[k] = [float(parts[1]), float(parts[2]), float(parts[3])]
         except ValueError as exc:
             raise ConfigurationError(f"bad trial line {k}") from exc
+    if fileobj.readline():
+        raise ConfigurationError(f"unexpected content after trial {n - 1}")
     norm_err = np.abs(np.sum(spins * spins, axis=1) - 1.0)
-    if norm_err.max() > NORM_TOLERANCE:
+    if not norm_err.max() <= NORM_TOLERANCE:  # NaN-safe: a NaN row fails here
         raise ConfigurationError("database contains non-unit spin rows")
     spins.setflags(write=False)
     return TrialDatabase(seed=seed, distribution=dist, n=n, spins=spins)

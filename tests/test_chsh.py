@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim import (
     CANONICAL_QUAD,
@@ -13,6 +15,7 @@ from bellsim import (
     Mixture,
     SettingQuad,
     UniformSphere,
+    UnitVector,
     angle_between,
     chsh_statistic,
     enumerate_deterministic_strategies,
@@ -23,6 +26,8 @@ from bellsim import (
     search_max_chsh,
     standard_combination,
 )
+from bellsim import parallel
+from bellsim.chsh import _reuse_statistics
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import root_stream
 
@@ -212,6 +217,46 @@ def test_search_is_deterministic_and_worker_invariant():
     assert first == second
     parallel_run = search_max_chsh(db, "reuse", 260, root_stream(73, 4), workers=4)
     assert parallel_run == first
+
+
+def test_reuse_search_opens_no_process_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reuse-mode search opened a process pool")
+
+    monkeypatch.setattr(parallel, "db_pool", refuse)
+    monkeypatch.setattr(parallel, "plain_pool", refuse)
+    db = generate_database(75, UniformSphere(), 5000)
+    best, quad = search_max_chsh(db, "reuse", 200, root_stream(75, 4), workers=2)
+    assert best == chsh_statistic(db, quad, "reuse")
+
+
+# coordinate axes give exact zero dot products against axis-aligned spins
+_AXES = [X_AXIS, Y_AXIS, Z_AXIS, X_AXIS.negated(), Y_AXIS.negated(), Z_AXIS.negated()]
+_units = st.one_of(
+    st.sampled_from(_AXES),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 0.1)
+    .map(lambda v: UnitVector.normalize(*v)),
+)
+_distributions = st.one_of(
+    st.just(UniformSphere()),
+    _units.map(FixedAxis),
+    st.builds(Cap, _units, st.floats(0.05, math.pi)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=_distributions,
+    n=st.integers(1, 300).filter(lambda n: n % 8),  # padding bits in the last byte
+    quads=st.lists(st.builds(SettingQuad, _units, _units, _units, _units), min_size=1, max_size=40),
+)
+@example(seed=0, dist=FixedAxis(X_AXIS), n=13, quads=[SettingQuad(Z_AXIS, X_AXIS, Z_AXIS, Y_AXIS)])
+def test_packed_search_evaluator_matches_chsh_statistic(seed, dist, n, quads):
+    db = generate_database(seed, dist, n)
+    expected = [chsh_statistic(db, q, "reuse").statistic for q in quads]
+    assert _reuse_statistics(db.spins, quads) == expected
 
 
 def test_fresh_search_reports_only_sampling_noise():

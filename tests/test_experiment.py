@@ -73,6 +73,13 @@ def test_generation_validation():
         generate_database(1, "uniform", 5)
 
 
+def test_generation_rejects_bool_trial_count():
+    # bool is a subclass of int, so True would pass as n = 1
+    for n in (True, False):
+        with pytest.raises(ConfigurationError):
+            generate_database(0, UniformSphere(), n)
+
+
 def test_all_generated_spins_are_unit():
     for dist in (
         UniformSphere(),
@@ -117,6 +124,16 @@ def test_distribution_validation():
         Mixture(((-0.5, UniformSphere()), (1.5, UniformSphere())))
     with pytest.raises(ConfigurationError):
         Mixture(())
+
+
+def test_mixture_rejects_nan_weights():
+    nan = float("nan")
+    with pytest.raises(ConfigurationError):
+        Mixture(((nan, UniformSphere()),))
+    with pytest.raises(ConfigurationError):
+        Mixture(((0.5, UniformSphere()), (nan, UniformSphere())))
+    with pytest.raises(ConfigurationError):
+        parse_distribution("mixture(nan:uniform-sphere)")
 
 
 def test_distribution_tags_round_trip():
@@ -245,3 +262,24 @@ def test_database_text_rejects_corruption():
     bad_row = "\n".join([good[0], "0 0.5 0.5 0.5", good[2], good[3]]) + "\n"
     with pytest.raises(ConfigurationError):
         read_database(io.StringIO(bad_row))
+
+
+def _database_lines(n: int) -> list[str]:
+    buf = io.StringIO()
+    write_database(generate_database(1, UniformSphere(), n), buf)
+    return buf.getvalue().splitlines()
+
+
+def test_database_text_rejects_nan_row():
+    good = _database_lines(2)
+    text = "\n".join([good[0], "0 nan nan nan", good[2]]) + "\n"
+    with pytest.raises(ConfigurationError):
+        read_database(io.StringIO(text))
+
+
+def test_database_text_rejects_lines_after_last_trial():
+    good = _database_lines(2)
+    with pytest.raises(ConfigurationError):
+        read_database(io.StringIO("\n".join(good + [good[2].replace("1 ", "2 ", 1)]) + "\n"))
+    with pytest.raises(ConfigurationError):
+        read_database(io.StringIO("\n".join(good + [""]) + "\n"))
