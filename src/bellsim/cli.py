@@ -11,7 +11,6 @@ parallelism is echoed on stdout rather than recorded in the files.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -36,6 +35,7 @@ from .experiment import (
     DistributionSpec,
     SettingPolicy,
     UniformSphere,
+    check_seed,
     generate_database,
     parse_distribution,
     select_settings,
@@ -44,8 +44,6 @@ from .experiment import (
 from .geometry import UnitVector, direction_at_angle
 from .parallel import resolve_workers
 from .rng import DOMAIN_SETTINGS, DOMAIN_SEARCH, root_stream
-
-_SEED_LIMIT = 1 << 64
 
 
 @dataclass
@@ -63,9 +61,7 @@ class RunConfig:
 
 
 def _config_from_args(args, default_out: str, formats: tuple[str, ...]) -> RunConfig:
-    seed = args.seed
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ConfigurationError(f"--seed must be an unsigned 64-bit integer, got {seed}")
+    seed = check_seed(args.seed, "--seed")
     if args.n < 1:
         raise ConfigurationError(f"--n must be >= 1, got {args.n}")
     distribution = parse_distribution(args.dist)
@@ -103,12 +99,13 @@ def _parse_direction(text: str, flag: str) -> UnitVector:
         raise ConfigurationError(f"{flag}: bad direction {text!r}: {exc}") from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call ``write(handle)`` on a temp file beside ``path``, then rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".bellsim-tmp-", dir=directory)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -122,6 +119,11 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _write_json(path: str, doc: dict) -> None:
+    text = _dump_json(doc)
+    _atomic_write(path, lambda handle: handle.write(text))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -129,9 +131,7 @@ def _dump_json(doc: dict) -> str:
 def cmd_gen_db(args) -> int:
     cfg = _config_from_args(args, default_out="db.txt", formats=("text",))
     db = generate_database(cfg.seed, cfg.distribution, cfg.n, workers=cfg.workers)
-    buf = io.StringIO()
-    write_database(db, buf)
-    _atomic_write(cfg.out, buf.getvalue())
+    _atomic_write(cfg.out, lambda handle: write_database(db, handle))
     print(
         f"gen-db: wrote {cfg.out} (n={db.n}, seed={db.seed}, "
         f"dist={db.distribution.tag()}, workers={cfg.workers})"
@@ -176,9 +176,9 @@ def cmd_sweep(args) -> int:
         f"grid_deg={args.theta_start}:{args.theta_stop}:{args.steps}"
     )
     if cfg.format == "csv":
-        buf = io.StringIO()
-        write_curve_csv(curve, buf, provenance=provenance)
-        _atomic_write(cfg.out, buf.getvalue())
+        _atomic_write(
+            cfg.out, lambda handle: write_curve_csv(curve, handle, provenance=provenance)
+        )
     else:
         doc = {
             "tool": "bellsim",
@@ -202,7 +202,7 @@ def cmd_sweep(args) -> int:
                 for p in curve.points
             ],
         }
-        _atomic_write(cfg.out, _dump_json(doc))
+        _write_json(cfg.out, doc)
 
     dev_linear, dev_singlet = curve.max_deviations()
     print(
@@ -268,7 +268,7 @@ def cmd_chsh(args) -> int:
             return 1
 
     doc = result_summary(result, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag())
-    _atomic_write(cfg.out, _dump_json(doc))
+    _write_json(cfg.out, doc)
     print(f"chsh: S = {result.statistic:.10g} (mode={cfg.mode}, n={cfg.n}); wrote {cfg.out}")
     if cfg.mode == "reuse":
         print(
@@ -293,7 +293,7 @@ def cmd_search(args) -> int:
     doc = result_summary(
         best, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag(), budget=args.budget
     )
-    _atomic_write(cfg.out, _dump_json(doc))
+    _write_json(cfg.out, doc)
 
     print(f"search: wrote {cfg.out} (budget={args.budget}, mode={cfg.mode}, workers={cfg.workers})")
     if cfg.mode == "reuse":

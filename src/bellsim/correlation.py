@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .experiment import ConfigurationError, TrialDatabase
+from .experiment import ConfigurationError, TrialDatabase, format_g17
 from .geometry import UnitVector, direction_at_angle
 from .stats import standard_error
 
@@ -251,10 +251,6 @@ def sweep_correlation(
 CURVE_CSV_HEADER = "theta_rad,theta_deg,E_hat,SE,count_pos,count_neg,tie_count,E_linear,E_singlet"
 
 
-def _g17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_curve_csv(curve: CorrelationCurve, fileobj, provenance: str | None = None) -> None:
     """Write one row per grid point; real values carry 17 significant digits."""
     if provenance:
@@ -265,15 +261,15 @@ def write_curve_csv(curve: CorrelationCurve, fileobj, provenance: str | None = N
         fileobj.write(
             ",".join(
                 [
-                    _g17(p.theta),
-                    _g17(math.degrees(p.theta)),
-                    _g17(e.value),
-                    _g17(e.standard_error),
+                    format_g17(p.theta),
+                    format_g17(math.degrees(p.theta)),
+                    format_g17(e.value),
+                    format_g17(e.standard_error),
                     str(e.count_pos),
                     str(e.count_neg),
                     str(e.tie_count),
-                    _g17(p.linear_ref),
-                    _g17(p.singlet_ref),
+                    format_g17(p.linear_ref),
+                    format_g17(p.singlet_ref),
                 ]
             )
             + "\n"

@@ -36,6 +36,25 @@ class ConfigurationError(ValueError):
     """Invalid run configuration (bad field values, missing settings)."""
 
 
+def check_seed(seed, what: str = "seed") -> int:
+    """Return ``seed`` if it is an unsigned 64-bit integer, else raise.
+
+    ``bool`` is a subclass of ``int`` but is not a seed.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _SEED_LIMIT:
+        raise ConfigurationError(f"{what} must be an unsigned 64-bit integer, got {seed!r}")
+    return seed
+
+
+def format_g17(v: float) -> str:
+    """The package's one float formatter: 17 significant digits, a bit-exact round trip.
+
+    The database writer's ``%.17g`` row format is the same CPython conversion,
+    signed zero (``-0``) included.
+    """
+    return format(float(v), ".17g")
+
+
 # ---------------------------------------------------------------------------
 # spin direction distributions
 
@@ -72,7 +91,8 @@ class FixedAxis(DistributionSpec):
     axis: UnitVector
 
     def tag(self) -> str:
-        return f"fixed-axis({_fmt(self.axis.x)},{_fmt(self.axis.y)},{_fmt(self.axis.z)})"
+        a = self.axis
+        return f"fixed-axis({','.join(map(format_g17, (a.x, a.y, a.z)))})"
 
     def _sample_rows(self, keys, offset):
         return np.tile(self.axis.as_array(), (keys.shape[0], 1))
@@ -93,7 +113,7 @@ class Cap(DistributionSpec):
 
     def tag(self) -> str:
         a = self.axis
-        return f"cap({_fmt(a.x)},{_fmt(a.y)},{_fmt(a.z)},{_fmt(self.half_angle)})"
+        return f"cap({','.join(map(format_g17, (a.x, a.y, a.z, self.half_angle)))})"
 
     def _sample_rows(self, keys, offset):
         # cos(alpha) uniform on [cos(half_angle), 1] gives the uniform cap.
@@ -129,7 +149,7 @@ class Mixture(DistributionSpec):
             raise ConfigurationError(f"mixture weights must sum to 1, got {sum(weights)}")
 
     def tag(self) -> str:
-        parts = ";".join(f"{_fmt(w)}:{spec.tag()}" for w, spec in self.components)
+        parts = ";".join(f"{format_g17(w)}:{spec.tag()}" for w, spec in self.components)
         return f"mixture({parts})"
 
     def _sample_rows(self, keys, offset):
@@ -143,10 +163,6 @@ class Mixture(DistributionSpec):
             if mask.any():
                 rows[mask] = spec._sample_rows(keys[mask], offset + 1)
         return rows
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _unit_from_components(x: float, y: float, z: float) -> UnitVector:
@@ -248,8 +264,7 @@ def generate_database(
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(seed, int) or not 0 <= seed < _SEED_LIMIT:
-        raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    check_seed(seed)
     if not isinstance(distribution, DistributionSpec):
         raise ConfigurationError(f"not a distribution spec: {distribution!r}")
 
@@ -356,14 +371,20 @@ def select_settings(
 # text serialization (line-oriented, bit-exact round trip)
 
 _DB_HEADER_PREFIX = "bellsim-db v1"
+_DB_ROW = "%d %.17g %.17g %.17g\n"  # per value, the same text as format_g17
+_WRITE_BLOCK_ROWS = 4096
 
 
 def write_database(db: TrialDatabase, fileobj) -> None:
-    """Write the line-oriented text format; floats carry 17 significant digits."""
+    """Write the line-oriented text format; floats carry 17 significant digits.
+
+    Rows are converted to Python floats and formatted one block at a time,
+    and each block is written as one string, so the text is never held whole.
+    """
     fileobj.write(f"{_DB_HEADER_PREFIX} seed={db.seed} dist={db.distribution.tag()} n={db.n}\n")
-    for k in range(db.n):
-        x, y, z = db.spins[k]
-        fileobj.write(f"{k} {_fmt(x)} {_fmt(y)} {_fmt(z)}\n")
+    for lo in range(0, db.n, _WRITE_BLOCK_ROWS):
+        rows = db.spins[lo : lo + _WRITE_BLOCK_ROWS].tolist()
+        fileobj.write("".join([_DB_ROW % (k, x, y, z) for k, (x, y, z) in enumerate(rows, lo)]))
 
 
 def read_database(fileobj) -> TrialDatabase:
@@ -378,6 +399,7 @@ def read_database(fileobj) -> TrialDatabase:
         n = int(fields[4].removeprefix("n="))
     except ValueError as exc:
         raise ConfigurationError(f"bad database header: {header!r}") from exc
+    check_seed(seed, "database header seed")
     if n < 1:
         raise ConfigurationError("database must contain at least one trial")
     spins = np.empty((n, 3))

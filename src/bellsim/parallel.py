@@ -28,12 +28,21 @@ def worker_db():
     return _WORKER_DB
 
 
+def _processes(workers: int) -> int:
+    # the fork start method starts every process at once; a pool never needs
+    # more than the CPUs it can keep busy, and callers still split the rows
+    # into ``workers`` chunks, so capping changes no result
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def db_pool(db, workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, initializer=_init_db, initargs=(db,))
+    return ProcessPoolExecutor(
+        max_workers=_processes(workers), initializer=_init_db, initargs=(db,)
+    )
 
 
 def plain_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=_processes(workers))
 
 
 def resolve_workers(workers) -> int:

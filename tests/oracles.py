@@ -80,3 +80,12 @@ def random_unit(rng: np.random.Generator) -> UnitVector:
         norm = math.sqrt(float(v @ v))
         if norm > 1e-6:
             return UnitVector(v[0] / norm, v[1] / norm, v[2] / norm)
+
+
+def write_database_per_row(db, fileobj) -> None:
+    """The database text format written one row, and one float, at a time."""
+    fileobj.write(f"bellsim-db v1 seed={db.seed} dist={db.distribution.tag()} n={db.n}\n")
+    for k in range(db.n):
+        x, y, z = db.spins[k]
+        fx, fy, fz = (format(float(v), ".17g") for v in (x, y, z))
+        fileobj.write(f"{k} {fx} {fy} {fz}\n")

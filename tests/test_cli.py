@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from bellsim import read_database, generate_database, UniformSphere
+from bellsim import cli, read_database, generate_database, UniformSphere
+from bellsim.experiment import _WRITE_BLOCK_ROWS
 
 
 def run_cli(*args, cwd=None):
@@ -207,3 +208,45 @@ def test_unwritable_output_leaves_no_partial_file(tmp_path):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert list(tmp_path.iterdir()) == [blocker]
+
+
+class _FailingHandle:
+    """Passes writes through to a file handle until the ``fail_at``-th, which raises."""
+
+    def __init__(self, handle, fail_at, error):
+        self.handle, self.fail_at, self.error, self.calls = handle, fail_at, error, 0
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            self.handle.flush()  # the rows written so far reach the temp file
+            raise self.error
+        return self.handle.write(text)
+
+
+@pytest.mark.parametrize("error", [OSError("no space left on device"), KeyboardInterrupt()])
+@pytest.mark.parametrize("existing", [False, True])
+def test_gen_db_failing_partway_leaves_no_artifact(tmp_path, monkeypatch, capsys, error, existing):
+    out = tmp_path / "db.txt"
+    if existing:
+        out.write_text("an earlier artifact\n")
+    write_database = cli.write_database
+    handles = []
+
+    def write_then_fail(db, handle):
+        # the header, then one full block of rows, then the failure
+        handles.append(_FailingHandle(handle, 3, error))
+        write_database(db, handles[-1])
+
+    monkeypatch.setattr(cli, "write_database", write_then_fail)
+    argv = ["gen-db", "--n", str(2 * _WRITE_BLOCK_ROWS), "--out", str(out)]
+    if isinstance(error, OSError):
+        assert cli.main(argv) == 1
+        assert "error: no space left on device" in capsys.readouterr().err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    assert handles[0].calls == 3
+    assert list(tmp_path.iterdir()) == ([out] if existing else [])
+    if existing:
+        assert out.read_text() == "an earlier artifact\n"

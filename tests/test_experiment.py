@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim import (
     Cap,
@@ -13,6 +15,7 @@ from bellsim import (
     Mixture,
     Outcome,
     SettingPolicy,
+    TrialDatabase,
     UniformSphere,
     UnitVector,
     angle_between,
@@ -23,10 +26,11 @@ from bellsim import (
     select_settings,
     write_database,
 )
-from bellsim.geometry import X_AXIS, Z_AXIS
+from bellsim.experiment import _WRITE_BLOCK_ROWS
+from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import root_stream
 
-from oracles import random_unit
+from oracles import random_unit, write_database_per_row
 
 
 # -- generation -------------------------------------------------------------
@@ -78,6 +82,12 @@ def test_generation_rejects_bool_trial_count():
     for n in (True, False):
         with pytest.raises(ConfigurationError):
             generate_database(0, UniformSphere(), n)
+
+
+def test_generation_rejects_bool_seed():
+    for seed in (True, False):
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_database(seed, UniformSphere(), 3)
 
 
 def test_all_generated_spins_are_unit():
@@ -283,3 +293,58 @@ def test_database_text_rejects_lines_after_last_trial():
         read_database(io.StringIO("\n".join(good + [good[2].replace("1 ", "2 ", 1)]) + "\n"))
     with pytest.raises(ConfigurationError):
         read_database(io.StringIO("\n".join(good + [""]) + "\n"))
+
+
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+def test_database_header_rejects_seed_out_of_range(seed):
+    good = _database_lines(2)
+    header = good[0].replace("seed=1 ", f"seed={seed} ")
+    assert header != good[0]
+    with pytest.raises(ConfigurationError, match="seed"):
+        read_database(io.StringIO("\n".join([header] + good[1:]) + "\n"))
+
+
+_B = _WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize(
+    "dist", ["uniform-sphere", "fixed-axis(0,-1,0)", "fixed-axis(-0,-1,-0)", "cap(0.6,0,0.8,0.3)"]
+)
+def test_block_writer_matches_per_row_writer(n, dist):
+    db = generate_database(11, parse_distribution(dist), n)
+    fast, slow = io.StringIO(), io.StringIO()
+    write_database(db, fast)
+    write_database_per_row(db, slow)
+    assert fast.getvalue() == slow.getvalue()
+    assert fast.getvalue().count("\n") == n + 1
+    if dist == "fixed-axis(-0,-1,-0)":
+        assert fast.getvalue().splitlines()[-1].endswith(" -0 -1 -0")
+
+
+_AXES = [X_AXIS, Y_AXIS, Z_AXIS, UnitVector(-0.0, -1.0, -0.0), UnitVector(-0.0, -0.0, 1.0)]
+_unit_rows = st.one_of(
+    st.sampled_from([(v.x, v.y, v.z) for v in _AXES]),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 1e-3)
+    .map(lambda v: tuple(np.array(v) / math.hypot(*v))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rows=st.lists(_unit_rows, min_size=1, max_size=50))
+@example(seed=2**64 - 1, rows=[(-0.0, -1.0, -0.0), (5e-324, -1.0, 0.0)])
+def test_database_text_round_trip_property(seed, rows):
+    spins = np.array(rows, dtype=np.float64)
+    db = TrialDatabase(seed=seed, distribution=UniformSphere(), n=len(rows), spins=spins)
+    buf, slow = io.StringIO(), io.StringIO()
+    write_database(db, buf)
+    write_database_per_row(db, slow)
+    text = buf.getvalue()
+    assert text == slow.getvalue()
+    back = read_database(io.StringIO(text))
+    assert back.seed == seed and back.n == db.n
+    assert back.spins.tobytes() == spins.tobytes()
+    again = io.StringIO()
+    write_database(back, again)
+    assert again.getvalue() == text
