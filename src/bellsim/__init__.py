@@ -36,6 +36,7 @@ from .experiment import (
     ConfigurationError,
     DistributionSpec,
     FixedAxis,
+    GeneratedTrials,
     Mixture,
     Outcome,
     SettingPolicy,
@@ -71,6 +72,7 @@ __all__ = [
     "DeviationBound",
     "DistributionSpec",
     "FixedAxis",
+    "GeneratedTrials",
     "Mixture",
     "Outcome",
     "SettingPolicy",

@@ -24,8 +24,10 @@ expectation and S may exceed 2 only by sampling noise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,12 +41,11 @@ from .correlation import (
     setting_dots,
     station_products,
 )
-from .experiment import ConfigurationError, TrialDatabase, generate_database
+from .experiment import ConfigurationError, GeneratedTrials, TrialDatabase, generate_database
 from .geometry import UnitVector, direction_at_angle, sample_uniform_directions
 from .rng import CounterStream
 from .stats import hoeffding_bound
 
-_MIN_PARALLEL_TRIALS = 4096
 _BLOCK_QUADS = 32  # bounds the sign bits and pair table the search holds at once
 
 
@@ -110,36 +111,107 @@ class ChshResult:
 # ---------------------------------------------------------------------------
 # per-trial terms and the statistic
 
+_BLOCK_ROWS = 1 << 16  # rows generated and tallied at once; bounds what a task holds
 
-def _quad_tallies(spins: np.ndarray, quad: SettingQuad):
+
+def _pm2_terms(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """The per-trial terms x1*(y1 - y2) - x2*(y2 + y1), each +-2, from the station signs."""
+    return x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
+
+
+class QuadTallies(NamedTuple):
+    """What reuse mode keeps of a run of trials; runs merge by addition and min/max.
+
+    ``pos`` and ``ties`` are ordered (a1,b1), (a1,b2), (a2,b1), (a2,b2).
+    ``term_sum`` and ``term_pm2`` (the count of terms equal to +-2) exist
+    so that the per-trial identity can be checked without the terms.
+    """
+
+    n: int
+    pos: tuple[int, int, int, int]
+    ties: tuple[int, int, int, int]
+    term_min: int
+    term_max: int
+    term_sum: int
+    term_pm2: int
+
+    def merge(self, other: "QuadTallies") -> "QuadTallies":
+        return QuadTallies(
+            n=self.n + other.n,
+            pos=tuple(map(operator.add, self.pos, other.pos)),
+            ties=tuple(map(operator.add, self.ties, other.ties)),
+            term_min=min(self.term_min, other.term_min),
+            term_max=max(self.term_max, other.term_max),
+            term_sum=self.term_sum + other.term_sum,
+            term_pm2=self.term_pm2 + other.term_pm2,
+        )
+
+
+def _quad_tallies(spins: np.ndarray, quad: SettingQuad) -> QuadTallies:
     x1, y1, ta1, tb1 = station_products(spins, quad.a1, quad.b1)
     x2, y2, ta2, tb2 = station_products(spins, quad.a2, quad.b2)
-    terms = x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
-    return (
-        int(np.count_nonzero(x1 == y1)),
-        int(np.count_nonzero(x1 == y2)),
-        int(np.count_nonzero(x2 == y1)),
-        int(np.count_nonzero(x2 == y2)),
-        int(np.count_nonzero(ta1 | tb1)),
-        int(np.count_nonzero(ta1 | tb2)),
-        int(np.count_nonzero(ta2 | tb1)),
-        int(np.count_nonzero(ta2 | tb2)),
-        int(terms.min()),
-        int(terms.max()),
+    terms = _pm2_terms(x1, y1, x2, y2)
+    return QuadTallies(
+        n=len(terms),
+        pos=(
+            int(np.count_nonzero(x1 == y1)),
+            int(np.count_nonzero(x1 == y2)),
+            int(np.count_nonzero(x2 == y1)),
+            int(np.count_nonzero(x2 == y2)),
+        ),
+        ties=(
+            int(np.count_nonzero(ta1 | tb1)),
+            int(np.count_nonzero(ta1 | tb2)),
+            int(np.count_nonzero(ta2 | tb1)),
+            int(np.count_nonzero(ta2 | tb2)),
+        ),
+        term_min=int(terms.min()),
+        term_max=int(terms.max()),
+        term_sum=int(terms.sum()),
+        term_pm2=int(np.count_nonzero(np.abs(terms) == 2)),
     )
 
 
-def _quad_range_task(args):
-    lo, hi, quad = args
-    return _quad_tallies(parallel.worker_db().spins[lo:hi], quad)
+def _range_tallies(args) -> QuadTallies:
+    """Tallies of trials [lo, hi) of a TrialDatabase or GeneratedTrials.
+
+    The rows are taken one block at a time, so of generated trials no
+    more than one block ever exists.
+    """
+    source, lo, hi, quad = args
+    return functools.reduce(
+        QuadTallies.merge,
+        (
+            _quad_tallies(source.rows(b, min(b + _BLOCK_ROWS, hi)), quad)
+            for b in range(lo, hi, _BLOCK_ROWS)
+        ),
+    )
+
+
+def streamed_tallies(trials: GeneratedTrials, quad: SettingQuad, workers: int = 1) -> QuadTallies:
+    """Reuse-mode tallies of trials that are generated as they are tallied.
+
+    Each of ``workers`` row ranges regenerates its own rows block by
+    block. With more than one worker the ranges go to one process pool
+    whose tasks carry only (trials, lo, hi, quad): no database is built,
+    shipped or returned, in this process or any other.
+    """
+    tasks = [(trials, lo, hi, quad) for lo, hi in parallel.chunk_ranges(trials.n, workers)]
+    if workers > 1 and trials.n >= parallel.MIN_PARALLEL_TRIALS:
+        with parallel.plain_pool(workers) as pool:
+            return functools.reduce(QuadTallies.merge, pool.map(_range_tallies, tasks))
+    return functools.reduce(QuadTallies.merge, map(_range_tallies, tasks))
+
+
+def _spin_terms(spins: np.ndarray, quad: SettingQuad) -> np.ndarray:
+    x1, y1, _, _ = station_products(spins, quad.a1, quad.b1)
+    x2, y2, _, _ = station_products(spins, quad.a2, quad.b2)
+    return _pm2_terms(x1, y1, x2, y2)
 
 
 def _terms_range_task(args):
     lo, hi, quad = args
-    spins = parallel.worker_db().spins[lo:hi]
-    x1, y1, _, _ = station_products(spins, quad.a1, quad.b1)
-    x2, y2, _, _ = station_products(spins, quad.a2, quad.b2)
-    return x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
+    return _spin_terms(parallel.worker_db().spins[lo:hi], quad)
 
 
 def per_trial_terms(db: TrialDatabase, quad: SettingQuad, workers: int = 1) -> np.ndarray:
@@ -148,14 +220,12 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad, workers: int = 1) -> n
     Their mean is exactly the reuse-mode statistic: the sum is an
     integer and the statistic performs the same single division by n.
     """
-    if workers > 1 and db.n >= _MIN_PARALLEL_TRIALS:
+    if workers > 1 and db.n >= parallel.MIN_PARALLEL_TRIALS:
         ranges = parallel.chunk_ranges(db.n, workers)
         with parallel.db_pool(db, workers) as pool:
             blocks = list(pool.map(_terms_range_task, [(lo, hi, quad) for lo, hi in ranges]))
         return np.concatenate(blocks)
-    x1, y1, _, _ = station_products(db.spins, quad.a1, quad.b1)
-    x2, y2, _, _ = station_products(db.spins, quad.a2, quad.b2)
-    return x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
+    return _spin_terms(db.spins, quad)
 
 
 def _reuse_statistic(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> float:
@@ -164,20 +234,11 @@ def _reuse_statistic(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> 
     return (2 * (pos11 - pos12 - pos22 - pos21) + 2 * n) / n
 
 
-def _reuse_result(db: TrialDatabase, quad: SettingQuad, workers: int) -> ChshResult:
-    if workers > 1 and db.n >= _MIN_PARALLEL_TRIALS:
-        ranges = parallel.chunk_ranges(db.n, workers)
-        with parallel.db_pool(db, workers) as pool:
-            partials = list(pool.map(_quad_range_task, [(lo, hi, quad) for lo, hi in ranges]))
-        merged = [sum(p[i] for p in partials) for i in range(8)]
-        t_min = min(p[8] for p in partials)
-        t_max = max(p[9] for p in partials)
-    else:
-        tallies = _quad_tallies(db.spins, quad)
-        merged, t_min, t_max = list(tallies[:8]), tallies[8], tallies[9]
-
-    n = db.n
-    pos11, pos12, pos21, pos22, tie11, tie12, tie21, tie22 = merged
+def result_from_tallies(tallies: QuadTallies) -> ChshResult:
+    """The reuse-mode result of (merged) tallies."""
+    n = tallies.n
+    pos11, pos12, pos21, pos22 = tallies.pos
+    tie11, tie12, tie21, tie22 = tallies.ties
     return ChshResult(
         e11=CorrelationEstimate.from_tallies(n, pos11, tie11),
         e12=CorrelationEstimate.from_tallies(n, pos12, tie12),
@@ -186,8 +247,8 @@ def _reuse_result(db: TrialDatabase, quad: SettingQuad, workers: int) -> ChshRes
         statistic=_reuse_statistic(n, pos11, pos12, pos21, pos22),
         mode="reuse",
         n=n,
-        per_trial_min=t_min,
-        per_trial_max=t_max,
+        per_trial_min=tallies.term_min,
+        per_trial_max=tallies.term_max,
     )
 
 
@@ -201,13 +262,14 @@ def chsh_statistic(
     """Evaluate S for a setting quad, in reuse or fresh mode.
 
     Reuse mode computes all four correlations on the same database, so
-    the per-trial +-2 identity applies and |S| <= 2 holds exactly.
+    the per-trial +-2 identity applies and |S| <= 2 holds exactly. It
+    is one in-process pass over the rows and ignores ``workers``.
     Fresh mode consumes three seeds from ``stream`` to generate three
     more databases of the same size and distribution, one per remaining
     correlation, and carries no per-trial diagnostics.
     """
     if mode == "reuse":
-        return _reuse_result(db, quad, workers)
+        return result_from_tallies(_range_tallies((db, 0, db.n, quad)))
     if mode != "fresh":
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
     if stream is None:

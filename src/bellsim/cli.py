@@ -18,22 +18,23 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._version import __version__
 from .chsh import (
     SettingQuad,
     chsh_statistic,
     enumerate_deterministic_strategies,
-    per_trial_terms,
+    result_from_tallies,
     result_summary,
     search_max_chsh,
+    streamed_tallies,
 )
 from .correlation import sweep_correlation, write_curve_csv
 from .experiment import (
     ConfigurationError,
     DistributionSpec,
+    GeneratedTrials,
     SettingPolicy,
+    TrialDatabase,
     UniformSphere,
     check_seed,
     generate_database,
@@ -216,7 +217,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _quad_from_args(args, cfg: RunConfig, db) -> SettingQuad:
+def _quad_from_args(args, cfg: RunConfig, trials: GeneratedTrials | TrialDatabase) -> SettingQuad:
     flags = (args.a1, args.a2, args.b1, args.b2)
     if cfg.policy == "fixed":
         missing = [name for name, v in zip(("--a1", "--a2", "--b1", "--b2"), flags) if v is None]
@@ -234,8 +235,8 @@ def _quad_from_args(args, cfg: RunConfig, db) -> SettingQuad:
         SettingPolicy.from_database() if cfg.policy == "from-database" else SettingPolicy.uniform()
     )
     stream = root_stream(cfg.seed, DOMAIN_SETTINGS)
-    a1, b1 = select_settings(policy, db, stream)
-    a2, b2 = select_settings(policy, db, stream)
+    a1, b1 = select_settings(policy, trials, stream)
+    a2, b2 = select_settings(policy, trials, stream)
     return SettingQuad(a1=a1, a2=a2, b1=b1, b2=b2)
 
 
@@ -244,25 +245,28 @@ def cmd_chsh(args) -> int:
     if cfg.policy not in ("fixed", "from-database", "uniform"):
         raise ConfigurationError(f"--policy must be fixed|from-database|uniform, got {cfg.policy!r}")
 
-    db = generate_database(cfg.seed, cfg.distribution, cfg.n, workers=cfg.workers)
-    quad = _quad_from_args(args, cfg, db)
-    stream = root_stream(cfg.seed, DOMAIN_SEARCH) if cfg.mode == "fresh" else None
-    result = chsh_statistic(db, quad, mode=cfg.mode, stream=stream, workers=cfg.workers)
-
-    if cfg.mode == "reuse":
+    trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
+    quad = _quad_from_args(args, cfg, trials)
+    if cfg.mode == "fresh":
+        db = generate_database(cfg.seed, cfg.distribution, cfg.n, workers=cfg.workers)
+        stream = root_stream(cfg.seed, DOMAIN_SEARCH)
+        result = chsh_statistic(db, quad, mode="fresh", stream=stream, workers=cfg.workers)
+    else:
+        # one pass over generated rows; the database is never held whole
+        tallies = streamed_tallies(trials, quad, workers=cfg.workers)
+        result = result_from_tallies(tallies)
         # the per-trial identity is a theorem; failing it means a defect here
-        terms = per_trial_terms(db, quad, workers=cfg.workers)
         numerator = (
             (result.e11.count_pos - result.e11.count_neg)
             - (result.e12.count_pos - result.e12.count_neg)
             - (result.e22.count_pos - result.e22.count_neg)
             - (result.e21.count_pos - result.e21.count_neg)
         )
-        all_pm2 = int(np.count_nonzero(np.abs(terms) == 2)) == db.n
-        if not all_pm2 or int(terms.sum()) != numerator or abs(numerator) > 2 * db.n:
+        all_pm2 = tallies.term_pm2 == cfg.n
+        if not all_pm2 or tallies.term_sum != numerator or abs(numerator) > 2 * cfg.n:
             print(
                 "defect: per-trial identity violated "
-                f"(all terms +-2: {all_pm2}, sum {int(terms.sum())}, tallies {numerator})",
+                f"(all terms +-2: {all_pm2}, sum {tallies.term_sum}, tallies {numerator})",
                 file=sys.stderr,
             )
             return 1

@@ -27,7 +27,6 @@ from .geometry import UnitVector, direction_at_angle
 from .stats import standard_error
 
 _ANGLE_SLACK = 1e-9
-_MIN_PARALLEL_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def estimate_correlation(
     """
     if db.n < 1:
         raise ConfigurationError("database is empty")
-    if workers > 1 and db.n >= _MIN_PARALLEL_TRIALS:
+    if workers > 1 and db.n >= parallel.MIN_PARALLEL_TRIALS:
         ranges = parallel.chunk_ranges(db.n, workers)
         with parallel.db_pool(db, workers) as pool:
             partials = list(pool.map(_estimate_range_task, [(lo, hi, a, b) for lo, hi in ranges]))
@@ -222,7 +221,7 @@ def sweep_correlation(
         if abs(e1.dot(e2)) > _ANGLE_SLACK:
             raise ConfigurationError("sweep plane vectors must be orthonormal")
 
-    if workers > 1 and db.n >= _MIN_PARALLEL_TRIALS and len(grid) > 1:
+    if workers > 1 and db.n >= parallel.MIN_PARALLEL_TRIALS and len(grid) > 1:
         blocks = parallel.chunk_ranges(len(grid), 2 * workers)
         tasks = [(grid[lo:hi], plane) for lo, hi in blocks]
         with parallel.db_pool(db, workers) as pool:

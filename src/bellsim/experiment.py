@@ -14,6 +14,7 @@ matter how generation is ordered or partitioned.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,15 +241,45 @@ class TrialDatabase:
     def spin(self, k: int) -> UnitVector:
         return UnitVector.from_array(self.spins[k])
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The spin rows of trials [lo, hi), a read-only view."""
+        return self.spins[lo:hi]
+
 
 def _spin_rows(seed: int, distribution: DistributionSpec, lo: int, hi: int) -> np.ndarray:
     keys = child_keys(root_key(seed, DOMAIN_TRIALS), lo, hi)
     return distribution._sample_rows(keys, 0)
 
 
-def _generate_range(args) -> np.ndarray:
-    seed, distribution, lo, hi = args
-    return _spin_rows(seed, distribution, lo, hi)
+@dataclass(frozen=True)
+class GeneratedTrials:
+    """The trials of (seed, distribution, n), generated on demand and never stored.
+
+    Trial k depends only on (seed, k), so ``rows(lo, hi)`` equals
+    ``generate_database(seed, distribution, n).spins[lo:hi]`` bit for bit,
+    and ``spin(k)`` generates trial k alone. The object is a few hundred
+    bytes when pickled, so worker processes can take it in place of a database.
+    """
+
+    seed: int
+    distribution: DistributionSpec
+    n: int
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ConfigurationError(f"n must be a positive integer, got {self.n!r}")
+        check_seed(self.seed)
+        if not isinstance(self.distribution, DistributionSpec):
+            raise ConfigurationError(f"not a distribution spec: {self.distribution!r}")
+
+    def spin(self, k: int) -> UnitVector:
+        if not 0 <= k < self.n:
+            raise IndexError(f"trial {k} outside [0, {self.n})")
+        return UnitVector.from_array(self.rows(k, k + 1)[0])
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The spin rows of trials [lo, hi)."""
+        return _spin_rows(self.seed, self.distribution, lo, hi)
 
 
 def generate_database(
@@ -262,19 +293,13 @@ def generate_database(
     Trial k's direction depends only on (seed, k), so the result is
     identical at any worker count and under any index partitioning.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigurationError(f"n must be a positive integer, got {n!r}")
-    check_seed(seed)
-    if not isinstance(distribution, DistributionSpec):
-        raise ConfigurationError(f"not a distribution spec: {distribution!r}")
-
+    trials = GeneratedTrials(seed, distribution, n)
     if workers <= 1 or n < 4 * workers:
-        spins = _spin_rows(seed, distribution, 0, n)
+        spins = trials.rows(0, n)
     else:
-        ranges = parallel.chunk_ranges(n, workers)
+        los, his = zip(*parallel.chunk_ranges(n, workers))
         with parallel.plain_pool(workers) as pool:
-            blocks = list(pool.map(_generate_range, [(seed, distribution, lo, hi) for lo, hi in ranges]))
-        spins = np.vstack(blocks)
+            spins = np.vstack(list(pool.map(trials.rows, los, his)))
     spins.setflags(write=False)
     return TrialDatabase(seed=seed, distribution=distribution, n=n, spins=spins)
 
@@ -347,12 +372,13 @@ class SettingPolicy:
 
 
 def select_settings(
-    policy: SettingPolicy, db: TrialDatabase, stream: CounterStream
+    policy: SettingPolicy, db: TrialDatabase | GeneratedTrials, stream: CounterStream
 ) -> tuple[UnitVector, UnitVector]:
     """Draw the setting pair (a, b) according to the policy.
 
     'from-database' picks both independently, uniformly with
-    replacement, from the already observed spin directions. 'uniform'
+    replacement, from the already observed spin directions; given
+    ``GeneratedTrials`` it generates just those two trials. 'uniform'
     draws fresh directions from the sphere. 'fixed' returns the
     configured pair unchanged.
     """
@@ -361,7 +387,7 @@ def select_settings(
     if policy.kind == "from-database":
         ia = stream.index_below(db.n)
         ib = stream.index_below(db.n)
-        return UnitVector.from_array(db.spins[ia]), UnitVector.from_array(db.spins[ib])
+        return db.spin(ia), db.spin(ib)
     a = sample_uniform_direction(stream)
     b = sample_uniform_direction(stream)
     return a, b
@@ -373,6 +399,9 @@ def select_settings(
 _DB_HEADER_PREFIX = "bellsim-db v1"
 _DB_ROW = "%d %.17g %.17g %.17g\n"  # per value, the same text as format_g17
 _WRITE_BLOCK_ROWS = 4096
+# ``key=<decimal>`` as the writer emits it; 20 digits hold any unsigned 64-bit
+# value, and the cap keeps int() away from its limit on very long digit strings
+_CANONICAL_FIELD = re.compile(r"([a-z]+)=(0|[1-9][0-9]{0,19})")
 
 
 def write_database(db: TrialDatabase, fileobj) -> None:
@@ -387,26 +416,34 @@ def write_database(db: TrialDatabase, fileobj) -> None:
         fileobj.write("".join([_DB_ROW % (k, x, y, z) for k, (x, y, z) in enumerate(rows, lo)]))
 
 
+def _header_count(field: str, key: str) -> int:
+    """The integer of a ``key=<digits>`` header field, in the canonical decimal
+    the writer emits: no sign, no underscore, no leading zero."""
+    match = _CANONICAL_FIELD.fullmatch(field)
+    if match is None or match[1] != key:
+        raise ConfigurationError(f"bad database header field {field!r}: expected {key}=<decimal>")
+    return int(match[2])
+
+
 def read_database(fileobj) -> TrialDatabase:
     """Parse the text format back into a database, bit-exact."""
     header = fileobj.readline().rstrip("\n")
     fields = header.split(" ")
     if len(fields) != 5 or fields[0] != "bellsim-db" or fields[1] != "v1":
         raise ConfigurationError(f"bad database header: {header!r}")
+    seed = check_seed(_header_count(fields[2], "seed"), "database header seed")
     try:
-        seed = int(fields[2].removeprefix("seed="))
         dist = parse_distribution(fields[3].removeprefix("dist="))
-        n = int(fields[4].removeprefix("n="))
     except ValueError as exc:
         raise ConfigurationError(f"bad database header: {header!r}") from exc
-    check_seed(seed, "database header seed")
+    n = _header_count(fields[4], "n")
     if n < 1:
         raise ConfigurationError("database must contain at least one trial")
     spins = np.empty((n, 3))
     for k in range(n):
         parts = fileobj.readline().split()
         try:
-            if len(parts) != 4 or int(parts[0]) != k:
+            if len(parts) != 4 or parts[0] != str(k):  # the index exactly as written
                 raise ConfigurationError(f"bad or out-of-order trial line {k}")
             spins[k] = [float(parts[1]), float(parts[2]), float(parts[3])]
         except ValueError as exc:

@@ -7,13 +7,18 @@ from per-trial streams. Results are therefore byte-identical at any
 worker count; these helpers only organize the plumbing.
 
 The trial database is shipped to workers once, through the pool
-initializer, so tasks stay small.
+initializer, so tasks stay small. Work on ``GeneratedTrials`` ships no
+rows at all: a task carries the trials' description and a row range
+and regenerates those rows itself.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+
+# below this many trials, a process pool costs more than the work it spreads
+MIN_PARALLEL_TRIALS = 4096
 
 _WORKER_DB = None
 

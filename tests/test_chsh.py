@@ -1,6 +1,7 @@
 """CHSH statistic, per-trial identity, strategy enumeration, search."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bellsim import (
     Cap,
     ConfigurationError,
     FixedAxis,
+    GeneratedTrials,
     Mixture,
     SettingQuad,
     UniformSphere,
@@ -19,6 +21,7 @@ from bellsim import (
     angle_between,
     chsh_statistic,
     enumerate_deterministic_strategies,
+    estimate_correlation,
     generate_database,
     per_trial_terms,
     reference_singlet,
@@ -26,8 +29,8 @@ from bellsim import (
     search_max_chsh,
     standard_combination,
 )
-from bellsim import parallel
-from bellsim.chsh import _reuse_statistics
+from bellsim import chsh, parallel
+from bellsim.chsh import _reuse_statistics, result_from_tallies, streamed_tallies
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import root_stream
 
@@ -257,6 +260,51 @@ def test_packed_search_evaluator_matches_chsh_statistic(seed, dist, n, quads):
     db = generate_database(seed, dist, n)
     expected = [chsh_statistic(db, q, "reuse").statistic for q in quads]
     assert _reuse_statistics(db.spins, quads) == expected
+
+
+_mixtures = st.builds(
+    lambda w, first, second: Mixture(((w, first), (1.0 - w, second))),
+    st.floats(0.1, 0.9),
+    _distributions,
+    _distributions,
+)
+_quads = st.one_of(
+    st.builds(SettingQuad, _units, _units, _units, _units),
+    _units.map(lambda d: SettingQuad(d, d, d, d)),  # identical settings
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=st.one_of(_distributions, _mixtures),
+    n=st.integers(1, 60),
+    workers=st.integers(1, 3),
+    block_rows=st.integers(1, 16),
+    quad=_quads,
+)
+@example(seed=0, dist=FixedAxis(X_AXIS), n=13, workers=2, block_rows=4,
+         quad=SettingQuad(Z_AXIS, X_AXIS, Z_AXIS, Y_AXIS))
+@example(seed=0, dist=FixedAxis(X_AXIS), n=9, workers=1, block_rows=4,
+         quad=SettingQuad(Y_AXIS, X_AXIS, Z_AXIS, X_AXIS))  # a tie in (a2,b1), none in (a2,b2)
+@example(seed=1, dist=UniformSphere(), n=2, workers=3, block_rows=1,
+         quad=SettingQuad(X_AXIS, X_AXIS, X_AXIS, X_AXIS))
+def test_streamed_tallies_match_the_database_path(seed, dist, n, workers, block_rows, quad):
+    # a small block size puts n on both sides of it; the pool needs more
+    # trials than n, so the worker ranges run in this process
+    with patch.object(chsh, "_BLOCK_ROWS", block_rows):
+        tallies = streamed_tallies(GeneratedTrials(seed, dist, n), quad, workers)
+    db = generate_database(seed, dist, n)
+    result = result_from_tallies(tallies)
+    assert result == chsh_statistic(db, quad, "reuse")
+    pairs = ((quad.a1, quad.b1), (quad.a1, quad.b2), (quad.a2, quad.b1), (quad.a2, quad.b2))
+    for estimate, (a, b) in zip((result.e11, result.e12, result.e21, result.e22), pairs):
+        assert estimate == estimate_correlation(db, a, b)
+    terms = per_trial_terms(db, quad)
+    assert tallies.n == n == tallies.term_pm2
+    assert (tallies.term_min, tallies.term_max) == (int(terms.min()), int(terms.max()))
+    assert tallies.term_sum == int(terms.sum())
+    assert result.statistic == int(terms.sum()) / n
 
 
 def test_fresh_search_reports_only_sampling_noise():

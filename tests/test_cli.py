@@ -7,7 +7,16 @@ import sys
 
 import pytest
 
-from bellsim import cli, read_database, generate_database, UniformSphere
+from bellsim import (
+    UniformSphere,
+    chsh,
+    chsh_statistic,
+    cli,
+    generate_database,
+    parallel,
+    read_database,
+    result_summary,
+)
 from bellsim.experiment import _WRITE_BLOCK_ROWS
 
 
@@ -130,6 +139,85 @@ def test_chsh_vector_settings_and_policies(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert abs(json.loads(drawn.read_text())["statistic"]) <= 2.0
+
+
+_CANONICAL = ["--a1", "0", "--a2", "90", "--b1", "135", "--b2", "45"]
+_POLICIES = [_CANONICAL, ["--policy", "from-database"], ["--policy", "uniform"]]
+
+
+def test_reuse_chsh_at_one_worker_opens_no_pool(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1-worker chsh opened a process pool")
+
+    monkeypatch.setattr(parallel, "db_pool", refuse)
+    monkeypatch.setattr(parallel, "plain_pool", refuse)
+    for policy in _POLICIES:
+        out = tmp_path / "chsh.json"
+        assert cli.main(["chsh", "--n", "5000", *policy, "--workers", "1", "--out", str(out)]) == 0
+
+
+def test_reuse_chsh_at_two_workers_opens_one_plain_pool(tmp_path, monkeypatch):
+    requests = []
+    plain_pool, db_pool = parallel.plain_pool, parallel.db_pool
+
+    def record_plain(workers):
+        requests.append(("plain_pool", workers))
+        return plain_pool(workers)
+
+    def record_db(db, workers):
+        requests.append(("db_pool", workers))
+        return db_pool(db, workers)
+
+    monkeypatch.setattr(parallel, "plain_pool", record_plain)
+    monkeypatch.setattr(parallel, "db_pool", record_db)
+    outputs = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"chsh-w{workers}.json"
+        argv = ["chsh", "--n", "5000", *_CANONICAL, "--workers", workers, "--out", str(out)]
+        assert cli.main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert requests == [("plain_pool", 2)]
+    assert outputs[0] == outputs[1]
+
+
+_DEFECTS = {
+    # one +2 term reported as 0, which no four signs can produce
+    "zero-term": lambda t: t._replace(term_min=0, term_sum=t.term_sum - 2, term_pm2=t.term_pm2 - 1),
+    # one term counted as not +-2 while the sum still matches the tallies
+    "count-only": lambda t: t._replace(term_pm2=t.term_pm2 - 1),
+}
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+def test_chsh_defect_check_reads_the_counters(tmp_path, monkeypatch, capsys, defect):
+    quad_tallies = chsh._quad_tallies
+
+    def defective(spins, quad):
+        return _DEFECTS[defect](quad_tallies(spins, quad))
+
+    monkeypatch.setattr(chsh, "_quad_tallies", defective)
+    out = tmp_path / "chsh.json"
+    assert cli.main(["chsh", "--n", "3000", *_CANONICAL, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "defect: per-trial identity violated" in err
+    assert "all terms +-2: False" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_streamed_chsh_matches_the_database_composition(tmp_path, workers, policy):
+    argv = ["chsh", "--seed", "12", "--n", "5000", "--dist", "cap(0.6,0,0.8,0.5)", *policy]
+    out = tmp_path / "chsh.json"
+    assert cli.main([*argv, "--workers", workers, "--out", str(out)]) == 0
+    # the composition the command ran before it streamed its rows
+    args = cli.build_parser().parse_args(argv)
+    cfg = cli._config_from_args(args, default_out="chsh.json", formats=("json",))
+    db = generate_database(cfg.seed, cfg.distribution, cfg.n)
+    quad = cli._quad_from_args(args, cfg, db)
+    result = chsh_statistic(db, quad, "reuse")
+    doc = result_summary(result, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag())
+    assert out.read_text() == cli._dump_json(doc)
 
 
 def test_search_banner_and_budget(tmp_path):

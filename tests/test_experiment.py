@@ -12,6 +12,7 @@ from bellsim import (
     Cap,
     ConfigurationError,
     FixedAxis,
+    GeneratedTrials,
     Mixture,
     Outcome,
     SettingPolicy,
@@ -52,6 +53,21 @@ def test_trial_depends_only_on_seed_and_index():
     small = generate_database(8, UniformSphere(), 50)
     big = generate_database(8, UniformSphere(), 500)
     assert big.spins[:50].tolist() == small.spins.tolist()
+
+
+def test_generated_trials_match_the_database_bit_for_bit():
+    dist = parse_distribution(
+        "mixture(0.4:uniform-sphere;0.3:cap(0,0,1,0.8);0.3:fixed-axis(0,1,0))"
+    )
+    db = generate_database(9, dist, 5000)
+    trials = GeneratedTrials(9, dist, 5000)
+    for k in np.random.default_rng(4).integers(0, 5000, 60).tolist() + [0, 4999]:
+        assert trials.spin(k).as_array().tobytes() == db.spins[k].tobytes()
+    assert trials.rows(1234, 4321).tobytes() == db.spins[1234:4321].tobytes()
+    with pytest.raises(IndexError):
+        trials.spin(5000)
+    with pytest.raises(ConfigurationError):
+        GeneratedTrials(9, dist, True)
 
 
 def test_worker_count_does_not_change_database():
@@ -302,6 +318,42 @@ def test_database_header_rejects_seed_out_of_range(seed):
     assert header != good[0]
     with pytest.raises(ConfigurationError, match="seed"):
         read_database(io.StringIO("\n".join([header] + good[1:]) + "\n"))
+
+
+_SPELLINGS = {  # value-preserving spellings that Python's int() accepts
+    "sign": lambda t: "+" + t,
+    "leading-zero": lambda t: "0" + t,
+    "zero-underscore": lambda t: "0_" + t,
+    "underscore": lambda t: t[:1] + "_" + t[1:],
+}
+
+
+@pytest.mark.parametrize("spelling", list(_SPELLINGS))
+@pytest.mark.parametrize("field", ["seed", "n", "row"])
+def test_database_text_rejects_non_canonical_integers(field, spelling):
+    # seed 10, n 11 and row index 10 all have two digits, so every spelling applies
+    buf = io.StringIO()
+    write_database(generate_database(10, UniformSphere(), 11), buf)
+    lines = buf.getvalue().splitlines()
+    if field == "row":
+        index, rest = lines[11].split(" ", 1)
+        lines[11] = f"{_SPELLINGS[spelling](index)} {rest}"
+        assert int(lines[11].split(" ")[0]) == 10
+    else:
+        value = {"seed": "10", "n": "11"}[field]
+        spelled = _SPELLINGS[spelling](value)
+        assert int(spelled) == int(value)
+        lines[0] = lines[0].replace(f" {field}={value}", f" {field}={spelled}")
+    assert lines != buf.getvalue().splitlines()
+    with pytest.raises(ConfigurationError):
+        read_database(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_database_text_rejects_double_zero_index():
+    lines = _database_lines(2)
+    lines[1] = "0" + lines[1]
+    with pytest.raises(ConfigurationError):
+        read_database(io.StringIO("\n".join(lines) + "\n"))
 
 
 _B = _WRITE_BLOCK_ROWS
