@@ -36,12 +36,13 @@ import numpy as np
 from . import parallel
 from ._version import __version__
 from .correlation import (
+    _BLOCK_ROWS,
     CorrelationEstimate,
-    estimate_correlation,
+    pair_tallies,
     setting_dots,
     station_products,
 )
-from .experiment import ConfigurationError, GeneratedTrials, TrialDatabase, generate_database
+from .experiment import ConfigurationError, GeneratedTrials, TrialDatabase
 from .geometry import UnitVector, direction_at_angle, sample_uniform_directions
 from .rng import CounterStream
 from .stats import hoeffding_bound
@@ -111,8 +112,6 @@ class ChshResult:
 # ---------------------------------------------------------------------------
 # per-trial terms and the statistic
 
-_BLOCK_ROWS = 1 << 16  # rows generated and tallied at once; bounds what a task holds
-
 
 def _pm2_terms(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """The per-trial terms x1*(y1 - y2) - x2*(y2 + y1), each +-2, from the station signs."""
@@ -172,13 +171,12 @@ def _quad_tallies(spins: np.ndarray, quad: SettingQuad) -> QuadTallies:
     )
 
 
-def _range_tallies(args) -> QuadTallies:
+def _range_tallies(source, quad: SettingQuad, lo: int, hi: int) -> QuadTallies:
     """Tallies of trials [lo, hi) of a TrialDatabase or GeneratedTrials.
 
     The rows are taken one block at a time, so of generated trials no
     more than one block ever exists.
     """
-    source, lo, hi, quad = args
     return functools.reduce(
         QuadTallies.merge,
         (
@@ -191,27 +189,20 @@ def _range_tallies(args) -> QuadTallies:
 def streamed_tallies(trials: GeneratedTrials, quad: SettingQuad, workers: int = 1) -> QuadTallies:
     """Reuse-mode tallies of trials that are generated as they are tallied.
 
-    Each of ``workers`` row ranges regenerates its own rows block by
-    block. With more than one worker the ranges go to one process pool
-    whose tasks carry only (trials, lo, hi, quad): no database is built,
+    Each row range of ``parallel.map_ranges`` regenerates its own rows
+    block by block. With more than one worker the ranges go to one pool
+    whose tasks carry only (trials, quad, lo, hi): no database is built,
     shipped or returned, in this process or any other.
     """
-    tasks = [(trials, lo, hi, quad) for lo, hi in parallel.chunk_ranges(trials.n, workers)]
-    if workers > 1 and trials.n >= parallel.MIN_PARALLEL_TRIALS:
-        with parallel.plain_pool(workers) as pool:
-            return functools.reduce(QuadTallies.merge, pool.map(_range_tallies, tasks))
-    return functools.reduce(QuadTallies.merge, map(_range_tallies, tasks))
+    partials = parallel.map_ranges(_range_tallies, trials.n, workers, trials, quad)
+    return functools.reduce(QuadTallies.merge, partials)
 
 
-def _spin_terms(spins: np.ndarray, quad: SettingQuad) -> np.ndarray:
+def _range_terms(db: TrialDatabase, quad: SettingQuad, lo: int, hi: int) -> np.ndarray:
+    spins = db.rows(lo, hi)
     x1, y1, _, _ = station_products(spins, quad.a1, quad.b1)
     x2, y2, _, _ = station_products(spins, quad.a2, quad.b2)
     return _pm2_terms(x1, y1, x2, y2)
-
-
-def _terms_range_task(args):
-    lo, hi, quad = args
-    return _spin_terms(parallel.worker_db().spins[lo:hi], quad)
 
 
 def per_trial_terms(db: TrialDatabase, quad: SettingQuad, workers: int = 1) -> np.ndarray:
@@ -220,12 +211,7 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad, workers: int = 1) -> n
     Their mean is exactly the reuse-mode statistic: the sum is an
     integer and the statistic performs the same single division by n.
     """
-    if workers > 1 and db.n >= parallel.MIN_PARALLEL_TRIALS:
-        ranges = parallel.chunk_ranges(db.n, workers)
-        with parallel.db_pool(db, workers) as pool:
-            blocks = list(pool.map(_terms_range_task, [(lo, hi, quad) for lo, hi in ranges]))
-        return np.concatenate(blocks)
-    return _spin_terms(db.spins, quad)
+    return np.concatenate(parallel.map_ranges(_range_terms, db.n, workers, db, quad))
 
 
 def _reuse_statistic(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> float:
@@ -253,7 +239,7 @@ def result_from_tallies(tallies: QuadTallies) -> ChshResult:
 
 
 def chsh_statistic(
-    db: TrialDatabase,
+    db: TrialDatabase | GeneratedTrials,
     quad: SettingQuad,
     mode: str = "reuse",
     stream: CounterStream | None = None,
@@ -264,24 +250,31 @@ def chsh_statistic(
     Reuse mode computes all four correlations on the same database, so
     the per-trial +-2 identity applies and |S| <= 2 holds exactly. It
     is one in-process pass over the rows and ignores ``workers``.
-    Fresh mode consumes three seeds from ``stream`` to generate three
-    more databases of the same size and distribution, one per remaining
-    correlation, and carries no per-trial diagnostics.
+    Fresh mode consumes three seeds from ``stream`` for three more sets
+    of trials of the same size and distribution, one per remaining
+    correlation, which are generated as they are tallied and never
+    stored; all four correlations are tallied in one map over row
+    ranges. It carries no per-trial diagnostics.
     """
     if mode == "reuse":
-        return result_from_tallies(_range_tallies((db, 0, db.n, quad)))
+        return result_from_tallies(_range_tallies(db, quad, 0, db.n))
     if mode != "fresh":
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
     if stream is None:
         raise ConfigurationError("fresh mode requires a random stream")
 
-    db12 = generate_database(stream.raw(), db.distribution, db.n, workers=workers)
-    db21 = generate_database(stream.raw(), db.distribution, db.n, workers=workers)
-    db22 = generate_database(stream.raw(), db.distribution, db.n, workers=workers)
-    e11 = estimate_correlation(db, quad.a1, quad.b1, workers=workers)
-    e12 = estimate_correlation(db12, quad.a1, quad.b2, workers=workers)
-    e21 = estimate_correlation(db21, quad.a2, quad.b1, workers=workers)
-    e22 = estimate_correlation(db22, quad.a2, quad.b2, workers=workers)
+    # the fresh trials of e12, e21 and e22, seeded in that order
+    t12, t21, t22 = (GeneratedTrials(stream.raw(), db.distribution, db.n) for _ in range(3))
+    jobs = [
+        (db, [(quad.a1, quad.b1)]),
+        (t12, [(quad.a1, quad.b2)]),
+        (t21, [(quad.a2, quad.b1)]),
+        (t22, [(quad.a2, quad.b2)]),
+    ]
+    e11, e12, e21, e22 = (
+        CorrelationEstimate.from_tallies(db.n, pos, ties)
+        for pos, ties in pair_tallies(jobs, db.n, workers)
+    )
     numerator = (
         (e11.count_pos - e11.count_neg)
         - (e12.count_pos - e12.count_neg)
@@ -384,24 +377,17 @@ def _eval_candidates(db, quads, mode, base_key, offset, workers):
     """
     if mode == "reuse":
         return _reuse_statistics(db.spins, quads)
-    tasks = [(q, base_key, offset + i) for i, q in enumerate(quads)]
-    if workers > 1 and len(tasks) > 1:
-        chunks = parallel.chunk_ranges(len(tasks), 4 * workers)
-        with parallel.db_pool(db, workers) as pool:
-            results = list(pool.map(_eval_chunk_task, [tasks[lo:hi] for lo, hi in chunks]))
-        return [s for chunk in results for s in chunk]
-    return _eval_chunk(db, tasks)
+    chunks = parallel.map_ranges(
+        _fresh_statistics, len(quads), workers, db, quads, base_key, offset, minimum=2
+    )
+    return [s for chunk in chunks for s in chunk]
 
 
-def _eval_chunk(db, tasks):
+def _fresh_statistics(db, quads, base_key, offset, lo, hi):
     return [
-        chsh_statistic(db, quad, "fresh", CounterStream(base_key).derive(index)).statistic
-        for quad, base_key, index in tasks
+        chsh_statistic(db, quads[i], "fresh", CounterStream(base_key).derive(offset + i)).statistic
+        for i in range(lo, hi)
     ]
-
-
-def _eval_chunk_task(tasks):
-    return _eval_chunk(parallel.worker_db(), tasks)
 
 
 def _lattice_quads(count_budget: int) -> list[SettingQuad]:

@@ -28,7 +28,7 @@ from .chsh import (
     search_max_chsh,
     streamed_tallies,
 )
-from .correlation import sweep_correlation, write_curve_csv
+from .correlation import curve_summary, sweep_correlation, write_curve_csv
 from .experiment import (
     ConfigurationError,
     DistributionSpec,
@@ -168,8 +168,8 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"--plane: expected 'x,y,z;x,y,z', got {args.plane!r}") from exc
         plane = (e1, e2)
 
-    db = generate_database(cfg.seed, cfg.distribution, cfg.n, workers=cfg.workers)
-    curve = sweep_correlation(db, grid, plane=plane, workers=cfg.workers)
+    trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
+    curve = sweep_correlation(trials, grid, plane=plane, workers=cfg.workers)
 
     provenance = (
         f"bellsim v{__version__} command=sweep seed={cfg.seed} n={cfg.n} "
@@ -181,29 +181,7 @@ def cmd_sweep(args) -> int:
             cfg.out, lambda handle: write_curve_csv(curve, handle, provenance=provenance)
         )
     else:
-        doc = {
-            "tool": "bellsim",
-            "version": __version__,
-            "command": "sweep",
-            "seed": cfg.seed,
-            "n": cfg.n,
-            "dist": cfg.distribution.tag(),
-            "points": [
-                {
-                    "theta_rad": p.theta,
-                    "theta_deg": math.degrees(p.theta),
-                    "E_hat": p.estimate.value,
-                    "SE": p.estimate.standard_error,
-                    "count_pos": p.estimate.count_pos,
-                    "count_neg": p.estimate.count_neg,
-                    "tie_count": p.estimate.tie_count,
-                    "E_linear": p.linear_ref,
-                    "E_singlet": p.singlet_ref,
-                }
-                for p in curve.points
-            ],
-        }
-        _write_json(cfg.out, doc)
+        _write_json(cfg.out, curve_summary(curve, cfg.seed, cfg.distribution.tag()))
 
     dev_linear, dev_singlet = curve.max_deviations()
     print(
@@ -248,9 +226,8 @@ def cmd_chsh(args) -> int:
     trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
     quad = _quad_from_args(args, cfg, trials)
     if cfg.mode == "fresh":
-        db = generate_database(cfg.seed, cfg.distribution, cfg.n, workers=cfg.workers)
         stream = root_stream(cfg.seed, DOMAIN_SEARCH)
-        result = chsh_statistic(db, quad, mode="fresh", stream=stream, workers=cfg.workers)
+        result = chsh_statistic(trials, quad, mode="fresh", stream=stream, workers=cfg.workers)
     else:
         # one pass over generated rows; the database is never held whole
         tallies = streamed_tallies(trials, quad, workers=cfg.workers)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .experiment import ConfigurationError, TrialDatabase, format_g17
+from ._version import __version__
+from .experiment import ConfigurationError, GeneratedTrials, TrialDatabase, format_g17
 from .geometry import UnitVector, direction_at_angle
 from .stats import standard_error
 
@@ -88,15 +89,40 @@ def _pair_tallies(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int,
     return count_pos, tie_count
 
 
-def _estimate_range_task(args) -> tuple[int, int]:
-    lo, hi, a, b = args
-    return _pair_tallies(parallel.worker_db().spins[lo:hi], a, b)
+_BLOCK_ROWS = 1 << 16  # rows read at once; bounds what a range task holds
+
+
+def _range_pair_tallies(jobs, lo: int, hi: int) -> np.ndarray:
+    """One (count_pos, tie_count) row per setting pair of each job, over trials [lo, hi).
+
+    A job is (source, pairs), the source a ``TrialDatabase`` or
+    ``GeneratedTrials``. Its rows are read one block at a time, and
+    every pair is tallied on a block before the next one is read.
+    """
+    rows = []
+    for source, pairs in jobs:
+        sums = np.zeros((len(pairs), 2), dtype=np.int64)
+        for start in range(lo, hi, _BLOCK_ROWS):
+            spins = source.rows(start, min(start + _BLOCK_ROWS, hi))
+            sums += [_pair_tallies(spins, a, b) for a, b in pairs]
+        rows.append(sums)
+    return np.concatenate(rows)
+
+
+def pair_tallies(jobs, n: int, workers: int = 1) -> list[tuple[int, int]]:
+    """(count_pos, tie_count) of every setting pair of every (source, pairs) job.
+
+    Every source holds n trials. Workers split the trial range once for
+    all jobs together, and the ranges' tallies merge by addition.
+    """
+    total = sum(parallel.map_ranges(_range_pair_tallies, n, workers, jobs))
+    return [tuple(row) for row in total.tolist()]
 
 
 def estimate_correlation(
-    db: TrialDatabase, a: UnitVector, b: UnitVector, workers: int = 1
+    db: TrialDatabase | GeneratedTrials, a: UnitVector, b: UnitVector, workers: int = 1
 ) -> CorrelationEstimate:
-    """The sign-product correlation over all trials of the database.
+    """The sign-product correlation over all trials of the database or generated trials.
 
     Workers partition the trial range; each partition contributes
     integer tallies merged by addition, so the estimate is exact and
@@ -104,14 +130,7 @@ def estimate_correlation(
     """
     if db.n < 1:
         raise ConfigurationError("database is empty")
-    if workers > 1 and db.n >= parallel.MIN_PARALLEL_TRIALS:
-        ranges = parallel.chunk_ranges(db.n, workers)
-        with parallel.db_pool(db, workers) as pool:
-            partials = list(pool.map(_estimate_range_task, [(lo, hi, a, b) for lo, hi in ranges]))
-        count_pos = sum(p for p, _ in partials)
-        tie_count = sum(t for _, t in partials)
-    else:
-        count_pos, tie_count = _pair_tallies(db.spins, a, b)
+    ((count_pos, tie_count),) = pair_tallies([(db, [(a, b)])], db.n, workers)
     return CorrelationEstimate.from_tallies(db.n, count_pos, tie_count)
 
 
@@ -178,19 +197,6 @@ def _sweep_directions(theta: float, plane) -> tuple[UnitVector, UnitVector]:
     return a, b
 
 
-def _sweep_tallies(spins: np.ndarray, thetas, plane) -> list[tuple[int, int]]:
-    out = []
-    for theta in thetas:
-        a, b = _sweep_directions(theta, plane)
-        out.append(_pair_tallies(spins, a, b))
-    return out
-
-
-def _sweep_block_task(args) -> list[tuple[int, int]]:
-    thetas, plane = args
-    return _sweep_tallies(parallel.worker_db().spins, thetas, plane)
-
-
 def _validate_grid(thetas) -> list[float]:
     thetas = [float(t) for t in thetas]
     if not thetas:
@@ -202,7 +208,7 @@ def _validate_grid(thetas) -> list[float]:
 
 
 def sweep_correlation(
-    db: TrialDatabase,
+    db: TrialDatabase | GeneratedTrials,
     thetas,
     plane: tuple[UnitVector, UnitVector] | None = None,
     workers: int = 1,
@@ -214,6 +220,9 @@ def sweep_correlation(
     invariant spin distributions. For other distributions pass an
     explicit orthonormal ``plane`` (e1, e2); the sweep then starts at
     e2 and rotates toward e1.
+
+    Workers split the trials; each range is read in row blocks, and
+    every grid point is tallied on a block before the next is read.
     """
     grid = _validate_grid(thetas)
     if plane is not None:
@@ -221,14 +230,8 @@ def sweep_correlation(
         if abs(e1.dot(e2)) > _ANGLE_SLACK:
             raise ConfigurationError("sweep plane vectors must be orthonormal")
 
-    if workers > 1 and db.n >= parallel.MIN_PARALLEL_TRIALS and len(grid) > 1:
-        blocks = parallel.chunk_ranges(len(grid), 2 * workers)
-        tasks = [(grid[lo:hi], plane) for lo, hi in blocks]
-        with parallel.db_pool(db, workers) as pool:
-            results = list(pool.map(_sweep_block_task, tasks))
-        tallies = [t for block in results for t in block]
-    else:
-        tallies = _sweep_tallies(db.spins, grid, plane)
+    pairs = [_sweep_directions(theta, plane) for theta in grid]
+    tallies = pair_tallies([(db, pairs)], db.n, workers)
 
     points = []
     for theta, (count_pos, tie_count) in zip(grid, tallies):
@@ -245,7 +248,7 @@ def sweep_correlation(
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
+# CSV and JSON serialization
 
 CURVE_CSV_HEADER = "theta_rad,theta_deg,E_hat,SE,count_pos,count_neg,tie_count,E_linear,E_singlet"
 
@@ -273,3 +276,29 @@ def write_curve_csv(curve: CorrelationCurve, fileobj, provenance: str | None = N
             )
             + "\n"
         )
+
+
+def curve_summary(curve: CorrelationCurve, seed: int, distribution_tag: str) -> dict:
+    """JSON-shaped summary of a sweep; each point carries the CSV's columns."""
+    return {
+        "tool": "bellsim",
+        "version": __version__,
+        "command": "sweep",
+        "seed": seed,
+        "n": curve.points[0].estimate.n,
+        "dist": distribution_tag,
+        "points": [
+            {
+                "theta_rad": p.theta,
+                "theta_deg": math.degrees(p.theta),
+                "E_hat": p.estimate.value,
+                "SE": p.estimate.standard_error,
+                "count_pos": p.estimate.count_pos,
+                "count_neg": p.estimate.count_neg,
+                "tie_count": p.estimate.tie_count,
+                "E_linear": p.linear_ref,
+                "E_singlet": p.singlet_ref,
+            }
+            for p in curve.points
+        ],
+    }

@@ -294,12 +294,8 @@ def generate_database(
     identical at any worker count and under any index partitioning.
     """
     trials = GeneratedTrials(seed, distribution, n)
-    if workers <= 1 or n < 4 * workers:
-        spins = trials.rows(0, n)
-    else:
-        los, his = zip(*parallel.chunk_ranges(n, workers))
-        with parallel.plain_pool(workers) as pool:
-            spins = np.vstack(list(pool.map(trials.rows, los, his)))
+    parts = parallel.map_ranges(trials.rows, n, workers)
+    spins = parts[0] if len(parts) == 1 else np.vstack(parts)
     spins.setflags(write=False)
     return TrialDatabase(seed=seed, distribution=distribution, n=n, spins=spins)
 

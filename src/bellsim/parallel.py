@@ -4,12 +4,13 @@ Everything parallelized in this package reduces with associative,
 order-free operations (integer tally sums, max keyed by a total
 order), and every partition of the index space computes trial values
 from per-trial streams. Results are therefore byte-identical at any
-worker count; these helpers only organize the plumbing.
+worker count; ``map_ranges`` is the one place that spreads work.
 
-The trial database is shipped to workers once, through the pool
-initializer, so tasks stay small. Work on ``GeneratedTrials`` ships no
-rows at all: a task carries the trials' description and a row range
-and regenerates those rows itself.
+Pools have no initializer and hold no state: a task carries its
+source and a range (of trials, or of a fresh search's candidates).
+The source is usually ``GeneratedTrials``, a few hundred bytes from
+which a task regenerates its own rows; a ``TrialDatabase`` that a
+library caller passed is pickled with each task.
 """
 
 from __future__ import annotations
@@ -19,35 +20,37 @@ from concurrent.futures import ProcessPoolExecutor
 
 # below this many trials, a process pool costs more than the work it spreads
 MIN_PARALLEL_TRIALS = 4096
-
-_WORKER_DB = None
-
-
-def _init_db(db):
-    global _WORKER_DB
-    _WORKER_DB = db
-
-
-def worker_db():
-    """Database installed by the pool initializer (None in the parent)."""
-    return _WORKER_DB
+# ranges per worker when there are several: a worker slowed by other load
+# takes fewer of them, and each task reads fewer rows at once
+RANGES_PER_WORKER = 4
 
 
 def _processes(workers: int) -> int:
     # the fork start method starts every process at once; a pool never needs
-    # more than the CPUs it can keep busy, and callers still split the rows
-    # into ``workers`` chunks, so capping changes no result
+    # more than the CPUs it can keep busy, and the ranges do not depend on
+    # the process count, so capping changes no result
     return max(1, min(workers, os.cpu_count() or 1))
-
-
-def db_pool(db, workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=_processes(workers), initializer=_init_db, initargs=(db,)
-    )
 
 
 def plain_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=_processes(workers))
+
+
+def map_ranges(fn, n: int, workers: int, *args, minimum: int = MIN_PARALLEL_TRIALS) -> list:
+    """``[fn(*args, lo, hi) for lo, hi in ranges]``, in range order.
+
+    ``ranges`` is [(0, n)] at one worker and ``chunk_ranges(n,
+    RANGES_PER_WORKER * workers)`` otherwise. The ranges run in one
+    process pool when there is more than one worker and ``n`` is at
+    least ``minimum``, and in this process otherwise; a pool task
+    pickles ``fn``, ``args`` and its range.
+    """
+    parts = 1 if workers <= 1 else RANGES_PER_WORKER * workers
+    tasks = [(*args, lo, hi) for lo, hi in chunk_ranges(n, parts)]
+    if workers <= 1 or n < minimum:
+        return [fn(*task) for task in tasks]
+    with plain_pool(workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def resolve_workers(workers) -> int:

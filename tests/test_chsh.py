@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bellsim import (
     CANONICAL_QUAD,
     Cap,
+    ChshResult,
     ConfigurationError,
     FixedAxis,
     GeneratedTrials,
@@ -20,6 +21,7 @@ from bellsim import (
     UnitVector,
     angle_between,
     chsh_statistic,
+    direction_at_angle,
     enumerate_deterministic_strategies,
     estimate_correlation,
     generate_database,
@@ -176,6 +178,31 @@ def test_fresh_mode_contract():
     assert r.statistic == numer / db.n
 
 
+@pytest.mark.parametrize(
+    "seed,dist",
+    [(0, UniformSphere()), (5, Mixture(((0.5, Cap(Y_AXIS, 0.8)), (0.5, FixedAxis(X_AXIS)))))],
+)
+def test_fresh_statistic_matches_the_database_composition(seed, dist):
+    n = parallel.MIN_PARALLEL_TRIALS + 3  # two workers open a pool
+    db = generate_database(seed, dist, n)
+    quad = SettingQuad(Z_AXIS, X_AXIS, direction_at_angle(2.0), Y_AXIS)
+    # the reference composition: three more databases, then four estimates
+    stream = root_stream(seed, 3)
+    db12, db21, db22 = (generate_database(stream.raw(), dist, n) for _ in range(3))
+    e11 = estimate_correlation(db, quad.a1, quad.b1)
+    e12 = estimate_correlation(db12, quad.a1, quad.b2)
+    e21 = estimate_correlation(db21, quad.a2, quad.b1)
+    e22 = estimate_correlation(db22, quad.a2, quad.b2)
+    numerator = sum(
+        sign * (e.count_pos - e.count_neg) for sign, e in ((1, e11), (-1, e12), (-1, e22), (-1, e21))
+    )
+    expected = ChshResult(e11, e12, e21, e22, numerator / n, "fresh", n)
+    for source in (db, GeneratedTrials(seed, dist, n)):
+        for workers in (1, 2):
+            result = chsh_statistic(source, quad, "fresh", root_stream(seed, 3), workers=workers)
+            assert result == expected
+
+
 def test_fresh_mode_breaks_the_per_trial_pin():
     # at the canonical quad, reuse is exactly 2; fresh fluctuates around 2
     values = []
@@ -222,12 +249,8 @@ def test_search_is_deterministic_and_worker_invariant():
     assert parallel_run == first
 
 
-def test_reuse_search_opens_no_process_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a reuse-mode search opened a process pool")
-
-    monkeypatch.setattr(parallel, "db_pool", refuse)
-    monkeypatch.setattr(parallel, "plain_pool", refuse)
+def test_reuse_search_opens_no_process_pool(pool_recorder):
+    pool_recorder.refuse = True
     db = generate_database(75, UniformSphere(), 5000)
     best, quad = search_max_chsh(db, "reuse", 200, root_stream(75, 4), workers=2)
     assert best == chsh_statistic(db, quad, "reuse")

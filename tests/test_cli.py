@@ -145,39 +145,44 @@ _CANONICAL = ["--a1", "0", "--a2", "90", "--b1", "135", "--b2", "45"]
 _POLICIES = [_CANONICAL, ["--policy", "from-database"], ["--policy", "uniform"]]
 
 
-def test_reuse_chsh_at_one_worker_opens_no_pool(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a 1-worker chsh opened a process pool")
-
-    monkeypatch.setattr(parallel, "db_pool", refuse)
-    monkeypatch.setattr(parallel, "plain_pool", refuse)
+def test_reuse_chsh_at_one_worker_opens_no_pool(tmp_path, pool_recorder):
+    pool_recorder.refuse = True
     for policy in _POLICIES:
         out = tmp_path / "chsh.json"
         assert cli.main(["chsh", "--n", "5000", *policy, "--workers", "1", "--out", str(out)]) == 0
 
 
-def test_reuse_chsh_at_two_workers_opens_one_plain_pool(tmp_path, monkeypatch):
-    requests = []
-    plain_pool, db_pool = parallel.plain_pool, parallel.db_pool
-
-    def record_plain(workers):
-        requests.append(("plain_pool", workers))
-        return plain_pool(workers)
-
-    def record_db(db, workers):
-        requests.append(("db_pool", workers))
-        return db_pool(db, workers)
-
-    monkeypatch.setattr(parallel, "plain_pool", record_plain)
-    monkeypatch.setattr(parallel, "db_pool", record_db)
+def test_reuse_chsh_at_two_workers_opens_one_plain_pool(tmp_path, pool_recorder):
     outputs = []
     for workers in ("2", "1"):
         out = tmp_path / f"chsh-w{workers}.json"
         argv = ["chsh", "--n", "5000", *_CANONICAL, "--workers", workers, "--out", str(out)]
         assert cli.main(argv) == 0
         outputs.append(out.read_bytes())
-    assert requests == [("plain_pool", 2)]
+    assert pool_recorder.requests == [2] and len(pool_recorder.processes) == 1
     assert outputs[0] == outputs[1]
+
+
+_ONE_POOL_COMMANDS = {
+    "sweep": ["sweep", "--steps", "19"],
+    "reuse-chsh": ["chsh", *_CANONICAL],
+    "fresh-chsh": ["chsh", "--mode", "fresh", *_CANONICAL],
+    "gen-db": ["gen-db"],
+}
+
+
+@pytest.mark.parametrize("command", list(_ONE_POOL_COMMANDS))
+def test_each_command_opens_one_pool_at_two_workers_and_none_at_one(
+    tmp_path, pool_recorder, command
+):
+    argv = [*_ONE_POOL_COMMANDS[command], "--n", str(parallel.MIN_PARALLEL_TRIALS)]
+    pool_recorder.refuse = True
+    assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert pool_recorder.processes == []
+    pool_recorder.refuse = False
+    assert cli.main([*argv, "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
+    assert pool_recorder.requests == [2] and len(pool_recorder.processes) == 1
+    assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
 
 
 _DEFECTS = {

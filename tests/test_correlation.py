@@ -2,14 +2,19 @@
 
 import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellsim import (
     Cap,
     ConfigurationError,
+    CorrelationEstimate,
     FixedAxis,
+    GeneratedTrials,
     Mixture,
     UniformSphere,
     UnitVector,
@@ -21,8 +26,9 @@ from bellsim import (
     sweep_correlation,
     write_curve_csv,
 )
-from bellsim.correlation import CURVE_CSV_HEADER
-from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
+from bellsim import correlation
+from bellsim.correlation import CURVE_CSV_HEADER, station_products
+from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS, orthonormal_basis
 
 from oracles import brute_force_estimate, random_unit, sign_product_mean_quadrature
 
@@ -188,6 +194,83 @@ def test_sweep_worker_invariance():
     db = generate_database(15, UniformSphere(), 30_000)
     grid = list(np.linspace(0.0, math.pi, 13))
     assert sweep_correlation(db, grid, workers=1) == sweep_correlation(db, grid, workers=8)
+
+
+# coordinate axes give exact zero dot products against axis-aligned spins
+_AXES = [X_AXIS, Y_AXIS, Z_AXIS, X_AXIS.negated(), Y_AXIS.negated(), Z_AXIS.negated()]
+_units = st.one_of(
+    st.sampled_from(_AXES),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 0.1)
+    .map(lambda v: UnitVector.normalize(*v)),
+)
+_simple = st.one_of(
+    st.just(UniformSphere()),
+    _units.map(FixedAxis),
+    st.builds(Cap, _units, st.floats(0.05, math.pi)),
+)
+_distributions = st.one_of(
+    _simple,
+    st.builds(
+        lambda w, first, second: Mixture(((w, first), (1.0 - w, second))),
+        st.floats(0.1, 0.9),
+        _simple,
+        _simple,
+    ),
+)
+# 0 and pi put axis-aligned spins exactly on a tie with the moving setting
+_grids = st.lists(
+    st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, math.pi)),
+    min_size=1,
+    max_size=8,
+    unique=True,
+).map(sorted)
+_planes = st.one_of(
+    st.none(),
+    st.sampled_from([(X_AXIS, Y_AXIS), (Y_AXIS, Z_AXIS), (Z_AXIS.negated(), X_AXIS)]),
+    _units.map(lambda u: tuple(UnitVector.from_array(e) for e in orthonormal_basis(u.as_array()))),
+)
+
+
+def _sweep_setting_pair(theta, plane):
+    if plane is None:
+        return direction_at_angle(0.0), direction_at_angle(theta)
+    e1, e2 = plane
+    s, c = math.sin(theta), math.cos(theta)
+    return e2, UnitVector.normalize(s * e1.x + c * e2.x, s * e1.y + c * e2.y, s * e1.z + c * e2.z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=_distributions,
+    n=st.integers(1, 60),
+    workers=st.integers(1, 3),
+    block_rows=st.integers(1, 16),
+    grid=_grids,
+    plane=_planes,
+)
+@example(seed=0, dist=FixedAxis(X_AXIS), n=13, workers=2, block_rows=4,
+         grid=[0.0, math.pi / 2, math.pi], plane=None)
+@example(seed=0, dist=FixedAxis(Z_AXIS), n=7, workers=3, block_rows=2,
+         grid=[0.0, 1.0, math.pi], plane=(X_AXIS, Y_AXIS))
+def test_streamed_sweep_matches_the_whole_array_count(seed, dist, n, workers, block_rows, grid, plane):
+    # n stays below the pool threshold, so the worker ranges run in this process
+    trials = GeneratedTrials(seed, dist, n)
+    with patch.object(correlation, "_BLOCK_ROWS", block_rows):
+        curve = sweep_correlation(trials, grid, plane=plane, workers=workers)
+        estimates = [
+            estimate_correlation(trials, *_sweep_setting_pair(t, plane), workers=workers)
+            for t in grid
+        ]
+    spins = generate_database(seed, dist, n).spins
+    assert [p.theta for p in curve.points] == grid
+    for theta, point, estimate in zip(grid, curve.points, estimates):
+        x, y, tie_a, tie_b = station_products(spins, *_sweep_setting_pair(theta, plane))
+        count_pos = int(np.count_nonzero(x == y))
+        tie_count = int(np.count_nonzero(tie_a | tie_b))
+        expected = CorrelationEstimate.from_tallies(n, count_pos, tie_count)
+        assert point.estimate == estimate == expected
 
 
 def test_estimator_tracks_linear_law_across_seeds():

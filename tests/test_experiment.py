@@ -22,6 +22,7 @@ from bellsim import (
     angle_between,
     generate_database,
     measure_sign,
+    parallel,
     parse_distribution,
     read_database,
     select_settings,
@@ -74,6 +75,17 @@ def test_worker_count_does_not_change_database():
     one = generate_database(42, UniformSphere(), 1_000_000, workers=1)
     eight = generate_database(42, UniformSphere(), 1_000_000, workers=8)
     assert one.spins.tobytes() == eight.spins.tobytes()
+
+
+def test_generation_opens_a_pool_from_min_parallel_trials(pool_recorder):
+    # the pool is refused, so the request is recorded and no process starts
+    pool_recorder.refuse = True
+    for n in (100, parallel.MIN_PARALLEL_TRIALS - 1):
+        generate_database(0, UniformSphere(), n, workers=2)
+    assert pool_recorder.requests == []
+    with pytest.raises(AssertionError, match="pool refused"):
+        generate_database(0, UniformSphere(), parallel.MIN_PARALLEL_TRIALS, workers=2)
+    assert pool_recorder.requests == [2]
 
 
 def test_database_is_write_protected():

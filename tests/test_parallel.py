@@ -1,4 +1,4 @@
-"""Process-pool plumbing: the process cap."""
+"""Process-pool plumbing: the process cap and the row-range map."""
 
 import os
 
@@ -11,14 +11,26 @@ from bellsim import parallel
     "cpus,workers,expected",
     [(3, 10_000, 3), (None, 10_000, 1), (64, 2, 2), ("host", 10_000, os.cpu_count() or 1)],
 )
-def test_pools_start_at_most_cpu_count_processes(monkeypatch, cpus, workers, expected):
+def test_pools_start_at_most_cpu_count_processes(pool_recorder, monkeypatch, cpus, workers, expected):
     # records the pool request instead of starting any process
-    requested = []
-    monkeypatch.setattr(
-        parallel, "ProcessPoolExecutor", lambda **kw: requested.append(kw["max_workers"])
-    )
+    pool_recorder.refuse = True
     if cpus != "host":
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
-    parallel.db_pool(object(), workers)
-    parallel.plain_pool(workers)
-    assert requested == [expected, expected]
+    with pytest.raises(AssertionError, match="pool refused"):
+        parallel.plain_pool(workers)
+    assert pool_recorder.processes == [expected]
+
+
+def _span(job, lo, hi):
+    return job, lo, hi
+
+
+@pytest.mark.parametrize(
+    "n,workers,minimum,pools",
+    [(10, 1, 1, []), (30, 3, 31, []), (30, 3, 30, [3]), (2, 3, 1, [3])],
+)
+def test_map_ranges_returns_the_ranges_in_order(pool_recorder, n, workers, minimum, pools):
+    partials = parallel.map_ranges(_span, n, workers, "job", minimum=minimum)
+    parts = 1 if workers == 1 else parallel.RANGES_PER_WORKER * workers
+    assert partials == [("job", lo, hi) for lo, hi in parallel.chunk_ranges(n, parts)]
+    assert pool_recorder.requests == pools
