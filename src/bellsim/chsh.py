@@ -214,10 +214,30 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad, workers: int = 1) -> n
     return np.concatenate(parallel.map_ranges(_range_terms, db.n, workers, db, quad))
 
 
+def _numerator(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> int:
+    """n*S = T11 - T12 - T22 - T21, with T_ij = 2*pos_ij - n."""
+    return 2 * (pos11 - pos12 - pos22 - pos21) + 2 * n
+
+
 def _reuse_statistic(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> float:
-    # numerator = T11 - T12 - T22 - T21 with T_ij = 2*pos_ij - n; a single
-    # division keeps S exactly equal to the per-trial term mean.
-    return (2 * (pos11 - pos12 - pos22 - pos21) + 2 * n) / n
+    # a single division keeps S exactly equal to the per-trial term mean
+    return _numerator(n, pos11, pos12, pos21, pos22) / n
+
+
+def identity_defect(tallies: QuadTallies) -> str | None:
+    """How reuse-mode tallies break the per-trial +-2 identity, or None if they keep it.
+
+    Every term is +-2, so all n of them count as such, their sum equals
+    the numerator formed from the pair tallies, and |numerator| <= 2n.
+    """
+    numerator = _numerator(tallies.n, *tallies.pos)
+    all_pm2 = tallies.term_pm2 == tallies.n
+    if all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * tallies.n:
+        return None
+    return (
+        "per-trial identity violated "
+        f"(all terms +-2: {all_pm2}, sum {tallies.term_sum}, tallies {numerator})"
+    )
 
 
 def result_from_tallies(tallies: QuadTallies) -> ChshResult:
@@ -491,6 +511,25 @@ def search_max_chsh(
     else:
         best_result = chsh_statistic(db, best_quad, "reuse")
     return best_result, best_quad
+
+
+def search_defect(db: TrialDatabase, quad: SettingQuad, result: ChshResult) -> str | None:
+    """How a reuse search's best quad fails its checks, or None if it passes them.
+
+    The quad's tallies, taken afresh, must keep the per-trial identity,
+    and the packed evaluator that ranked the candidates must give the
+    quad the statistic of ``result``, its re-evaluation.
+    """
+    defect = identity_defect(_range_tallies(db, quad, 0, db.n))
+    if defect is not None:
+        return defect
+    packed = _reuse_statistics(db.spins, [quad])[0]
+    if packed != result.statistic:
+        return (
+            f"packed evaluator gives the best quad S = {packed!r}, "
+            f"its re-evaluation {result.statistic!r}"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,14 @@ from .chsh import (
     SettingQuad,
     chsh_statistic,
     enumerate_deterministic_strategies,
+    identity_defect,
     result_from_tallies,
     result_summary,
+    search_defect,
     search_max_chsh,
     streamed_tallies,
 )
-from .correlation import curve_summary, sweep_correlation, write_curve_csv
+from .correlation import curve_summary, equal_settings_defect, sweep_correlation, write_curve_csv
 from .experiment import (
     ConfigurationError,
     DistributionSpec,
@@ -116,6 +118,13 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
+def _defect(defect: str | None) -> bool:
+    """Report a broken run-time invariant on stderr; True if there was one."""
+    if defect is not None:
+        print(f"defect: {defect}", file=sys.stderr)
+    return defect is not None
+
+
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -131,11 +140,12 @@ def _write_json(path: str, doc: dict) -> None:
 
 def cmd_gen_db(args) -> int:
     cfg = _config_from_args(args, default_out="db.txt", formats=("text",))
-    db = generate_database(cfg.seed, cfg.distribution, cfg.n, workers=cfg.workers)
-    _atomic_write(cfg.out, lambda handle: write_database(db, handle))
+    # rows are generated and formatted one block at a time, in this process
+    trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
+    _atomic_write(cfg.out, lambda handle: write_database(trials, handle))
     print(
-        f"gen-db: wrote {cfg.out} (n={db.n}, seed={db.seed}, "
-        f"dist={db.distribution.tag()}, workers={cfg.workers})"
+        f"gen-db: wrote {cfg.out} (n={cfg.n}, seed={cfg.seed}, "
+        f"dist={cfg.distribution.tag()}, workers={cfg.workers})"
     )
     return 0
 
@@ -170,6 +180,8 @@ def cmd_sweep(args) -> int:
 
     trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
     curve = sweep_correlation(trials, grid, plane=plane, workers=cfg.workers)
+    if _defect(equal_settings_defect(curve, plane)):
+        return 1
 
     provenance = (
         f"bellsim v{__version__} command=sweep seed={cfg.seed} n={cfg.n} "
@@ -233,19 +245,7 @@ def cmd_chsh(args) -> int:
         tallies = streamed_tallies(trials, quad, workers=cfg.workers)
         result = result_from_tallies(tallies)
         # the per-trial identity is a theorem; failing it means a defect here
-        numerator = (
-            (result.e11.count_pos - result.e11.count_neg)
-            - (result.e12.count_pos - result.e12.count_neg)
-            - (result.e22.count_pos - result.e22.count_neg)
-            - (result.e21.count_pos - result.e21.count_neg)
-        )
-        all_pm2 = tallies.term_pm2 == cfg.n
-        if not all_pm2 or tallies.term_sum != numerator or abs(numerator) > 2 * cfg.n:
-            print(
-                "defect: per-trial identity violated "
-                f"(all terms +-2: {all_pm2}, sum {tallies.term_sum}, tallies {numerator})",
-                file=sys.stderr,
-            )
+        if _defect(identity_defect(tallies)):
             return 1
 
     doc = result_summary(result, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag())
@@ -266,11 +266,15 @@ def cmd_search(args) -> int:
     if args.budget < 1:
         raise ConfigurationError(f"--budget must be >= 1, got {args.budget}")
 
-    db = generate_database(cfg.seed, cfg.distribution, cfg.n, workers=cfg.workers)
+    # generated in this process: at the sizes a search evaluates, a pool costs more than it saves
+    db = generate_database(cfg.seed, cfg.distribution, cfg.n)
     stream = root_stream(cfg.seed, DOMAIN_SEARCH)
     best, quad = search_max_chsh(
         db, cfg.mode, args.budget, stream, workers=cfg.workers
     )
+    # the bound is printed below only once the best quad passes its checks
+    if cfg.mode == "reuse" and _defect(search_defect(db, quad, best)):
+        return 1
     doc = result_summary(
         best, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag(), budget=args.budget
     )

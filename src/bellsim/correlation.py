@@ -247,6 +247,25 @@ def sweep_correlation(
     return CorrelationCurve(points=tuple(points))
 
 
+def equal_settings_defect(
+    curve: CorrelationCurve, plane: tuple[UnitVector, UnitVector] | None = None
+) -> str | None:
+    """How the curve breaks exact anticorrelation where b equals a, or None.
+
+    At such a grid point (theta = 0 in the default plane) the stations
+    read opposite signs on every trial except an exact tie, which both
+    read as +1, so count_pos must equal tie_count exactly.
+    """
+    for p in curve.points:
+        a, b = _sweep_directions(p.theta, plane)
+        if a == b and p.estimate.count_pos != p.estimate.tie_count:
+            return (
+                f"b equals a at theta = {p.theta!r}, yet count_pos {p.estimate.count_pos} "
+                f"!= tie_count {p.estimate.tie_count}"
+            )
+    return None
+
+
 # ---------------------------------------------------------------------------
 # CSV and JSON serialization
 

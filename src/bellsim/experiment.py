@@ -399,17 +399,145 @@ _WRITE_BLOCK_ROWS = 4096
 # value, and the cap keeps int() away from its limit on very long digit strings
 _CANONICAL_FIELD = re.compile(r"([a-z]+)=(0|[1-9][0-9]{0,19})")
 
+# The row kernel lays each row out in a fixed 93-byte slot, then keeps the
+# bytes that ``_DB_ROW`` would write: a 20-digit index, right-aligned, and per
+# component a 24-byte field of a 7-byte prefix, right-aligned (" ", a "-" if
+# negative, "0." and the zeros after the point), then 17 significand digits.
+_INDEX_WIDTH, _LEAD, _FIELD_WIDTH = 20, 7, 24
+# prefix 5 * negative - X, for decimal exponents X = 0, -1, ..., -4
+_PREFIXES = [
+    " " + "-" * neg + ("0." + "0" * (j - 1) if j else "") for neg in (0, 1) for j in range(5)
+]
+_PREFIX_TEXT = "".join(t.rjust(_LEAD) for t in _PREFIXES).encode()
+_PREFIX = np.frombuffer(_PREFIX_TEXT, np.uint8).reshape(-1, _LEAD)
+_PREFIX_START = np.array([_LEAD - len(t) for t in _PREFIXES], dtype=np.uint8)
+_FIELD_POS = np.arange(_FIELD_WIDTH, dtype=np.uint8)
+_INDEX_POS = np.arange(_INDEX_WIDTH, 0, -1, dtype=np.uint8)
+# the four ASCII digits of 0 .. 9999, one uint32 each
+_DIGITS4 = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+).view(np.uint32).ravel()
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10^1 .. 10^19, the index width steps
+_POW5 = 5 ** np.arange(16, 21, dtype=np.uint64)  # 5^(16 - X) for X = 0, -1, ..., -4
+_TEN8, _TEN16, _TEN17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
+_U1, _U32, _U64, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(64), np.uint64(0xFFFFFFFF)
 
-def write_database(db: TrialDatabase, fileobj) -> None:
+
+def _divmod(values: np.ndarray, unit, dtype) -> tuple[np.ndarray, np.ndarray]:
+    high = values // unit  # floor division by a scalar is far faster than np.divmod
+    return high, (values - high * unit).astype(dtype)
+
+
+def _ascii_digits(values: np.ndarray) -> np.ndarray:
+    """The 20 decimal digits of each unsigned 64-bit value, zero-padded, as ASCII bytes."""
+    words = np.empty((values.shape[0], 5), dtype=np.uint32)
+    head, rest = _divmod(values, _TEN16, np.uint64)
+    high, low = _divmod(rest, _TEN8, np.uint32)
+    words[:, 0] = _DIGITS4.take(head)
+    for col, part in ((1, high.astype(np.uint32)), (3, low)):
+        words[:, col], words[:, col + 1] = (
+            _DIGITS4.take(p) for p in _divmod(part, np.uint32(10_000), np.intp)
+        )
+    return words.view(np.uint8)
+
+
+def _scaled(mant: np.ndarray, exp2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor and round-half-even of v * 10^(16 - x), for v = mant * 2^(exp2 - 53) and
+    -4 <= x <= 0, exactly in integers.
+
+    With k = 16 - x this is mant * 5^k shifted right by t = 53 - exp2 - k.
+    mant < 2^53 and 5^k < 2^47, so the product is formed from 32-bit halves
+    in two 64-bit limbs; for 1e-4 <= v <= 1, t lies in [33, 50].
+    """
+    pow5 = _POW5[-x]
+    shift = (37 - exp2 + x).astype(np.uint64)
+    m_hi, m_lo = mant >> _U32, mant & _LOW32
+    p_hi, p_lo = pow5 >> _U32, pow5 & _LOW32
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi
+    lo = low + ((mid & _LOW32) << _U32)  # wraps modulo 2^64; the carry goes to hi
+    hi = m_hi * p_hi + (mid >> _U32) + (lo < low)
+    floor = (hi << (_U64 - shift)) | (lo >> shift)
+    rem = lo & ((_U1 << shift) - _U1)
+    half = _U1 << (shift - _U1)
+    return floor, floor + ((rem > half) | ((rem == half) & ((floor & _U1) == _U1)))
+
+
+def _format_rows(rows: np.ndarray, lo: int) -> str:
+    """``_DB_ROW`` of trials lo, lo + 1, ... with spin rows ``rows``, equal to it bit for bit.
+
+    A component v with 1e-4 <= |v| <= 1, whose ``%.17g`` text is in fixed
+    notation "0.<zeros><17 digits>" with trailing zeros cut (or "1"), is
+    formatted here, as is a signed zero; its decimal exponent X is
+    floor(log10 |v|), corrected where the floor of v * 10^(16 - X) leaves
+    [10^16, 10^17). Rounding never carries into an 18th digit: that needs
+    v within 5e-18 (relative) below a power of ten, and the nearest double
+    below 1, 0.1, 0.01 or 0.001 is at least 8e-17 away. A row with any other
+    component (0 < |v| < 1e-4, |v| > 1, a subnormal, or non-finite) goes
+    through ``_DB_ROW`` itself.
+    """
+    m = rows.shape[0]
+    v = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
+    mag = np.abs(v)
+    zero = mag == 0.0
+    fixed = (mag >= 1e-4) & (mag <= 1.0)  # NaN-safe: NaN fails both
+    fallback = ~(fixed | zero).reshape(m, 3).all(axis=1)
+    # every other value is swapped for 0.5, so the integer path stays in range
+    mag = np.where(fixed, mag, 0.5)
+    frac, exp2 = np.frexp(mag)
+    mant = np.ldexp(frac, 53).astype(np.uint64)
+    x = np.clip(np.floor(np.log10(mag)), -4, 0).astype(np.int64)
+    floor, sig = _scaled(mant, exp2, x)
+    redo = np.flatnonzero((floor < _TEN16) | (floor >= _TEN17))
+    if redo.size:
+        x[redo] += np.where(floor[redo] < _TEN16, -1, 1)
+        sig[redo] = _scaled(mant[redo], exp2[redo], x[redo])[1]
+    sig[zero] = 0
+    x[zero] = 0
+
+    index = np.arange(m, dtype=np.uint64) + np.uint64(lo)
+    digits = _ascii_digits(sig)[:, 3:]
+    prefix = 5 * np.signbit(v) - x
+    fields = np.concatenate([_PREFIX[prefix], digits], axis=1)
+    slot = np.concatenate(
+        [_ascii_digits(index), fields.reshape(m, -1), np.full((m, 1), ord("\n"), np.uint8)], axis=1
+    )
+    # a field keeps [start, end): its prefix, and its digits up to the last nonzero one
+    start = _PREFIX_START[prefix]
+    end = _LEAD + np.where(sig == 0, 1, 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1))
+    kept = (_FIELD_POS - start[:, None]) < (end - start).astype(np.uint8)[:, None]
+    width = 1 + np.searchsorted(_POW10, index, side="right")
+    keep = np.concatenate(
+        [_INDEX_POS <= width.astype(np.uint8)[:, None], kept.reshape(m, -1), np.ones((m, 1), bool)],
+        axis=1,
+    )
+    if not fallback.any():
+        return slot[keep].tobytes().decode("ascii")
+
+    keep[fallback] = False
+    text = slot[keep].tobytes().decode("ascii")
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    pieces, done = [], 0
+    for r in np.flatnonzero(fallback).tolist():
+        pieces += [text[done : ends[r]], _DB_ROW % (lo + r, *rows[r].tolist())]
+        done = ends[r]
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
+def write_database(source: TrialDatabase | GeneratedTrials, fileobj) -> None:
     """Write the line-oriented text format; floats carry 17 significant digits.
 
-    Rows are converted to Python floats and formatted one block at a time,
-    and each block is written as one string, so the text is never held whole.
+    ``source`` is a database or generated trials: anything with ``n``,
+    ``seed``, ``distribution`` and ``rows(lo, hi)``. Rows are read, formatted
+    by ``_format_rows`` and written one block at a time, one ``write`` per
+    block, so neither the rows nor their text are ever held whole.
     """
-    fileobj.write(f"{_DB_HEADER_PREFIX} seed={db.seed} dist={db.distribution.tag()} n={db.n}\n")
-    for lo in range(0, db.n, _WRITE_BLOCK_ROWS):
-        rows = db.spins[lo : lo + _WRITE_BLOCK_ROWS].tolist()
-        fileobj.write("".join([_DB_ROW % (k, x, y, z) for k, (x, y, z) in enumerate(rows, lo)]))
+    fileobj.write(
+        f"{_DB_HEADER_PREFIX} seed={source.seed} dist={source.distribution.tag()} n={source.n}\n"
+    )
+    for lo in range(0, source.n, _WRITE_BLOCK_ROWS):
+        fileobj.write(_format_rows(source.rows(lo, min(lo + _WRITE_BLOCK_ROWS, source.n)), lo))
 
 
 def _header_count(field: str, key: str) -> int:

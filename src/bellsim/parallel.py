@@ -27,8 +27,8 @@ RANGES_PER_WORKER = 4
 
 def _processes(workers: int) -> int:
     # the fork start method starts every process at once; a pool never needs
-    # more than the CPUs it can keep busy, and the ranges do not depend on
-    # the process count, so capping changes no result
+    # more than the CPUs it can keep busy, and tallies and the keyed max do
+    # not depend on the partition, so capping changes no result
     return max(1, min(workers, os.cpu_count() or 1))
 
 
@@ -40,12 +40,13 @@ def map_ranges(fn, n: int, workers: int, *args, minimum: int = MIN_PARALLEL_TRIA
     """``[fn(*args, lo, hi) for lo, hi in ranges]``, in range order.
 
     ``ranges`` is [(0, n)] at one worker and ``chunk_ranges(n,
-    RANGES_PER_WORKER * workers)`` otherwise. The ranges run in one
-    process pool when there is more than one worker and ``n`` is at
-    least ``minimum``, and in this process otherwise; a pool task
-    pickles ``fn``, ``args`` and its range.
+    RANGES_PER_WORKER * processes)`` otherwise, where ``processes`` is
+    ``workers`` capped at the CPU count. The ranges run in one process
+    pool when there is more than one worker and ``n`` is at least
+    ``minimum``, and in this process otherwise; a pool task pickles
+    ``fn``, ``args`` and its range.
     """
-    parts = 1 if workers <= 1 else RANGES_PER_WORKER * workers
+    parts = 1 if workers <= 1 else RANGES_PER_WORKER * _processes(workers)
     tasks = [(*args, lo, hi) for lo, hi in chunk_ranges(n, parts)]
     if workers <= 1 or n < minimum:
         return [fn(*task) for task in tasks]

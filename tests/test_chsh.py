@@ -31,7 +31,7 @@ from bellsim import (
     search_max_chsh,
     standard_combination,
 )
-from bellsim import chsh, parallel
+from bellsim import chsh, cli, parallel
 from bellsim.chsh import _reuse_statistics, result_from_tallies, streamed_tallies
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import root_stream
@@ -249,11 +249,16 @@ def test_search_is_deterministic_and_worker_invariant():
     assert parallel_run == first
 
 
-def test_reuse_search_opens_no_process_pool(pool_recorder):
+def test_reuse_search_opens_no_process_pool(tmp_path, pool_recorder):
     pool_recorder.refuse = True
     db = generate_database(75, UniformSphere(), 5000)
     best, quad = search_max_chsh(db, "reuse", 200, root_stream(75, 4), workers=2)
     assert best == chsh_statistic(db, quad, "reuse")
+    # the command also generates its database in this process
+    n = str(parallel.MIN_PARALLEL_TRIALS)
+    argv = ["search", "--n", n, "--budget", "50", "--workers", "2", "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0
+    assert pool_recorder.requests == [] and pool_recorder.processes == []
 
 
 # coordinate axes give exact zero dot products against axis-aligned spins

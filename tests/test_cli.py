@@ -12,6 +12,7 @@ from bellsim import (
     chsh,
     chsh_statistic,
     cli,
+    correlation,
     generate_database,
     parallel,
     read_database,
@@ -167,7 +168,6 @@ _ONE_POOL_COMMANDS = {
     "sweep": ["sweep", "--steps", "19"],
     "reuse-chsh": ["chsh", *_CANONICAL],
     "fresh-chsh": ["chsh", "--mode", "fresh", *_CANONICAL],
-    "gen-db": ["gen-db"],
 }
 
 
@@ -183,6 +183,16 @@ def test_each_command_opens_one_pool_at_two_workers_and_none_at_one(
     assert cli.main([*argv, "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
     assert pool_recorder.requests == [2] and len(pool_recorder.processes) == 1
     assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
+
+
+def test_gen_db_opens_no_pool_at_one_or_two_workers(tmp_path, pool_recorder):
+    # generated rows stream through the writer in this process at any --workers
+    pool_recorder.refuse = True
+    argv = ["gen-db", "--seed", "5", "--n", str(3 * parallel.MIN_PARALLEL_TRIALS)]
+    for workers in ("1", "2"):
+        assert cli.main([*argv, "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+    assert pool_recorder.requests == [] and pool_recorder.processes == []
+    assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
 
 
 _DEFECTS = {
@@ -234,6 +244,43 @@ def test_search_banner_and_budget(tmp_path):
     assert "bound respected: S_max = " in proc.stdout
     doc = json.loads(out.read_text())
     assert doc["budget"] == 50 and doc["statistic"] <= 2.0
+
+
+_SEARCH_DEFECTS = {
+    # the packed evaluator ranks every candidate a quarter too high
+    "_reuse_statistics": lambda f: lambda spins, quads: [s + 0.25 for s in f(spins, quads)],
+    "_quad_tallies": lambda f: lambda spins, quad: _DEFECTS["zero-term"](f(spins, quad)),
+}
+
+
+@pytest.mark.parametrize("target", list(_SEARCH_DEFECTS))
+def test_reuse_search_checks_its_best_quad_before_claiming_the_bound(
+    tmp_path, monkeypatch, capsys, target
+):
+    monkeypatch.setattr(chsh, target, _SEARCH_DEFECTS[target](getattr(chsh, target)))
+    argv = ["search", "--seed", "8", "--n", "2000", "--budget", "50"]
+    assert cli.main([*argv, "--out", str(tmp_path / "search.json")]) == 1
+    captured = capsys.readouterr()
+    assert "defect: " in captured.err
+    assert "bound respected" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_checks_exact_anticorrelation_where_b_equals_a(tmp_path, monkeypatch, capsys):
+    argv = ["sweep", "--n", "1000", "--steps", "3", "--dist", "fixed-axis(1,0,0)"]
+    # every trial is a tie at theta = 0 here, and count_pos == tie_count holds
+    assert cli.main([*argv, "--out", str(tmp_path / "clean.csv")]) == 0
+    pair_tallies = correlation.pair_tallies
+
+    def defective(jobs, n, workers=1):
+        (count_pos, ties), *rest = pair_tallies(jobs, n, workers)
+        return [(count_pos - 1, ties), *rest]
+
+    monkeypatch.setattr(correlation, "pair_tallies", defective)
+    out = tmp_path / "sweep.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert "defect: b equals a at theta = 0.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_fresh_reports_excess_bound(tmp_path):

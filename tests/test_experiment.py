@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from bellsim import (
     select_settings,
     write_database,
 )
-from bellsim.experiment import _WRITE_BLOCK_ROWS
+from bellsim.experiment import _DB_ROW, _WRITE_BLOCK_ROWS, _format_rows
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import root_stream
 
@@ -193,6 +194,49 @@ def test_distribution_tags_round_trip():
         parse_distribution("donut(1,2)")
     with pytest.raises(ConfigurationError):
         parse_distribution("cap(0,0,1)")
+
+
+# a coordinate axis or its negation, the other components signed zeros
+_signed_axes = st.builds(
+    lambda zeros, i, sign: UnitVector(*(sign if j == i else zeros[j] for j in range(3))),
+    st.tuples(*[st.sampled_from([0.0, -0.0])] * 3),
+    st.integers(0, 2),
+    st.sampled_from([1.0, -1.0]),
+)
+_tag_units = st.one_of(
+    _signed_axes,
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 1e-3)
+    .map(lambda v: UnitVector.normalize(*v)),
+)
+
+
+def _mixture(entries):
+    total = sum(count for count, _ in entries)
+    return Mixture(tuple((count / total, spec) for count, spec in entries))
+
+
+_specs = st.recursive(
+    st.one_of(
+        st.just(UniformSphere()),
+        _tag_units.map(FixedAxis),
+        st.builds(Cap, _tag_units, st.floats(0.0, math.pi, exclude_min=True)),
+    ),
+    lambda children: st.lists(
+        st.tuples(st.integers(1, 1000), children), min_size=1, max_size=4
+    ).map(_mixture),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_specs)
+def test_distribution_tag_round_trip_property(spec):
+    # the header's dist= field is written with tag() and read back with parse_distribution
+    tag = spec.tag()
+    back = parse_distribution(tag)
+    assert back == spec
+    assert back.tag() == tag  # also tells -0 from 0, which == does not
 
 
 # -- measurement ------------------------------------------------------------
@@ -412,3 +456,85 @@ def test_database_text_round_trip_property(seed, rows):
     again = io.StringIO()
     write_database(back, again)
     assert again.getvalue() == text
+
+
+def _rows_oracle(rows, lo: int) -> str:
+    return "".join(_DB_ROW % (k, *row) for k, row in enumerate(np.asarray(rows).tolist(), lo))
+
+
+# the boundaries of the kernel's domain and of each decimal exponent in it
+_EDGES = [
+    v
+    for p in range(5)
+    for v in (10.0**-p, np.nextafter(10.0**-p, 0.0), np.nextafter(10.0**-p, 2.0))
+] + [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1.5, 1e300, 0.5 + 2**-18]
+_any_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0),
+    st.tuples(st.floats(1e-4, 1e-3) | st.sampled_from(_EDGES), st.sampled_from([1.0, -1.0])).map(
+        math.prod
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_any_finite, _any_finite, _any_finite), min_size=1, max_size=40),
+    lo=st.one_of(st.integers(0, 2**64 - 41), st.sampled_from([10**p - 3 for p in range(1, 20)])),
+)
+def test_row_kernel_matches_the_row_format_on_any_finite_floats(rows, lo):
+    assert _format_rows(np.array(rows, dtype=np.float64), lo) == _rows_oracle(rows, lo)
+
+
+def test_row_kernel_rounds_ties_to_even():
+    # each is a tie at 17 digits; the even neighbour wins
+    row = np.array([[0.5 + 2**-18, 0.5 + 3 * 2**-18, -(0.5 + 2**-18)]])
+    text = "0 0.50000381469726562 0.50001144409179688 -0.50000381469726562\n"
+    assert _format_rows(row, 0) == text
+
+
+def test_row_kernel_corrects_the_log10_exponent_near_powers_of_ten():
+    # the neighbours of 1, 0.1, ..., 0.001 below and of 0.1, ..., 1e-4 above; those
+    # below are also the doubles nearest to a rounding carry into an 18th digit
+    below = [np.nextafter(10.0**-p, 0.0) for p in range(4)]
+    above = [np.nextafter(10.0**-p, 1.0) for p in range(1, 5)]
+    rows = np.array([below[:3], [below[3], *above[:2]], [*above[2:], 1e-4]])
+    text = _format_rows(rows, 0)
+    assert text == _rows_oracle(rows, 0)
+    assert text.startswith("0 0.99999999999999989 0.099999999999999992 0.0099999999999999985\n")
+
+
+@pytest.mark.parametrize("lo", [10**p - 2 for p in range(1, 20)] + [2**64 - 4])
+def test_row_kernel_writes_every_index_width(lo):
+    rows = np.tile([0.25, -0.5, 1.0], (4, 1))
+    text = _format_rows(rows, lo)
+    assert text == _rows_oracle(rows, lo)
+    assert text.splitlines()[-1].startswith(f"{lo + 3} ")
+
+
+def test_row_kernel_sends_rows_outside_its_domain_to_the_row_format():
+    values = [1e-5, -2.0, 5e-324, np.inf, np.nan, 1.0, -0.0, 0.3]
+    rows = np.array([[v, 0.5, -0.25] for v in values] + [[0.5, v, 0.125] for v in values])
+    # no numpy warning or error: out-of-domain values never reach the integer path
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = _format_rows(rows, 7)
+    assert text == _rows_oracle(rows, 7)
+    assert "1.0000000000000001e-05" in text and " -2 " in text and " nan " in text
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        "uniform-sphere",
+        "fixed-axis(-0,-1,-0)",
+        "cap(0.6,0,0.8,0.3)",
+        "mixture(0.5:uniform-sphere;0.5:cap(0,0,1,0.8))",
+    ],
+)
+def test_writer_streams_generated_trials_as_it_writes_the_database(dist):
+    trials = GeneratedTrials(3, parse_distribution(dist), 2 * _B + 5)
+    streamed, stored = io.StringIO(), io.StringIO()
+    write_database(trials, streamed)
+    write_database_per_row(generate_database(3, trials.distribution, trials.n), stored)
+    assert streamed.getvalue() == stored.getvalue()

@@ -29,8 +29,24 @@ def _span(job, lo, hi):
     "n,workers,minimum,pools",
     [(10, 1, 1, []), (30, 3, 31, []), (30, 3, 30, [3]), (2, 3, 1, [3])],
 )
-def test_map_ranges_returns_the_ranges_in_order(pool_recorder, n, workers, minimum, pools):
+def test_map_ranges_returns_the_ranges_in_order(
+    pool_recorder, monkeypatch, n, workers, minimum, pools
+):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
     partials = parallel.map_ranges(_span, n, workers, "job", minimum=minimum)
-    parts = 1 if workers == 1 else parallel.RANGES_PER_WORKER * workers
+    # the ranges come from the process count, capped at the two CPUs
+    parts = 1 if workers == 1 else parallel.RANGES_PER_WORKER * 2
     assert partials == [("job", lo, hi) for lo, hi in parallel.chunk_ranges(n, parts)]
     assert pool_recorder.requests == pools
+
+
+def test_map_ranges_cuts_absurd_worker_counts_to_the_capped_process_count(
+    pool_recorder, monkeypatch
+):
+    # n is below the minimum, so the ranges run in this process and nothing starts
+    pool_recorder.refuse = True
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    partials = parallel.map_ranges(_span, 20_000, 10_000, "job", minimum=20_001)
+    assert len(partials) == 2 * parallel.RANGES_PER_WORKER
+    assert [(lo, hi) for _, lo, hi in partials] == parallel.chunk_ranges(20_000, len(partials))
+    assert pool_recorder.requests == [] and pool_recorder.processes == []
