@@ -39,15 +39,20 @@ from .correlation import (
     _BLOCK_ROWS,
     CorrelationEstimate,
     pair_tallies,
-    setting_dots,
     station_products,
 )
 from .experiment import ConfigurationError, GeneratedTrials, TrialDatabase
-from .geometry import UnitVector, direction_at_angle, sample_uniform_directions
+from .geometry import (
+    _REJECT_NORM,
+    UnitVector,
+    _gaussian_columns,
+    direction_at_angle,
+    sample_uniform_directions,
+)
 from .rng import CounterStream
 from .stats import hoeffding_bound
 
-_BLOCK_QUADS = 32  # bounds the sign bits and pair table the search holds at once
+_BLOCK_QUADS = 32  # bounds the sign bits the search holds at once
 
 
 @dataclass(frozen=True)
@@ -346,50 +351,95 @@ def standard_combination(e11: float, e12: float, e21: float, e22: float) -> floa
 
 # ---------------------------------------------------------------------------
 # adversarial settings search
+#
+# Search candidates are float64 arrays shaped (k, 4, 3): per quad the
+# directions a1, a2, b1, b2, each (x, y, z), the order of ``sort_key``.
 
 
-def _packed_signs(columns: np.ndarray, directions, is_plus) -> np.ndarray:
-    """One row of packed station signs per direction, bit 1 for sign +1.
+def _quad_rows(quads) -> np.ndarray:
+    """The (k, 4, 3) candidate rows of a sequence of SettingQuads."""
+    return np.array([q.sort_key() for q in quads], dtype=np.float64).reshape(-1, 4, 3)
+
+
+def _quad_of(row: np.ndarray) -> SettingQuad:
+    return SettingQuad(*(UnitVector(*v) for v in row.tolist()))
+
+
+def _sign_bits(columns: np.ndarray, directions: np.ndarray, is_plus) -> np.ndarray:
+    """One row of packed station signs per row of ``directions`` (k, 3), bit 1 for sign +1.
 
     ``is_plus`` is ``np.greater_equal`` for station A and ``np.less_equal``
     for station B: the comparisons of ``station_products``, including its
-    sign(0) := +1 rule. The padding bits of the last byte are 0 at both
-    stations, so they never count as a disagreement.
+    sign(0) := +1 rule. The dots are the elementwise expression of
+    ``setting_dots``, formed in place for as many directions per ufunc call
+    as fit in ``_BLOCK_ROWS`` elements (at least one). The padding bits of
+    the last byte are 0 at both stations, so they never count as a
+    disagreement.
     """
-    bits = np.empty((len(directions), (columns.shape[1] + 7) // 8), dtype=np.uint8)
-    for row, d in zip(bits, directions):
-        row[:] = np.packbits(is_plus(setting_dots(*columns, d), 0.0))
+    s0, s1, s2 = columns
+    n = s0.shape[0]
+    step = max(1, _BLOCK_ROWS // max(n, 1))
+    bits = np.empty((len(directions), (n + 7) // 8), dtype=np.uint8)
+    dots_buf = np.empty((min(step, len(directions)), n))
+    term_buf = np.empty_like(dots_buf)
+    plus_buf = np.empty(dots_buf.shape, dtype=bool)
+    for lo in range(0, len(directions), step):
+        d = directions[lo : lo + step, :, None]
+        dots, term, plus = dots_buf[: len(d)], term_buf[: len(d)], plus_buf[: len(d)]
+        np.multiply(s0, d[:, 0], out=dots)
+        np.multiply(s1, d[:, 1], out=term)
+        dots += term
+        np.multiply(s2, d[:, 2], out=term)
+        dots += term
+        is_plus(dots, 0.0, out=plus)
+        bits[lo : lo + len(d)] = np.packbits(plus, axis=1)
     return bits
 
 
-def _reuse_statistics(spins: np.ndarray, quads: list[SettingQuad]) -> list[float]:
-    """Reuse-mode statistics of many quads, equal bit for bit to
-    ``chsh_statistic(db, quad, "reuse").statistic``.
+def _reuse_statistics(spins: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Reuse-mode statistics of candidate rows (k, 4, 3), each equal bit for bit
+    to ``chsh_statistic(db, quad, "reuse").statistic``.
 
-    A pair tally is n - popcount(bitsA(a) XOR bitsB(b)), so each block
-    of quads computes the signs of its distinct directions once.
+    A pair tally is n - popcount(bitsA(a) XOR bitsB(b)). Quads are taken
+    ``_BLOCK_QUADS`` at a time, which bounds the sign bits held at once.
     """
     n = spins.shape[0]
     columns = np.ascontiguousarray(spins.T)  # unit-stride columns make each pass faster
-    stats = []
+    stats = np.empty(len(quads))
     for lo in range(0, len(quads), _BLOCK_QUADS):
         block = quads[lo : lo + _BLOCK_QUADS]
-        a_rows, b_rows = {}, {}
-        a_of_quad = [[a_rows.setdefault(d, len(a_rows)) for d in (q.a1, q.a2)] for q in block]
-        b_of_quad = [[b_rows.setdefault(d, len(b_rows)) for d in (q.b1, q.b2)] for q in block]
-        a_bits = _packed_signs(columns, list(a_rows), np.greater_equal)
-        b_bits = _packed_signs(columns, list(b_rows), np.less_equal)
-        # rows of the pairs (a1,b1), (a1,b2), (a2,b1), (a2,b2) of each quad
-        a_idx = np.repeat(a_of_quad, 2, axis=1).ravel()
-        b_idx = np.tile(b_of_quad, 2).ravel()
-        disagree = np.bitwise_count(a_bits[a_idx] ^ b_bits[b_idx]).sum(axis=1, dtype=np.int64)
-        pos = n - disagree.reshape(-1, 4)
-        stats.extend(_reuse_statistic(n, *row) for row in pos.tolist())
+        k = len(block)
+        a = _sign_bits(columns, block[:, :2].reshape(-1, 3), np.greater_equal).reshape(k, 2, 1, -1)
+        b = _sign_bits(columns, block[:, 2:].reshape(-1, 3), np.less_equal).reshape(k, 1, 2, -1)
+        pos = n - np.bitwise_count(a ^ b).sum(axis=3, dtype=np.int64)  # pos[:, i, j]: (a_i, b_j)
+        stats[lo : lo + k] = _reuse_statistic(
+            n, pos[:, 0, 0], pos[:, 0, 1], pos[:, 1, 0], pos[:, 1, 1]
+        )
     return stats
 
 
-def _eval_candidates(db, quads, mode, base_key, offset, workers):
-    """Statistics for a list of candidate quads.
+def _table_statistics(
+    spins: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, index
+) -> np.ndarray:
+    """Reuse-mode statistics of the quads (a_dirs[i1], a_dirs[i2], b_dirs[j1], b_dirs[j2]),
+    one per row (i1, i2, j1, j2) of ``index``, equal bit for bit to ``_reuse_statistics``.
+
+    Each direction's signs are measured once, and every quad reads its four
+    tallies by index from the table of all (a, b) pair tallies.
+    """
+    n = spins.shape[0]
+    columns = np.ascontiguousarray(spins.T)
+    a_bits = _sign_bits(columns, a_dirs, np.greater_equal)
+    b_bits = _sign_bits(columns, b_dirs, np.less_equal)
+    pos = np.empty((len(a_bits), len(b_bits)), dtype=np.int64)
+    for row, a in zip(pos, a_bits):
+        row[:] = n - np.bitwise_count(a ^ b_bits).sum(axis=1, dtype=np.int64)
+    i1, i2, j1, j2 = np.asarray(index, dtype=np.intp).reshape(-1, 4).T
+    return _reuse_statistic(n, pos[i1, j1], pos[i1, j2], pos[i2, j1], pos[i2, j2])
+
+
+def _eval_candidates(db, quads, mode, base_key, offset, workers) -> np.ndarray:
+    """Statistics for candidate rows (k, 4, 3).
 
     Reuse mode runs in this process on packed sign bits. Fresh
     candidates derive their private stream from (base_key, global
@@ -400,25 +450,31 @@ def _eval_candidates(db, quads, mode, base_key, offset, workers):
     chunks = parallel.map_ranges(
         _fresh_statistics, len(quads), workers, db, quads, base_key, offset, minimum=2
     )
-    return [s for chunk in chunks for s in chunk]
+    return np.array([s for chunk in chunks for s in chunk])
 
 
 def _fresh_statistics(db, quads, base_key, offset, lo, hi):
     return [
-        chsh_statistic(db, quads[i], "fresh", CounterStream(base_key).derive(offset + i)).statistic
+        chsh_statistic(
+            db, _quad_of(quads[i]), "fresh", CounterStream(base_key).derive(offset + i)
+        ).statistic
         for i in range(lo, hi)
     ]
 
 
-def _lattice_quads(count_budget: int) -> list[SettingQuad]:
+def _lattice(count_budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The in-plane lattice of at most ``count_budget`` quads, g**4 of them.
+
+    Returns its g directions, at angles 2*pi*k/g from +z, and the (g**4, 4)
+    direction indices of its quads in ``itertools.product`` order; both are
+    empty when g < 2.
+    """
     g = int(count_budget**0.25)
     if g < 2:
-        return []
-    angles = [2.0 * math.pi * k / g for k in range(g)]
-    return [
-        SettingQuad.from_plane_angles(t1, t2, t3, t4)
-        for t1, t2, t3, t4 in itertools.product(angles, repeat=4)
-    ]
+        g = 0
+    directions = [direction_at_angle(2.0 * math.pi * k / g) for k in range(g)]
+    rows = np.array([(d.x, d.y, d.z) for d in directions], dtype=np.float64).reshape(-1, 3)
+    return rows, np.indices((g,) * 4).reshape(4, -1).T
 
 
 def _perturbed_quad(quad: SettingQuad, stream: CounterStream, radius: float) -> SettingQuad:
@@ -433,6 +489,40 @@ def _perturbed_quad(quad: SettingQuad, stream: CounterStream, radius: float) -> 
             )
         )
     return SettingQuad(*dirs)
+
+
+def _perturbed_quads(
+    quad: np.ndarray, stream: CounterStream, radius: float, size: int
+) -> np.ndarray:
+    """``size`` perturbations of the quad rows ``quad`` (4, 3), equal bit for bit to
+    ``size`` calls of ``_perturbed_quad`` in a row, leaving ``stream`` where they leave it.
+
+    One draw of 16 * size uniforms serves them all, unless some gaussian
+    triple or some moved direction is shorter than ``_REJECT_NORM``; then
+    the stream goes back to where the round started and the sequential
+    path redraws the triple (or rejects the direction) as it always has.
+    """
+    start = stream.counter
+    u = stream.uniforms(16 * size).reshape(-1, 4)
+    gx, gy, gz = _gaussian_columns(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    norm = np.sqrt(gx * gx + gy * gy + gz * gz)
+    moved = np.tile(quad, (size, 1)) + radius * (np.stack([gx, gy, gz], axis=1) / norm[:, None])
+    x, y, z = moved.T
+    length = np.sqrt(x * x + y * y + z * z)
+    if norm.min() < _REJECT_NORM or length.min() < _REJECT_NORM:
+        stream.counter = start
+        base = _quad_of(quad)
+        return _quad_rows([_perturbed_quad(base, stream, radius) for _ in range(size)])
+    return (moved / length[:, None]).reshape(size, 4, 3)
+
+
+def _best(stats: np.ndarray, quads: np.ndarray) -> int:
+    """Index of the greatest (statistic, sort_key) among candidate rows, the earliest of equals."""
+    best = np.flatnonzero(stats == stats.max())
+    for column in quads.reshape(len(quads), -1).T:
+        values = column[best]
+        best = best[values == values.max()]
+    return int(best[0])
 
 
 def search_max_chsh(
@@ -453,7 +543,8 @@ def search_max_chsh(
     (canonical saturating quad by default), so budget 1 just evaluates
     that quad. The best candidate is reduced with an associative max
     keyed on (statistic, quad ordering), making the outcome independent
-    of evaluation order and worker count. Reuse mode runs in this
+    of evaluation order and worker count. Candidates are kept as arrays
+    and only the winner becomes a SettingQuad. Reuse mode runs in this
     process and ignores ``workers``.
     """
     if budget < 1:
@@ -462,73 +553,75 @@ def search_max_chsh(
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
 
     base_key = stream.key  # fresh-mode candidates derive substreams from here
-    candidates = [initial if initial is not None else CANONICAL_QUAD]
+    first = _quad_rows([initial if initial is not None else CANONICAL_QUAD])
     remaining = budget - 1
 
-    lattice = _lattice_quads(remaining // 3) if remaining >= 16 else []
-    candidates.extend(lattice)
+    directions, lattice = _lattice(remaining // 3 if remaining >= 16 else 0)
     remaining -= len(lattice)
 
     n_random = remaining // 2
-    if n_random:
-        rows = sample_uniform_directions(stream, 4 * n_random).reshape(n_random, 4, 3)
-        for r in rows:
-            candidates.append(
-                SettingQuad(
-                    UnitVector.from_array(r[0]),
-                    UnitVector.from_array(r[1]),
-                    UnitVector.from_array(r[2]),
-                    UnitVector.from_array(r[3]),
-                )
-            )
-        remaining -= n_random
+    randoms = sample_uniform_directions(stream, 4 * n_random).reshape(n_random, 4, 3)
+    remaining -= n_random
 
-    stats = _eval_candidates(db, candidates, mode, base_key, 0, workers)
-    best_stat, best_quad, best_index = max(
-        ((s, q, i) for i, (s, q) in enumerate(zip(stats, candidates))),
-        key=lambda c: (c[0], c[1].sort_key()),
-    )
+    quads = np.concatenate([first, directions[lattice], randoms])
+    if mode == "reuse":
+        # the lattice quads share g directions, so one pair table gives all their S
+        packed = _reuse_statistics(db.spins, np.concatenate([first, randoms]))
+        table = _table_statistics(db.spins, directions, directions, lattice)
+        stats = np.concatenate([packed[:1], table, packed[1:]])
+    else:
+        stats = _eval_candidates(db, quads, mode, base_key, 0, workers)
+    best_index = _best(stats, quads)
+    best_stat, best_quad = stats[best_index], quads[best_index]
 
     # local refinement: perturb the incumbent with shrinking radius
-    offset = len(candidates)
+    offset = len(quads)
     round_no = 0
     while remaining > 0:
         size = min(32, remaining)
         radius = 0.4 * (0.8**round_no)
-        batch = [_perturbed_quad(best_quad, stream, radius) for _ in range(size)]
+        batch = _perturbed_quads(best_quad, stream, radius, size)
         batch_stats = _eval_candidates(db, batch, mode, base_key, offset, workers)
-        for i, (s, q) in enumerate(zip(batch_stats, batch)):
-            if (s, q.sort_key()) > (best_stat, best_quad.sort_key()):
-                best_stat, best_quad, best_index = s, q, offset + i
+        # the incumbent goes first, so an equal candidate leaves it in place
+        i = _best(np.append(best_stat, batch_stats), np.concatenate([best_quad[None], batch])) - 1
+        if i >= 0:
+            best_stat, best_quad, best_index = batch_stats[i], batch[i], offset + i
         offset += size
         remaining -= size
         round_no += 1
 
+    quad = _quad_of(best_quad)
     if mode == "fresh":
         best_result = chsh_statistic(
-            db, best_quad, "fresh", CounterStream(base_key).derive(best_index), workers=workers
+            db, quad, "fresh", CounterStream(base_key).derive(best_index), workers=workers
         )
     else:
-        best_result = chsh_statistic(db, best_quad, "reuse")
-    return best_result, best_quad
+        best_result = chsh_statistic(db, quad, "reuse")
+    return best_result, quad
 
 
 def search_defect(db: TrialDatabase, quad: SettingQuad, result: ChshResult) -> str | None:
     """How a reuse search's best quad fails its checks, or None if it passes them.
 
     The quad's tallies, taken afresh, must keep the per-trial identity,
-    and the packed evaluator that ranked the candidates must give the
-    quad the statistic of ``result``, its re-evaluation.
+    and both evaluators that ranked the candidates, the packed one and
+    the lattice's pair table, must give the quad the statistic of
+    ``result``, its re-evaluation.
     """
     defect = identity_defect(_range_tallies(db, quad, 0, db.n))
     if defect is not None:
         return defect
-    packed = _reuse_statistics(db.spins, [quad])[0]
-    if packed != result.statistic:
-        return (
-            f"packed evaluator gives the best quad S = {packed!r}, "
-            f"its re-evaluation {result.statistic!r}"
-        )
+    rows = _quad_rows([quad])
+    ranked = (
+        ("packed evaluator", _reuse_statistics(db.spins, rows)[0]),
+        ("pair table", _table_statistics(db.spins, rows[0, :2], rows[0, 2:], [(0, 1, 0, 1)])[0]),
+    )
+    for name, statistic in ranked:
+        if statistic != result.statistic:
+            return (
+                f"{name} gives the best quad S = {float(statistic)!r}, "
+                f"its re-evaluation {result.statistic!r}"
+            )
     return None
 
 

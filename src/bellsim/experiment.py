@@ -13,9 +13,11 @@ matter how generation is ordered or partitioned.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -404,21 +406,40 @@ _CANONICAL_FIELD = re.compile(r"([a-z]+)=(0|[1-9][0-9]{0,19})")
 # component a 24-byte field of a 7-byte prefix, right-aligned (" ", a "-" if
 # negative, "0." and the zeros after the point), then 17 significand digits.
 _INDEX_WIDTH, _LEAD, _FIELD_WIDTH = 20, 7, 24
-# prefix 5 * negative - X, for decimal exponents X = 0, -1, ..., -4
-_PREFIXES = [
-    " " + "-" * neg + ("0." + "0" * (j - 1) if j else "") for neg in (0, 1) for j in range(5)
-]
-_PREFIX_TEXT = "".join(t.rjust(_LEAD) for t in _PREFIXES).encode()
-_PREFIX = np.frombuffer(_PREFIX_TEXT, np.uint8).reshape(-1, _LEAD)
-_PREFIX_START = np.array([_LEAD - len(t) for t in _PREFIXES], dtype=np.uint8)
 _FIELD_POS = np.arange(_FIELD_WIDTH, dtype=np.uint8)
 _INDEX_POS = np.arange(_INDEX_WIDTH, 0, -1, dtype=np.uint8)
-# the four ASCII digits of 0 .. 9999, one uint32 each
-_DIGITS4 = np.ascontiguousarray(
-    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
-).view(np.uint32).ravel()
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10^1 .. 10^19, the index width steps
-_POW5 = 5 ** np.arange(16, 21, dtype=np.uint64)  # 5^(16 - X) for X = 0, -1, ..., -4
+
+
+class _KernelTables(NamedTuple):
+    prefix: np.ndarray  # the 7-byte prefix of 5 * negative - X, for X = 0, -1, ..., -4
+    prefix_start: np.ndarray  # where each prefix's text starts in its 7 bytes
+    digits4: np.ndarray  # the four ASCII digits of 0 .. 9999, one uint32 each
+    pow10: np.ndarray  # 10^1 .. 10^19, the index width steps
+    pow5: np.ndarray  # 5^(16 - X) for X = 0, -1, ..., -4
+
+
+@functools.cache
+def _kernel_tables() -> _KernelTables:
+    """The row kernel's tables, built on its first call (only ``gen-db`` needs
+    them), and read-only, since every caller shares them."""
+    prefixes = [
+        " " + "-" * neg + ("0." + "0" * (j - 1) if j else "") for neg in (0, 1) for j in range(5)
+    ]
+    text = "".join(t.rjust(_LEAD) for t in prefixes).encode()
+    tables = _KernelTables(
+        prefix=np.frombuffer(text, np.uint8).reshape(-1, _LEAD),
+        prefix_start=np.array([_LEAD - len(t) for t in prefixes], dtype=np.uint8),
+        digits4=np.ascontiguousarray(
+            np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+        ).view(np.uint32).ravel(),
+        pow10=10 ** np.arange(1, 20, dtype=np.uint64),
+        pow5=5 ** np.arange(16, 21, dtype=np.uint64),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 _TEN8, _TEN16, _TEN17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
 _U1, _U32, _U64, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(64), np.uint64(0xFFFFFFFF)
 
@@ -433,10 +454,11 @@ def _ascii_digits(values: np.ndarray) -> np.ndarray:
     words = np.empty((values.shape[0], 5), dtype=np.uint32)
     head, rest = _divmod(values, _TEN16, np.uint64)
     high, low = _divmod(rest, _TEN8, np.uint32)
-    words[:, 0] = _DIGITS4.take(head)
+    digits4 = _kernel_tables().digits4
+    words[:, 0] = digits4.take(head)
     for col, part in ((1, high.astype(np.uint32)), (3, low)):
         words[:, col], words[:, col + 1] = (
-            _DIGITS4.take(p) for p in _divmod(part, np.uint32(10_000), np.intp)
+            digits4.take(p) for p in _divmod(part, np.uint32(10_000), np.intp)
         )
     return words.view(np.uint8)
 
@@ -449,7 +471,7 @@ def _scaled(mant: np.ndarray, exp2: np.ndarray, x: np.ndarray) -> tuple[np.ndarr
     mant < 2^53 and 5^k < 2^47, so the product is formed from 32-bit halves
     in two 64-bit limbs; for 1e-4 <= v <= 1, t lies in [33, 50].
     """
-    pow5 = _POW5[-x]
+    pow5 = _kernel_tables().pow5[-x]
     shift = (37 - exp2 + x).astype(np.uint64)
     m_hi, m_lo = mant >> _U32, mant & _LOW32
     p_hi, p_lo = pow5 >> _U32, pow5 & _LOW32
@@ -476,6 +498,7 @@ def _format_rows(rows: np.ndarray, lo: int) -> str:
     component (0 < |v| < 1e-4, |v| > 1, a subnormal, or non-finite) goes
     through ``_DB_ROW`` itself.
     """
+    tables = _kernel_tables()
     m = rows.shape[0]
     v = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
     mag = np.abs(v)
@@ -498,15 +521,15 @@ def _format_rows(rows: np.ndarray, lo: int) -> str:
     index = np.arange(m, dtype=np.uint64) + np.uint64(lo)
     digits = _ascii_digits(sig)[:, 3:]
     prefix = 5 * np.signbit(v) - x
-    fields = np.concatenate([_PREFIX[prefix], digits], axis=1)
+    fields = np.concatenate([tables.prefix[prefix], digits], axis=1)
     slot = np.concatenate(
         [_ascii_digits(index), fields.reshape(m, -1), np.full((m, 1), ord("\n"), np.uint8)], axis=1
     )
     # a field keeps [start, end): its prefix, and its digits up to the last nonzero one
-    start = _PREFIX_START[prefix]
+    start = tables.prefix_start[prefix]
     end = _LEAD + np.where(sig == 0, 1, 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1))
     kept = (_FIELD_POS - start[:, None]) < (end - start).astype(np.uint8)[:, None]
-    width = 1 + np.searchsorted(_POW10, index, side="right")
+    width = 1 + np.searchsorted(tables.pow10, index, side="right")
     keep = np.concatenate(
         [_INDEX_POS <= width.astype(np.uint8)[:, None], kept.reshape(m, -1), np.ones((m, 1), bool)],
         axis=1,

@@ -11,12 +11,19 @@ source and a range (of trials, or of a fresh search's candidates).
 The source is usually ``GeneratedTrials``, a few hundred bytes from
 which a task regenerates its own rows; a ``TrialDatabase`` that a
 library caller passed is pickled with each task.
+
+``concurrent.futures`` is imported when the first pool starts, not with
+the package, so a command that starts no pool never pays for it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # below this many trials, a process pool costs more than the work it spreads
 MIN_PARALLEL_TRIALS = 4096
@@ -32,8 +39,21 @@ def _processes(workers: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1))
 
 
+def __getattr__(name: str):
+    # PEP 562: the executor class is imported on its first lookup, then kept
+    # as a module global
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def plain_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=_processes(workers))
+    # looked up as a module attribute, so that a test can replace it
+    executor = sys.modules[__name__].ProcessPoolExecutor
+    return executor(max_workers=_processes(workers))
 
 
 def map_ranges(fn, n: int, workers: int, *args, minimum: int = MIN_PARALLEL_TRIALS) -> list:

@@ -1,16 +1,28 @@
 """Independent oracles the tests check the fast paths against.
 
 Everything here is deliberately written the slow, obvious way (per
-trial loops over measure_sign, 1-D quadrature) and shares no code with
-the vectorized implementation.
+trial loops over measure_sign, 1-D quadrature, one object per search
+candidate) and shares no code with the vectorized implementation
+beyond the public building blocks it calls.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate
 
-from bellsim import UnitVector, measure_sign
+from bellsim import (
+    CANONICAL_QUAD,
+    SettingQuad,
+    UnitVector,
+    chsh_statistic,
+    direction_at_angle,
+    measure_sign,
+    sample_uniform_directions,
+)
+from bellsim.correlation import setting_dots
+from bellsim.rng import CounterStream
 
 
 def sign_product_mean_quadrature(theta: float) -> float:
@@ -89,3 +101,111 @@ def write_database_per_row(db, fileobj) -> None:
         x, y, z = db.spins[k]
         fx, fy, fz = (format(float(v), ".17g") for v in (x, y, z))
         fileobj.write(f"{k} {fx} {fy} {fz}\n")
+
+
+# ---------------------------------------------------------------------------
+# the settings search, one SettingQuad per candidate
+
+
+def _packed_signs(columns: np.ndarray, directions, is_plus) -> np.ndarray:
+    """One row of packed station signs per direction, one ``setting_dots`` pass each."""
+    bits = np.empty((len(directions), (columns.shape[1] + 7) // 8), dtype=np.uint8)
+    for row, d in zip(bits, directions):
+        row[:] = np.packbits(is_plus(setting_dots(*columns, d), 0.0))
+    return bits
+
+
+def reuse_statistics(spins: np.ndarray, quads: list) -> list:
+    """Reuse-mode S of each quad from packed sign bits, distinct directions
+    measured once per block of 32 quads."""
+    n = spins.shape[0]
+    columns = np.ascontiguousarray(spins.T)
+    stats = []
+    for lo in range(0, len(quads), 32):
+        block = quads[lo : lo + 32]
+        a_rows, b_rows = {}, {}
+        a_of_quad = [[a_rows.setdefault(d, len(a_rows)) for d in (q.a1, q.a2)] for q in block]
+        b_of_quad = [[b_rows.setdefault(d, len(b_rows)) for d in (q.b1, q.b2)] for q in block]
+        a_bits = _packed_signs(columns, list(a_rows), np.greater_equal)
+        b_bits = _packed_signs(columns, list(b_rows), np.less_equal)
+        a_idx = np.repeat(a_of_quad, 2, axis=1).ravel()
+        b_idx = np.tile(b_of_quad, 2).ravel()
+        disagree = np.bitwise_count(a_bits[a_idx] ^ b_bits[b_idx]).sum(axis=1, dtype=np.int64)
+        for p11, p12, p21, p22 in (n - disagree.reshape(-1, 4)).tolist():
+            stats.append((2 * (p11 - p12 - p22 - p21) + 2 * n) / n)
+    return stats
+
+
+def _evaluate(db, quads, mode, base_key, offset):
+    if mode == "reuse":
+        return reuse_statistics(db.spins, quads)
+    return [
+        chsh_statistic(db, q, "fresh", CounterStream(base_key).derive(offset + i)).statistic
+        for i, q in enumerate(quads)
+    ]
+
+
+def perturbed_quad(quad, stream, radius):
+    """Each direction of the quad moved by ``radius`` times a uniform direction, renormalized."""
+    steps = sample_uniform_directions(stream, 4)
+    return SettingQuad(
+        *(
+            UnitVector.normalize(
+                base.x + radius * step[0], base.y + radius * step[1], base.z + radius * step[2]
+            )
+            for base, step in zip((quad.a1, quad.a2, quad.b1, quad.b2), steps)
+        )
+    )
+
+
+def search_max_chsh(db, mode, budget, stream, initial=None):
+    """The settings search with one SettingQuad per candidate, evaluated in this process.
+
+    Candidates: the initial quad, a g**4 in-plane lattice, uniform random
+    quads, then refinement rounds of 32 perturbations of the incumbent.
+    The best is the maximum of (S, sort_key), the earliest among equals.
+    """
+    base_key = stream.key
+    candidates = [initial if initial is not None else CANONICAL_QUAD]
+    remaining = budget - 1
+
+    g = int((remaining // 3) ** 0.25) if remaining >= 16 else 0
+    if g >= 2:
+        angles = [2.0 * math.pi * k / g for k in range(g)]
+        lattice = [
+            SettingQuad(*(direction_at_angle(t) for t in ts))
+            for ts in itertools.product(angles, repeat=4)
+        ]
+        candidates.extend(lattice)
+        remaining -= len(lattice)
+
+    n_random = remaining // 2
+    if n_random:
+        rows = sample_uniform_directions(stream, 4 * n_random).reshape(n_random, 4, 3)
+        candidates.extend(SettingQuad(*(UnitVector.from_array(d) for d in r)) for r in rows)
+        remaining -= n_random
+
+    stats = _evaluate(db, candidates, mode, base_key, 0)
+    best_stat, best_quad, best_index = max(
+        ((s, q, i) for i, (s, q) in enumerate(zip(stats, candidates))),
+        key=lambda c: (c[0], c[1].sort_key()),
+    )
+
+    offset = len(candidates)
+    round_no = 0
+    while remaining > 0:
+        size = min(32, remaining)
+        radius = 0.4 * (0.8**round_no)
+        batch = [perturbed_quad(best_quad, stream, radius) for _ in range(size)]
+        for i, (s, q) in enumerate(zip(_evaluate(db, batch, mode, base_key, offset), batch)):
+            if (s, q.sort_key()) > (best_stat, best_quad.sort_key()):
+                best_stat, best_quad, best_index = s, q, offset + i
+        offset += size
+        remaining -= size
+        round_no += 1
+
+    if mode == "fresh":
+        best = chsh_statistic(db, best_quad, "fresh", CounterStream(base_key).derive(best_index))
+    else:
+        best = chsh_statistic(db, best_quad, "reuse")
+    return best, best_quad

@@ -1,5 +1,6 @@
 """CHSH statistic, per-trial identity, strategy enumeration, search."""
 
+import functools
 import math
 from unittest.mock import patch
 
@@ -31,11 +32,24 @@ from bellsim import (
     search_max_chsh,
     standard_combination,
 )
-from bellsim import chsh, cli, parallel
-from bellsim.chsh import _reuse_statistics, result_from_tallies, streamed_tallies
+from bellsim import chsh, cli, correlation, geometry, parallel
+from bellsim.chsh import (
+    QuadTallies,
+    _best,
+    _perturbed_quads,
+    _quad_rows,
+    _quad_tallies,
+    _range_tallies,
+    _reuse_statistics,
+    _table_statistics,
+    identity_defect,
+    result_from_tallies,
+    streamed_tallies,
+)
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import root_stream
 
+import oracles
 from oracles import brute_force_terms, random_unit
 
 
@@ -287,7 +301,12 @@ _distributions = st.one_of(
 def test_packed_search_evaluator_matches_chsh_statistic(seed, dist, n, quads):
     db = generate_database(seed, dist, n)
     expected = [chsh_statistic(db, q, "reuse").statistic for q in quads]
-    assert _reuse_statistics(db.spins, quads) == expected
+    rows = _quad_rows(quads)
+    assert _reuse_statistics(db.spins, rows).tolist() == expected
+    # the pair table over all the quads' directions, each quad read by index
+    index = [(2 * q, 2 * q + 1, 2 * q, 2 * q + 1) for q in range(len(quads))]
+    a_dirs, b_dirs = rows[:, :2].reshape(-1, 3), rows[:, 2:].reshape(-1, 3)
+    assert _table_statistics(db.spins, a_dirs, b_dirs, index).tolist() == expected
 
 
 _mixtures = st.builds(
@@ -333,6 +352,155 @@ def test_streamed_tallies_match_the_database_path(seed, dist, n, workers, block_
     assert (tallies.term_min, tallies.term_max) == (int(terms.min()), int(terms.max()))
     assert tallies.term_sum == int(terms.sum())
     assert result.statistic == int(terms.sum()) / n
+
+
+_unit_rows = st.lists(_units, min_size=1, max_size=40).map(
+    lambda us: np.array([(u.x, u.y, u.z) for u in us])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_unit_rows, quad=_quads)
+@example(  # each spin on an axis and every setting on one: exact zero dots at both stations
+    rows=np.array([(1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (-0.0, 1.0, -0.0)]),
+    quad=SettingQuad(Z_AXIS, X_AXIS, Y_AXIS, Z_AXIS.negated()),
+)
+def test_pm2_identity_holds_on_any_finite_unit_rows(rows, quad):
+    tallies = _quad_tallies(rows, quad)
+    assert tallies.n == len(rows)
+    assert identity_defect(tallies) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=st.one_of(_distributions, _mixtures),
+    n=st.integers(1, 120),
+    block_rows=st.integers(1, 16),
+    quad=_quads,
+    stored=st.booleans(),
+    data=st.data(),
+)
+def test_tallies_merge_to_the_whole_range_over_any_cut_points(
+    seed, dist, n, block_rows, quad, stored, data
+):
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
+    ranges = list(zip([0, *cuts], [*cuts, n]))
+    source = generate_database(seed, dist, n) if stored else GeneratedTrials(seed, dist, n)
+    jobs = [
+        (source, [(quad.a1, quad.b1), (quad.a2, quad.b2)]),
+        (GeneratedTrials(seed ^ 1, dist, n), [(quad.a1, quad.b2)]),
+    ]
+    with patch.object(chsh, "_BLOCK_ROWS", block_rows), patch.object(
+        correlation, "_BLOCK_ROWS", block_rows
+    ):
+        parts = [_range_tallies(source, quad, lo, hi) for lo, hi in ranges]
+        assert functools.reduce(QuadTallies.merge, parts) == _range_tallies(source, quad, 0, n)
+        pair_parts = [correlation._range_pair_tallies(jobs, lo, hi) for lo, hi in ranges]
+        whole = correlation._range_pair_tallies(jobs, 0, n)
+        assert sum(pair_parts).tolist() == whole.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=st.one_of(_distributions, _mixtures),
+    n=st.integers(1, 300).filter(lambda n: n % 8),  # padding bits in the last byte
+    # small budgets have no lattice (it starts at 49) and, below 3, no random quads
+    budget=st.one_of(st.integers(1, 20), st.integers(49, 120), st.integers(200, 1000)),
+    initial=st.none() | st.builds(SettingQuad, _units, _units, _units, _units),
+)
+@example(seed=0, dist=FixedAxis(Z_AXIS), n=13, budget=1000, initial=None)  # many quads tie at S = 2
+@example(seed=3, dist=UniformSphere(), n=301, budget=2, initial=None)  # one refinement, no more
+@example(
+    seed=4,
+    dist=Mixture(((0.5, UniformSphere()), (0.5, Cap(Z_AXIS, 0.8)))),
+    n=299,
+    budget=777,
+    initial=None,
+)
+def test_array_search_matches_the_sequential_oracle(seed, dist, n, budget, initial):
+    db = generate_database(seed, dist, n)
+    stream, oracle_stream = root_stream(seed, 4), root_stream(seed, 4)
+    best, quad = search_max_chsh(db, "reuse", budget, stream, initial)
+    oracle_best, oracle_quad = oracles.search_max_chsh(db, "reuse", budget, oracle_stream, initial)
+    assert best == oracle_best
+    # bit for bit, signed zeros included
+    assert _quad_rows([quad]).tobytes() == _quad_rows([oracle_quad]).tobytes()
+    assert stream == oracle_stream
+
+
+@pytest.mark.parametrize(
+    "seed,dist,workers",
+    [
+        (0, UniformSphere(), 1),
+        (0, UniformSphere(), 2),
+        (5, Cap(Z_AXIS, 0.4), 1),
+        (5, FixedAxis(X_AXIS), 1),
+    ],
+)
+def test_fresh_array_search_matches_the_sequential_oracle(seed, dist, workers):
+    # from a budget of 244 the lattice has 3 angles, whose quads' fresh S
+    # depend on the stream each candidate's index derives
+    db = generate_database(seed, dist, 37)
+    got = search_max_chsh(db, "fresh", 300, root_stream(seed, 4), workers=workers)
+    assert got == oracles.search_max_chsh(db, "fresh", 300, root_stream(seed, 4))
+
+
+def test_best_candidate_is_the_greatest_statistic_then_sort_key_then_earliest():
+    big = SettingQuad(X_AXIS, X_AXIS, X_AXIS, X_AXIS)
+    small = SettingQuad(Y_AXIS, Z_AXIS, X_AXIS, Y_AXIS)
+    assert _best(np.array([1.0, 2.0, 2.0]), _quad_rows([big, small, big])) == 2
+    assert _best(np.array([3.0, 2.0, 2.0]), _quad_rows([small, big, big])) == 0
+    assert _best(np.array([1.0, 1.5, 1.5, 1.5]), _quad_rows([small, big, small, big])) == 1
+    # sort keys compare with ==, so a -0.0 and a 0.0 component are equal
+    plus = SettingQuad(Z_AXIS, Y_AXIS, Y_AXIS, Y_AXIS)
+    minus = SettingQuad(UnitVector(-0.0, 0.0, 1.0), Y_AXIS, Y_AXIS, Y_AXIS)
+    assert _best(np.array([0.5, 0.5]), _quad_rows([plus, minus])) == 0
+    assert _best(np.array([0.5, 0.5]), _quad_rows([minus, plus])) == 0
+
+
+def test_refinement_keeps_the_incumbent_against_an_equal_candidate(monkeypatch):
+    # every perturbation is the incumbent itself, and at n = 3 a fresh S takes
+    # few values, so candidates often tie with it; only a greater S replaces it,
+    # and the final fresh evaluation shows which candidate index won
+    monkeypatch.setattr(
+        chsh, "_perturbed_quads", lambda quad, stream, radius, size: np.repeat(quad[None], size, 0)
+    )
+    monkeypatch.setattr(oracles, "perturbed_quad", lambda quad, stream, radius: quad)
+    for seed in range(10):
+        db = generate_database(seed, UniformSphere(), 3)
+        assert search_max_chsh(db, "fresh", 40, root_stream(seed, 4)) == oracles.search_max_chsh(
+            db, "fresh", 40, root_stream(seed, 4)
+        )
+
+
+def test_perturbations_fall_back_to_the_sequential_draw_after_a_short_triple(monkeypatch):
+    # about 3 % of gaussian triples are shorter than 0.5, so most rounds of 32
+    # quads hold one; a moved direction is at least 1 - 0.4 long, so none fails
+    for module in (geometry, chsh):
+        monkeypatch.setattr(module, "_REJECT_NORM", 0.5)
+    sequential, calls = chsh._perturbed_quad, []
+
+    def counted(*args):
+        calls.append(args)
+        return sequential(*args)
+
+    monkeypatch.setattr(chsh, "_perturbed_quad", counted)
+    for seed in range(4):
+        for size, radius in ((1, 0.4), (32, 0.4), (7, 0.01)):
+            stream, oracle_stream = root_stream(seed, 4), root_stream(seed, 4)
+            rows = _perturbed_quads(_quad_rows([CANONICAL_QUAD])[0], stream, radius, size)
+            expected = [
+                oracles.perturbed_quad(CANONICAL_QUAD, oracle_stream, radius) for _ in range(size)
+            ]
+            assert rows.tobytes() == _quad_rows(expected).tobytes()
+            assert stream == oracle_stream
+    assert calls
+    db = generate_database(9, UniformSphere(), 200)
+    assert search_max_chsh(db, "reuse", 300, root_stream(9, 4)) == oracles.search_max_chsh(
+        db, "reuse", 300, root_stream(9, 4)
+    )
 
 
 def test_fresh_search_reports_only_sampling_noise():

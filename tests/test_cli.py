@@ -1,9 +1,11 @@
 """End-to-end command tests through the installed entry point."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +251,8 @@ def test_search_banner_and_budget(tmp_path):
 _SEARCH_DEFECTS = {
     # the packed evaluator ranks every candidate a quarter too high
     "_reuse_statistics": lambda f: lambda spins, quads: [s + 0.25 for s in f(spins, quads)],
+    # the lattice's pair table does the same
+    "_table_statistics": lambda f: lambda *args: f(*args) + 0.25,
     "_quad_tallies": lambda f: lambda spins, quad: _DEFECTS["zero-term"](f(spins, quad)),
 }
 
@@ -264,6 +268,43 @@ def test_reuse_search_checks_its_best_quad_before_claiming_the_bound(
     assert "defect: " in captured.err
     assert "bound respected" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_benchmark_search_matches_its_recorded_digest(tmp_path, workers):
+    # the benchmark's search workload at its default seed, read-only against its digest
+    expected = json.loads(_DIGESTS.read_text())["search"]
+    out = tmp_path / "search.json"
+    argv = ["search", "--n", "10000", "--budget", "1000", "--mode", "reuse", "--seed", "0"]
+    assert cli.main([*argv, "--workers", workers, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "seed,n,budget,capped",
+    [(15, 400, 3, False), (0, 100, 60, True)],  # budget * bound about 0.26, and past 1
+)
+def test_fresh_search_prints_the_union_bound_on_stderr(tmp_path, capsys, seed, n, budget, capped):
+    out = tmp_path / "fresh.json"
+    argv = ["search", "--seed", str(seed), "--n", str(n), "--mode", "fresh"]
+    argv += ["--budget", str(budget)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(out.read_text())
+    bound = doc["excess_hoeffding_bound"]
+    assert doc["excess_over_2"] > 0.0 and (budget * bound > 1.0) == capped
+    union = 1.0 if capped else budget * bound
+    assert captured.err == f"search: over all {budget} candidates (union bound): {union:.3e}\n"
+    # stdout is as it was
+    assert captured.out == (
+        f"search: wrote {out} (budget={budget}, mode=fresh, workers=1)\n"
+        f"search: S_max = {doc['statistic']:.10g} (fresh mode, n={n})\n"
+        f"search: excess over 2 is {doc['excess_over_2']:.6f}; "
+        f"Hoeffding bound for a fluctuation this large: {bound:.3e}\n"
+    )
 
 
 def test_sweep_checks_exact_anticorrelation_where_b_equals_a(tmp_path, monkeypatch, capsys):

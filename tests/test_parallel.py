@@ -1,6 +1,8 @@
 """Process-pool plumbing: the process cap and the row-range map."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +52,10 @@ def test_map_ranges_cuts_absurd_worker_counts_to_the_capped_process_count(
     assert len(partials) == 2 * parallel.RANGES_PER_WORKER
     assert [(lo, hi) for _, lo, hi in partials] == parallel.chunk_ranges(20_000, len(partials))
     assert pool_recorder.requests == [] and pool_recorder.processes == []
+
+
+def test_the_cli_imports_no_pool_machinery_until_a_pool_starts():
+    code = "import sys, bellsim.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
