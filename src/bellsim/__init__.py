@@ -37,9 +37,9 @@ from .experiment import (
     DistributionSpec,
     FixedAxis,
     GeneratedTrials,
+    InvariantError,
     Mixture,
     Outcome,
-    SettingPolicy,
     TrialDatabase,
     UniformSphere,
     generate_database,
@@ -73,9 +73,9 @@ __all__ = [
     "DistributionSpec",
     "FixedAxis",
     "GeneratedTrials",
+    "InvariantError",
     "Mixture",
     "Outcome",
-    "SettingPolicy",
     "SettingQuad",
     "StrategyEnumeration",
     "TrialDatabase",

@@ -41,7 +41,7 @@ from .correlation import (
     pair_tallies,
     station_products,
 )
-from .experiment import ConfigurationError, GeneratedTrials, TrialDatabase
+from .experiment import ConfigurationError, GeneratedTrials, InvariantError, TrialDatabase
 from .geometry import (
     _REJECT_NORM,
     UnitVector,
@@ -191,32 +191,31 @@ def _range_tallies(source, quad: SettingQuad, lo: int, hi: int) -> QuadTallies:
     )
 
 
-def streamed_tallies(trials: GeneratedTrials, quad: SettingQuad, workers: int = 1) -> QuadTallies:
-    """Reuse-mode tallies of trials that are generated as they are tallied.
+def streamed_tallies(
+    trials: TrialDatabase | GeneratedTrials, quad: SettingQuad, workers: int = 1
+) -> QuadTallies:
+    """Reuse-mode tallies of all trials, merged over the row ranges of ``parallel.map_ranges``.
 
-    Each row range of ``parallel.map_ranges`` regenerates its own rows
-    block by block. With more than one worker the ranges go to one pool
-    whose tasks carry only (trials, quad, lo, hi): no database is built,
-    shipped or returned, in this process or any other.
+    Each range reads its rows block by block, so generated trials are
+    tallied as they are generated. With more than one worker the ranges
+    go to one pool whose tasks carry only (trials, quad, lo, hi): of
+    ``GeneratedTrials`` no database is built, shipped or returned, in
+    this process or any other.
     """
     partials = parallel.map_ranges(_range_tallies, trials.n, workers, trials, quad)
     return functools.reduce(QuadTallies.merge, partials)
 
 
-def _range_terms(db: TrialDatabase, quad: SettingQuad, lo: int, hi: int) -> np.ndarray:
-    spins = db.rows(lo, hi)
-    x1, y1, _, _ = station_products(spins, quad.a1, quad.b1)
-    x2, y2, _, _ = station_products(spins, quad.a2, quad.b2)
-    return _pm2_terms(x1, y1, x2, y2)
-
-
-def per_trial_terms(db: TrialDatabase, quad: SettingQuad, workers: int = 1) -> np.ndarray:
+def per_trial_terms(db: TrialDatabase, quad: SettingQuad) -> np.ndarray:
     """The n integer terms x1*(y1 - y2) - x2*(y2 + y1), each +-2.
 
     Their mean is exactly the reuse-mode statistic: the sum is an
     integer and the statistic performs the same single division by n.
     """
-    return np.concatenate(parallel.map_ranges(_range_terms, db.n, workers, db, quad))
+    spins = db.rows(0, db.n)
+    x1, y1, _, _ = station_products(spins, quad.a1, quad.b1)
+    x2, y2, _, _ = station_products(spins, quad.a2, quad.b2)
+    return _pm2_terms(x1, y1, x2, y2)
 
 
 def _numerator(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> int:
@@ -229,24 +228,20 @@ def _reuse_statistic(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> 
     return _numerator(n, pos11, pos12, pos21, pos22) / n
 
 
-def identity_defect(tallies: QuadTallies) -> str | None:
-    """How reuse-mode tallies break the per-trial +-2 identity, or None if they keep it.
+def result_from_tallies(tallies: QuadTallies) -> ChshResult:
+    """The reuse-mode result of (merged) tallies that keep the per-trial +-2 identity.
 
     Every term is +-2, so all n of them count as such, their sum equals
     the numerator formed from the pair tallies, and |numerator| <= 2n.
+    Tallies that break this raise ``InvariantError``.
     """
     numerator = _numerator(tallies.n, *tallies.pos)
     all_pm2 = tallies.term_pm2 == tallies.n
-    if all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * tallies.n:
-        return None
-    return (
-        "per-trial identity violated "
-        f"(all terms +-2: {all_pm2}, sum {tallies.term_sum}, tallies {numerator})"
-    )
-
-
-def result_from_tallies(tallies: QuadTallies) -> ChshResult:
-    """The reuse-mode result of (merged) tallies."""
+    if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * tallies.n):
+        raise InvariantError(
+            "per-trial identity violated "
+            f"(all terms +-2: {all_pm2}, sum {tallies.term_sum}, tallies {numerator})"
+        )
     n = tallies.n
     pos11, pos12, pos21, pos22 = tallies.pos
     tie11, tie12, tie21, tie22 = tallies.ties
@@ -272,17 +267,19 @@ def chsh_statistic(
 ) -> ChshResult:
     """Evaluate S for a setting quad, in reuse or fresh mode.
 
-    Reuse mode computes all four correlations on the same database, so
+    Reuse mode computes all four correlations on the same trials, so
     the per-trial +-2 identity applies and |S| <= 2 holds exactly. It
-    is one in-process pass over the rows and ignores ``workers``.
-    Fresh mode consumes three seeds from ``stream`` for three more sets
-    of trials of the same size and distribution, one per remaining
-    correlation, which are generated as they are tallied and never
-    stored; all four correlations are tallied in one map over row
-    ranges. It carries no per-trial diagnostics.
+    is one pass over the rows, whose ranges are spread over ``workers``
+    (``streamed_tallies``); if the merged tallies break the identity,
+    which only a defect in the program can do, it raises
+    ``InvariantError``. Fresh mode consumes three seeds from ``stream``
+    for three more sets of trials of the same size and distribution,
+    one per remaining correlation, which are generated as they are
+    tallied and never stored; all four correlations are tallied in one
+    map over row ranges. It carries no per-trial diagnostics.
     """
     if mode == "reuse":
-        return result_from_tallies(_range_tallies(db, quad, 0, db.n))
+        return result_from_tallies(streamed_tallies(db, quad, workers))
     if mode != "fresh":
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
     if stream is None:
@@ -546,6 +543,12 @@ def search_max_chsh(
     of evaluation order and worker count. Candidates are kept as arrays
     and only the winner becomes a SettingQuad. Reuse mode runs in this
     process and ignores ``workers``.
+
+    In reuse mode the winner is checked before it is returned: its
+    re-evaluation by ``chsh_statistic`` checks the per-trial identity,
+    and both evaluators that ranked the candidates, the packed one and
+    the lattice's pair table, must give it the re-evaluated statistic.
+    A failed check raises ``InvariantError``.
     """
     if budget < 1:
         raise ConfigurationError(f"search budget must be >= 1, got {budget}")
@@ -597,32 +600,18 @@ def search_max_chsh(
         )
     else:
         best_result = chsh_statistic(db, quad, "reuse")
+        a_dirs, b_dirs = best_quad[:2], best_quad[2:]
+        ranked = (
+            ("packed evaluator", _reuse_statistics(db.spins, best_quad[None])[0]),
+            ("pair table", _table_statistics(db.spins, a_dirs, b_dirs, [(0, 1, 0, 1)])[0]),
+        )
+        for name, statistic in ranked:
+            if statistic != best_result.statistic:
+                raise InvariantError(
+                    f"{name} gives the best quad S = {float(statistic)!r}, "
+                    f"its re-evaluation {best_result.statistic!r}"
+                )
     return best_result, quad
-
-
-def search_defect(db: TrialDatabase, quad: SettingQuad, result: ChshResult) -> str | None:
-    """How a reuse search's best quad fails its checks, or None if it passes them.
-
-    The quad's tallies, taken afresh, must keep the per-trial identity,
-    and both evaluators that ranked the candidates, the packed one and
-    the lattice's pair table, must give the quad the statistic of
-    ``result``, its re-evaluation.
-    """
-    defect = identity_defect(_range_tallies(db, quad, 0, db.n))
-    if defect is not None:
-        return defect
-    rows = _quad_rows([quad])
-    ranked = (
-        ("packed evaluator", _reuse_statistics(db.spins, rows)[0]),
-        ("pair table", _table_statistics(db.spins, rows[0, :2], rows[0, 2:], [(0, 1, 0, 1)])[0]),
-    )
-    for name, statistic in ranked:
-        if statistic != result.statistic:
-            return (
-                f"{name} gives the best quad S = {float(statistic)!r}, "
-                f"its re-evaluation {result.statistic!r}"
-            )
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,15 @@ from .chsh import (
     SettingQuad,
     chsh_statistic,
     enumerate_deterministic_strategies,
-    identity_defect,
-    result_from_tallies,
     result_summary,
-    search_defect,
     search_max_chsh,
-    streamed_tallies,
 )
-from .correlation import curve_summary, equal_settings_defect, sweep_correlation, write_curve_csv
+from .correlation import curve_summary, sweep_correlation, write_curve_csv
 from .experiment import (
     ConfigurationError,
     DistributionSpec,
     GeneratedTrials,
-    SettingPolicy,
+    InvariantError,
     TrialDatabase,
     UniformSphere,
     check_seed,
@@ -118,13 +114,6 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
-def _defect(defect: str | None) -> bool:
-    """Report a broken run-time invariant on stderr; True if there was one."""
-    if defect is not None:
-        print(f"defect: {defect}", file=sys.stderr)
-    return defect is not None
-
-
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -180,8 +169,6 @@ def cmd_sweep(args) -> int:
 
     trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
     curve = sweep_correlation(trials, grid, plane=plane, workers=cfg.workers)
-    if _defect(equal_settings_defect(curve, plane)):
-        return 1
 
     provenance = (
         f"bellsim v{__version__} command=sweep seed={cfg.seed} n={cfg.n} "
@@ -221,12 +208,9 @@ def _quad_from_args(args, cfg: RunConfig, trials: GeneratedTrials | TrialDatabas
         )
     if any(v is not None for v in flags):
         raise ConfigurationError(f"policy={cfg.policy} does not take explicit --a1/--a2/--b1/--b2")
-    policy = (
-        SettingPolicy.from_database() if cfg.policy == "from-database" else SettingPolicy.uniform()
-    )
     stream = root_stream(cfg.seed, DOMAIN_SETTINGS)
-    a1, b1 = select_settings(policy, trials, stream)
-    a2, b2 = select_settings(policy, trials, stream)
+    a1, b1 = select_settings(cfg.policy, trials, stream)
+    a2, b2 = select_settings(cfg.policy, trials, stream)
     return SettingQuad(a1=a1, a2=a2, b1=b1, b2=b2)
 
 
@@ -237,16 +221,9 @@ def cmd_chsh(args) -> int:
 
     trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
     quad = _quad_from_args(args, cfg, trials)
-    if cfg.mode == "fresh":
-        stream = root_stream(cfg.seed, DOMAIN_SEARCH)
-        result = chsh_statistic(trials, quad, mode="fresh", stream=stream, workers=cfg.workers)
-    else:
-        # one pass over generated rows; the database is never held whole
-        tallies = streamed_tallies(trials, quad, workers=cfg.workers)
-        result = result_from_tallies(tallies)
-        # the per-trial identity is a theorem; failing it means a defect here
-        if _defect(identity_defect(tallies)):
-            return 1
+    # one pass over generated rows (three more sets in fresh mode); no database is held whole
+    stream = root_stream(cfg.seed, DOMAIN_SEARCH) if cfg.mode == "fresh" else None
+    result = chsh_statistic(trials, quad, cfg.mode, stream, workers=cfg.workers)
 
     doc = result_summary(result, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag())
     _write_json(cfg.out, doc)
@@ -269,12 +246,9 @@ def cmd_search(args) -> int:
     # generated in this process: at the sizes a search evaluates, a pool costs more than it saves
     db = generate_database(cfg.seed, cfg.distribution, cfg.n)
     stream = root_stream(cfg.seed, DOMAIN_SEARCH)
-    best, quad = search_max_chsh(
-        db, cfg.mode, args.budget, stream, workers=cfg.workers
-    )
-    # the bound is printed below only once the best quad passes its checks
-    if cfg.mode == "reuse" and _defect(search_defect(db, quad, best)):
-        return 1
+    # a reuse search checks its best quad before returning it, so the bound
+    # below is printed only for a quad that passed
+    best, quad = search_max_chsh(db, cfg.mode, args.budget, stream, workers=cfg.workers)
     doc = result_summary(
         best, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag(), budget=args.budget
     )
@@ -380,6 +354,11 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        # a checked theorem failed, so the program has a defect; every command
+        # checks before it writes, so no artifact exists
+        print(f"defect: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

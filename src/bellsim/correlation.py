@@ -23,7 +23,13 @@ import numpy as np
 
 from . import parallel
 from ._version import __version__
-from .experiment import ConfigurationError, GeneratedTrials, TrialDatabase, format_g17
+from .experiment import (
+    ConfigurationError,
+    GeneratedTrials,
+    InvariantError,
+    TrialDatabase,
+    format_g17,
+)
 from .geometry import UnitVector, direction_at_angle
 from .stats import standard_error
 
@@ -223,6 +229,11 @@ def sweep_correlation(
 
     Workers split the trials; each range is read in row blocks, and
     every grid point is tallied on a block before the next is read.
+
+    Where b equals a (theta = 0 in the default plane) the stations read
+    opposite signs on every trial except an exact tie, which both read
+    as +1, so count_pos must equal tie_count exactly; a point that
+    breaks this raises ``InvariantError``.
     """
     grid = _validate_grid(thetas)
     if plane is not None:
@@ -234,7 +245,12 @@ def sweep_correlation(
     tallies = pair_tallies([(db, pairs)], db.n, workers)
 
     points = []
-    for theta, (count_pos, tie_count) in zip(grid, tallies):
+    for theta, (a, b), (count_pos, tie_count) in zip(grid, pairs, tallies):
+        if a == b and count_pos != tie_count:
+            raise InvariantError(
+                f"b equals a at theta = {theta!r}, yet count_pos {count_pos} "
+                f"!= tie_count {tie_count}"
+            )
         est = CorrelationEstimate.from_tallies(db.n, count_pos, tie_count)
         points.append(
             CurvePoint(
@@ -245,25 +261,6 @@ def sweep_correlation(
             )
         )
     return CorrelationCurve(points=tuple(points))
-
-
-def equal_settings_defect(
-    curve: CorrelationCurve, plane: tuple[UnitVector, UnitVector] | None = None
-) -> str | None:
-    """How the curve breaks exact anticorrelation where b equals a, or None.
-
-    At such a grid point (theta = 0 in the default plane) the stations
-    read opposite signs on every trial except an exact tie, which both
-    read as +1, so count_pos must equal tie_count exactly.
-    """
-    for p in curve.points:
-        a, b = _sweep_directions(p.theta, plane)
-        if a == b and p.estimate.count_pos != p.estimate.tie_count:
-            return (
-                f"b equals a at theta = {p.theta!r}, yet count_pos {p.estimate.count_pos} "
-                f"!= tie_count {p.estimate.tie_count}"
-            )
-    return None
 
 
 # ---------------------------------------------------------------------------

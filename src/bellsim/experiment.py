@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import parallel
 from .geometry import (
     NORM_TOLERANCE,
     UnitVector,
@@ -37,6 +36,14 @@ _SEED_LIMIT = 1 << 64
 
 class ConfigurationError(ValueError):
     """Invalid run configuration (bad field values, missing settings)."""
+
+
+class InvariantError(RuntimeError):
+    """A run broke one of the theorems it checks, such as the per-trial +-2 identity.
+
+    Such a run has a defect in the program, not in its configuration,
+    and its results must not be reported.
+    """
 
 
 def check_seed(seed, what: str = "seed") -> int:
@@ -284,20 +291,13 @@ class GeneratedTrials:
         return _spin_rows(self.seed, self.distribution, lo, hi)
 
 
-def generate_database(
-    seed: int,
-    distribution: DistributionSpec,
-    n: int,
-    workers: int = 1,
-) -> TrialDatabase:
+def generate_database(seed: int, distribution: DistributionSpec, n: int) -> TrialDatabase:
     """Generate the trial database deterministically from (seed, distribution, n).
 
     Trial k's direction depends only on (seed, k), so the result is
-    identical at any worker count and under any index partitioning.
+    identical under any index partitioning.
     """
-    trials = GeneratedTrials(seed, distribution, n)
-    parts = parallel.map_ranges(trials.rows, n, workers)
-    spins = parts[0] if len(parts) == 1 else np.vstack(parts)
+    spins = GeneratedTrials(seed, distribution, n).rows(0, n)
     spins.setflags(write=False)
     return TrialDatabase(seed=seed, distribution=distribution, n=n, spins=spins)
 
@@ -342,53 +342,23 @@ def measure_sign(spin_sign: int, s: UnitVector, setting: UnitVector) -> Outcome:
 # setting selection
 
 
-@dataclass(frozen=True)
-class SettingPolicy:
-    """How the reference directions a and b are chosen for a run."""
-
-    kind: str  # 'fixed' | 'from-database' | 'uniform'
-    a: UnitVector | None = None
-    b: UnitVector | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "from-database", "uniform"):
-            raise ConfigurationError(f"unknown setting policy {self.kind!r}")
-        if self.kind == "fixed" and (self.a is None or self.b is None):
-            raise ConfigurationError("fixed setting policy requires both vectors")
-
-    @classmethod
-    def fixed(cls, a: UnitVector, b: UnitVector) -> "SettingPolicy":
-        return cls("fixed", a, b)
-
-    @classmethod
-    def from_database(cls) -> "SettingPolicy":
-        return cls("from-database")
-
-    @classmethod
-    def uniform(cls) -> "SettingPolicy":
-        return cls("uniform")
-
-
 def select_settings(
-    policy: SettingPolicy, db: TrialDatabase | GeneratedTrials, stream: CounterStream
+    kind: str, db: TrialDatabase | GeneratedTrials, stream: CounterStream
 ) -> tuple[UnitVector, UnitVector]:
-    """Draw the setting pair (a, b) according to the policy.
+    """Draw the setting pair (a, b) by the policy ``kind``.
 
     'from-database' picks both independently, uniformly with
     replacement, from the already observed spin directions; given
     ``GeneratedTrials`` it generates just those two trials. 'uniform'
-    draws fresh directions from the sphere. 'fixed' returns the
-    configured pair unchanged.
+    draws fresh directions from the sphere.
     """
-    if policy.kind == "fixed":
-        return policy.a, policy.b
-    if policy.kind == "from-database":
+    if kind == "from-database":
         ia = stream.index_below(db.n)
         ib = stream.index_below(db.n)
         return db.spin(ia), db.spin(ib)
-    a = sample_uniform_direction(stream)
-    b = sample_uniform_direction(stream)
-    return a, b
+    if kind == "uniform":
+        return sample_uniform_direction(stream), sample_uniform_direction(stream)
+    raise ConfigurationError(f"unknown setting policy {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from bellsim import (
     ConfigurationError,
     FixedAxis,
     GeneratedTrials,
+    InvariantError,
     Mixture,
     SettingQuad,
     UniformSphere,
@@ -42,7 +43,6 @@ from bellsim.chsh import (
     _range_tallies,
     _reuse_statistics,
     _table_statistics,
-    identity_defect,
     result_from_tallies,
     streamed_tallies,
 )
@@ -132,9 +132,29 @@ def test_reuse_worker_invariance():
     assert chsh_statistic(db, quad, "reuse", workers=1) == chsh_statistic(
         db, quad, "reuse", workers=8
     )
-    t1 = per_trial_terms(db, quad, workers=1)
-    t8 = per_trial_terms(db, quad, workers=8)
-    assert t1.tolist() == t8.tolist()
+
+
+_DEFECTS = {
+    # one +2 term reported as 0, which no four signs can produce
+    "zero-term": lambda t: t._replace(term_min=0, term_sum=t.term_sum - 2, term_pm2=t.term_pm2 - 1),
+    # one term counted as not +-2 while the sum still matches the tallies
+    "count-only": lambda t: t._replace(term_pm2=t.term_pm2 - 1),
+}
+
+
+def _defective_quad_tallies(defect):
+    quad_tallies = chsh._quad_tallies
+    return lambda spins, quad: _DEFECTS[defect](quad_tallies(spins, quad))
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+@pytest.mark.parametrize("stored", [False, True])
+def test_reuse_statistic_raises_when_the_tallies_break_the_identity(monkeypatch, defect, stored):
+    trials = GeneratedTrials(3, UniformSphere(), 3000)
+    source = generate_database(3, UniformSphere(), 3000) if stored else trials
+    monkeypatch.setattr(chsh, "_quad_tallies", _defective_quad_tallies(defect))
+    with pytest.raises(InvariantError, match=r"per-trial identity violated \(all terms \+-2: False"):
+        chsh_statistic(source, CANONICAL_QUAD, "reuse")
 
 
 # -- strategy enumeration ---------------------------------------------------
@@ -339,11 +359,13 @@ _quads = st.one_of(
 def test_streamed_tallies_match_the_database_path(seed, dist, n, workers, block_rows, quad):
     # a small block size puts n on both sides of it; the pool needs more
     # trials than n, so the worker ranges run in this process
+    trials = GeneratedTrials(seed, dist, n)
     with patch.object(chsh, "_BLOCK_ROWS", block_rows):
-        tallies = streamed_tallies(GeneratedTrials(seed, dist, n), quad, workers)
+        tallies = streamed_tallies(trials, quad, workers)
+        streamed = chsh_statistic(trials, quad, "reuse", workers=workers)
     db = generate_database(seed, dist, n)
     result = result_from_tallies(tallies)
-    assert result == chsh_statistic(db, quad, "reuse")
+    assert result == streamed == chsh_statistic(db, quad, "reuse")
     pairs = ((quad.a1, quad.b1), (quad.a1, quad.b2), (quad.a2, quad.b1), (quad.a2, quad.b2))
     for estimate, (a, b) in zip((result.e11, result.e12, result.e21, result.e22), pairs):
         assert estimate == estimate_correlation(db, a, b)
@@ -368,7 +390,7 @@ _unit_rows = st.lists(_units, min_size=1, max_size=40).map(
 def test_pm2_identity_holds_on_any_finite_unit_rows(rows, quad):
     tallies = _quad_tallies(rows, quad)
     assert tallies.n == len(rows)
-    assert identity_defect(tallies) is None
+    result_from_tallies(tallies)  # raises InvariantError if the identity fails
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,6 +523,30 @@ def test_perturbations_fall_back_to_the_sequential_draw_after_a_short_triple(mon
     assert search_max_chsh(db, "reuse", 300, root_stream(9, 4)) == oracles.search_max_chsh(
         db, "reuse", 300, root_stream(9, 4)
     )
+
+
+_SEARCH_DEFECTS = {
+    # the packed evaluator ranks every candidate a quarter too high
+    "_reuse_statistics": (
+        lambda f: lambda spins, quads: f(spins, quads) + 0.25,
+        "packed evaluator gives the best quad S = ",
+    ),
+    # the lattice's pair table does the same
+    "_table_statistics": (
+        lambda f: lambda *args: f(*args) + 0.25,
+        "pair table gives the best quad S = ",
+    ),
+    "_quad_tallies": (lambda f: _defective_quad_tallies("zero-term"), "per-trial identity violated"),
+}
+
+
+@pytest.mark.parametrize("target", list(_SEARCH_DEFECTS))
+def test_reuse_search_raises_when_its_best_quad_fails_a_check(monkeypatch, target):
+    inflate, message = _SEARCH_DEFECTS[target]
+    db = generate_database(8, UniformSphere(), 2000)
+    monkeypatch.setattr(chsh, target, inflate(getattr(chsh, target)))
+    with pytest.raises(InvariantError, match=message):
+        search_max_chsh(db, "reuse", 50, root_stream(8, 4))
 
 
 def test_fresh_search_reports_only_sampling_noise():

@@ -270,6 +270,15 @@ def test_reuse_search_checks_its_best_quad_before_claiming_the_bound(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_reuse_search_tallies_its_best_quad_once(tmp_path, monkeypatch):
+    # the re-evaluation that checks the identity is the only tally of the winner
+    calls, quad_tallies = [], chsh._quad_tallies
+    monkeypatch.setattr(chsh, "_quad_tallies", lambda *args: calls.append(1) or quad_tallies(*args))
+    argv = ["search", "--seed", "8", "--n", "2000", "--budget", "50"]
+    assert cli.main([*argv, "--out", str(tmp_path / "search.json")]) == 0
+    assert len(calls) == 1
+
+
 _DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
@@ -431,3 +440,14 @@ def test_gen_db_failing_partway_leaves_no_artifact(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == ([out] if existing else [])
     if existing:
         assert out.read_text() == "an earlier artifact\n"
+
+
+def test_every_name_in_all_resolves_on_the_package():
+    # a stale __all__ entry fails only on a star import, which nothing else runs
+    import bellsim
+
+    assert sorted(set(bellsim.__all__)) == sorted(bellsim.__all__)
+    assert [name for name in bellsim.__all__ if not hasattr(bellsim, name)] == []
+    namespace = {}
+    exec("from bellsim import *", namespace)
+    assert set(bellsim.__all__) <= set(namespace)

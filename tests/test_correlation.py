@@ -15,6 +15,7 @@ from bellsim import (
     CorrelationEstimate,
     FixedAxis,
     GeneratedTrials,
+    InvariantError,
     Mixture,
     UniformSphere,
     UnitVector,
@@ -188,6 +189,30 @@ def test_sweep_with_explicit_plane():
         assert point.estimate == est
     with pytest.raises(ConfigurationError):
         sweep_correlation(db, grid, plane=(X_AXIS, UnitVector.normalize(1.0, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize("plane", [None, (X_AXIS, Y_AXIS)])
+def test_sweep_raises_where_b_equals_a_and_count_pos_misses_the_ties(monkeypatch, plane):
+    # b equals a at theta = 0 only; one miscounted trial there is a defect,
+    # the same miscount at any other point is not one the sweep can see
+    trials = GeneratedTrials(4, FixedAxis(X_AXIS), 1000)
+    grid = [0.0, 0.5, 1.0]
+    pair_tallies = correlation.pair_tallies
+
+    def miscount(index):
+        def defective(jobs, n, workers=1):
+            tallies = pair_tallies(jobs, n, workers)
+            count_pos, ties = tallies[index]
+            tallies[index] = (count_pos - 1, ties)
+            return tallies
+
+        return defective
+
+    monkeypatch.setattr(correlation, "pair_tallies", miscount(1))
+    sweep_correlation(trials, grid, plane=plane)
+    monkeypatch.setattr(correlation, "pair_tallies", miscount(0))
+    with pytest.raises(InvariantError, match=r"^b equals a at theta = 0\.0, yet count_pos"):
+        sweep_correlation(trials, grid, plane=plane)
 
 
 def test_sweep_worker_invariance():

@@ -16,14 +16,12 @@ from bellsim import (
     GeneratedTrials,
     Mixture,
     Outcome,
-    SettingPolicy,
     TrialDatabase,
     UniformSphere,
     UnitVector,
     angle_between,
     generate_database,
     measure_sign,
-    parallel,
     parse_distribution,
     read_database,
     select_settings,
@@ -70,23 +68,6 @@ def test_generated_trials_match_the_database_bit_for_bit():
         trials.spin(5000)
     with pytest.raises(ConfigurationError):
         GeneratedTrials(9, dist, True)
-
-
-def test_worker_count_does_not_change_database():
-    one = generate_database(42, UniformSphere(), 1_000_000, workers=1)
-    eight = generate_database(42, UniformSphere(), 1_000_000, workers=8)
-    assert one.spins.tobytes() == eight.spins.tobytes()
-
-
-def test_generation_opens_a_pool_from_min_parallel_trials(pool_recorder):
-    # the pool is refused, so the request is recorded and no process starts
-    pool_recorder.refuse = True
-    for n in (100, parallel.MIN_PARALLEL_TRIALS - 1):
-        generate_database(0, UniformSphere(), n, workers=2)
-    assert pool_recorder.requests == []
-    with pytest.raises(AssertionError, match="pool refused"):
-        generate_database(0, UniformSphere(), parallel.MIN_PARALLEL_TRIALS, workers=2)
-    assert pool_recorder.requests == [2]
 
 
 def test_database_is_write_protected():
@@ -274,23 +255,19 @@ def test_stations_see_opposite_outcomes_without_ties():
 # -- setting selection ------------------------------------------------------
 
 
-def direction(theta):
-    return UnitVector(math.sin(theta), 0.0, math.cos(theta))
-
-
-def test_fixed_policy_returns_configured_pair():
-    a0, b0 = direction(0.3), direction(1.1)
+def test_unknown_setting_policy_is_rejected():
+    # only the two drawn policies are kinds; fixed settings come from the caller
     db = generate_database(1, UniformSphere(), 3)
-    assert select_settings(SettingPolicy.fixed(a0, b0), db, root_stream(0)) == (a0, b0)
-    with pytest.raises(ConfigurationError):
-        SettingPolicy.fixed(a0, None)
-    with pytest.raises(ConfigurationError):
-        SettingPolicy("sideways")
+    stream = root_stream(0)
+    for kind in ("fixed", "sideways", "Uniform", ""):
+        with pytest.raises(ConfigurationError, match="unknown setting policy"):
+            select_settings(kind, db, stream)
+    assert stream == root_stream(0)  # nothing drawn
 
 
 def test_single_trial_database_support():
     db = generate_database(1, FixedAxis(Z_AXIS), 1)
-    a, b = select_settings(SettingPolicy.from_database(), db, root_stream(0, 2))
+    a, b = select_settings("from-database", db, root_stream(0, 2))
     assert a == Z_AXIS and b == Z_AXIS
 
 
@@ -299,15 +276,15 @@ def test_database_policy_draws_members():
     member_rows = {db.spins[k].tobytes() for k in range(db.n)}
     stream = root_stream(77, 2)
     for _ in range(1000):
-        a, b = select_settings(SettingPolicy.from_database(), db, stream)
+        a, b = select_settings("from-database", db, stream)
         assert a.as_array().tobytes() in member_rows
         assert b.as_array().tobytes() in member_rows
 
 
 def test_uniform_policy_is_deterministic():
     db = generate_database(5, UniformSphere(), 10)
-    first = select_settings(SettingPolicy.uniform(), db, root_stream(5, 2))
-    second = select_settings(SettingPolicy.uniform(), db, root_stream(5, 2))
+    first = select_settings("uniform", db, root_stream(5, 2))
+    second = select_settings("uniform", db, root_stream(5, 2))
     assert first == second
 
 
