@@ -362,52 +362,69 @@ def _quad_of(row: np.ndarray) -> SettingQuad:
     return SettingQuad(*(UnitVector(*v) for v in row.tolist()))
 
 
-def _sign_bits(columns: np.ndarray, directions: np.ndarray, is_plus) -> np.ndarray:
-    """One row of packed station signs per row of ``directions`` (k, 3), bit 1 for sign +1.
+class _SignPasses:
+    """The spins of a reuse search, as its sign passes read them.
 
-    ``is_plus`` is ``np.greater_equal`` for station A and ``np.less_equal``
-    for station B: the comparisons of ``station_products``, including its
-    sign(0) := +1 rule. The dots are the elementwise expression of
-    ``setting_dots``, formed in place for as many directions per ufunc call
-    as fit in ``_BLOCK_ROWS`` elements (at least one). The padding bits of
-    the last byte are 0 at both stations, so they never count as a
-    disagreement.
+    Holds the unit-stride spin columns (each pass is faster on them) and
+    the scratch of the passes, both allocated once here and shared by
+    every evaluation on these spins: the search makes one and hands it to
+    each ``_reuse_statistics`` and ``_table_statistics`` call.
     """
-    s0, s1, s2 = columns
-    n = s0.shape[0]
-    step = max(1, _BLOCK_ROWS // max(n, 1))
-    bits = np.empty((len(directions), (n + 7) // 8), dtype=np.uint8)
-    dots_buf = np.empty((min(step, len(directions)), n))
-    term_buf = np.empty_like(dots_buf)
-    plus_buf = np.empty(dots_buf.shape, dtype=bool)
-    for lo in range(0, len(directions), step):
-        d = directions[lo : lo + step, :, None]
-        dots, term, plus = dots_buf[: len(d)], term_buf[: len(d)], plus_buf[: len(d)]
-        np.multiply(s0, d[:, 0], out=dots)
-        np.multiply(s1, d[:, 1], out=term)
-        dots += term
-        np.multiply(s2, d[:, 2], out=term)
-        dots += term
-        is_plus(dots, 0.0, out=plus)
-        bits[lo : lo + len(d)] = np.packbits(plus, axis=1)
-    return bits
+
+    def __init__(self, spins: np.ndarray):
+        self.n = spins.shape[0]
+        self.columns = np.ascontiguousarray(spins.T)
+        # as many directions per ufunc call as fit in _BLOCK_ROWS elements (at least one)
+        self.step = max(1, _BLOCK_ROWS // max(self.n, 1))
+        self._dots = np.empty((self.step, self.n))
+        self._term = np.empty_like(self._dots)
+        self._plus = np.empty(self._dots.shape, dtype=bool)
+
+    def bits(self, directions: np.ndarray, is_plus) -> np.ndarray:
+        """One row of packed station signs per row of ``directions`` (k, 3), bit 1 for sign +1.
+
+        ``is_plus`` is ``np.greater_equal`` for station A and ``np.less_equal``
+        for station B: the comparisons of ``station_products``, including its
+        sign(0) := +1 rule. The dots are the elementwise expression of
+        ``setting_dots``, formed in place for ``step`` directions per ufunc
+        call. The padding bits of the last byte are 0 at both stations, so
+        they never count as a disagreement.
+        """
+        s0, s1, s2 = self.columns
+        bits = np.empty((len(directions), (self.n + 7) // 8), dtype=np.uint8)
+        for lo in range(0, len(directions), self.step):
+            d = directions[lo : lo + self.step, :, None]
+            dots, term, plus = self._dots[: len(d)], self._term[: len(d)], self._plus[: len(d)]
+            np.multiply(s0, d[:, 0], out=dots)
+            np.multiply(s1, d[:, 1], out=term)
+            dots += term
+            np.multiply(s2, d[:, 2], out=term)
+            dots += term
+            is_plus(dots, 0.0, out=plus)
+            bits[lo : lo + len(d)] = np.packbits(plus, axis=1)
+        return bits
 
 
-def _reuse_statistics(spins: np.ndarray, quads: np.ndarray) -> np.ndarray:
+def _passes_of(spins) -> _SignPasses:
+    return spins if isinstance(spins, _SignPasses) else _SignPasses(spins)
+
+
+def _reuse_statistics(spins, quads: np.ndarray) -> np.ndarray:
     """Reuse-mode statistics of candidate rows (k, 4, 3), each equal bit for bit
     to ``chsh_statistic(db, quad, "reuse").statistic``.
 
-    A pair tally is n - popcount(bitsA(a) XOR bitsB(b)). Quads are taken
+    ``spins`` is the (n, 3) spin array or its ``_SignPasses``. A pair tally
+    is n - popcount(bitsA(a) XOR bitsB(b)). Quads are taken
     ``_BLOCK_QUADS`` at a time, which bounds the sign bits held at once.
     """
-    n = spins.shape[0]
-    columns = np.ascontiguousarray(spins.T)  # unit-stride columns make each pass faster
+    passes = _passes_of(spins)
+    n = passes.n
     stats = np.empty(len(quads))
     for lo in range(0, len(quads), _BLOCK_QUADS):
         block = quads[lo : lo + _BLOCK_QUADS]
         k = len(block)
-        a = _sign_bits(columns, block[:, :2].reshape(-1, 3), np.greater_equal).reshape(k, 2, 1, -1)
-        b = _sign_bits(columns, block[:, 2:].reshape(-1, 3), np.less_equal).reshape(k, 1, 2, -1)
+        a = passes.bits(block[:, :2].reshape(-1, 3), np.greater_equal).reshape(k, 2, 1, -1)
+        b = passes.bits(block[:, 2:].reshape(-1, 3), np.less_equal).reshape(k, 1, 2, -1)
         pos = n - np.bitwise_count(a ^ b).sum(axis=3, dtype=np.int64)  # pos[:, i, j]: (a_i, b_j)
         stats[lo : lo + k] = _reuse_statistic(
             n, pos[:, 0, 0], pos[:, 0, 1], pos[:, 1, 0], pos[:, 1, 1]
@@ -415,19 +432,18 @@ def _reuse_statistics(spins: np.ndarray, quads: np.ndarray) -> np.ndarray:
     return stats
 
 
-def _table_statistics(
-    spins: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, index
-) -> np.ndarray:
+def _table_statistics(spins, a_dirs: np.ndarray, b_dirs: np.ndarray, index) -> np.ndarray:
     """Reuse-mode statistics of the quads (a_dirs[i1], a_dirs[i2], b_dirs[j1], b_dirs[j2]),
     one per row (i1, i2, j1, j2) of ``index``, equal bit for bit to ``_reuse_statistics``.
 
-    Each direction's signs are measured once, and every quad reads its four
+    ``spins`` is the (n, 3) spin array or its ``_SignPasses``. Each
+    direction's signs are measured once, and every quad reads its four
     tallies by index from the table of all (a, b) pair tallies.
     """
-    n = spins.shape[0]
-    columns = np.ascontiguousarray(spins.T)
-    a_bits = _sign_bits(columns, a_dirs, np.greater_equal)
-    b_bits = _sign_bits(columns, b_dirs, np.less_equal)
+    passes = _passes_of(spins)
+    n = passes.n
+    a_bits = passes.bits(a_dirs, np.greater_equal)
+    b_bits = passes.bits(b_dirs, np.less_equal)
     pos = np.empty((len(a_bits), len(b_bits)), dtype=np.int64)
     for row, a in zip(pos, a_bits):
         row[:] = n - np.bitwise_count(a ^ b_bits).sum(axis=1, dtype=np.int64)
@@ -435,17 +451,18 @@ def _table_statistics(
     return _reuse_statistic(n, pos[i1, j1], pos[i1, j2], pos[i2, j1], pos[i2, j2])
 
 
-def _eval_candidates(db, quads, mode, base_key, offset, workers) -> np.ndarray:
+def _eval_candidates(source, quads, mode, base_key, offset, workers) -> np.ndarray:
     """Statistics for candidate rows (k, 4, 3).
 
-    Reuse mode runs in this process on packed sign bits. Fresh
-    candidates derive their private stream from (base_key, global
-    candidate index) and are spread over a process pool.
+    Reuse mode runs in this process on packed sign bits; ``source`` is the
+    search's ``_SignPasses``. Fresh candidates derive their private stream
+    from (base_key, global candidate index) and are spread over a process
+    pool; ``source`` is the trial database.
     """
     if mode == "reuse":
-        return _reuse_statistics(db.spins, quads)
+        return _reuse_statistics(source, quads)
     chunks = parallel.map_ranges(
-        _fresh_statistics, len(quads), workers, db, quads, base_key, offset, minimum=2
+        _fresh_statistics, len(quads), workers, source, quads, base_key, offset, minimum=2
     )
     return np.array([s for chunk in chunks for s in chunk])
 
@@ -568,12 +585,15 @@ def search_max_chsh(
 
     quads = np.concatenate([first, directions[lattice], randoms])
     if mode == "reuse":
+        # every evaluation shares one column copy and one pass scratch
+        source = _SignPasses(db.spins)
         # the lattice quads share g directions, so one pair table gives all their S
-        packed = _reuse_statistics(db.spins, np.concatenate([first, randoms]))
-        table = _table_statistics(db.spins, directions, directions, lattice)
+        packed = _reuse_statistics(source, np.concatenate([first, randoms]))
+        table = _table_statistics(source, directions, directions, lattice)
         stats = np.concatenate([packed[:1], table, packed[1:]])
     else:
-        stats = _eval_candidates(db, quads, mode, base_key, 0, workers)
+        source = db
+        stats = _eval_candidates(source, quads, mode, base_key, 0, workers)
     best_index = _best(stats, quads)
     best_stat, best_quad = stats[best_index], quads[best_index]
 
@@ -584,7 +604,7 @@ def search_max_chsh(
         size = min(32, remaining)
         radius = 0.4 * (0.8**round_no)
         batch = _perturbed_quads(best_quad, stream, radius, size)
-        batch_stats = _eval_candidates(db, batch, mode, base_key, offset, workers)
+        batch_stats = _eval_candidates(source, batch, mode, base_key, offset, workers)
         # the incumbent goes first, so an equal candidate leaves it in place
         i = _best(np.append(best_stat, batch_stats), np.concatenate([best_quad[None], batch])) - 1
         if i >= 0:
@@ -602,8 +622,8 @@ def search_max_chsh(
         best_result = chsh_statistic(db, quad, "reuse")
         a_dirs, b_dirs = best_quad[:2], best_quad[2:]
         ranked = (
-            ("packed evaluator", _reuse_statistics(db.spins, best_quad[None])[0]),
-            ("pair table", _table_statistics(db.spins, a_dirs, b_dirs, [(0, 1, 0, 1)])[0]),
+            ("packed evaluator", _reuse_statistics(source, best_quad[None])[0]),
+            ("pair table", _table_statistics(source, a_dirs, b_dirs, [(0, 1, 0, 1)])[0]),
         )
         for name, statistic in ranked:
             if statistic != best_result.statistic:

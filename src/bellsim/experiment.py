@@ -127,8 +127,8 @@ class Cap(DistributionSpec):
 
     def _sample_rows(self, keys, offset):
         # cos(alpha) uniform on [cos(half_angle), 1] gives the uniform cap.
-        u0 = key_uniform_column(keys.astype(np.uint64), offset)
-        u1 = key_uniform_column(keys.astype(np.uint64), offset + 1)
+        u0 = key_uniform_column(keys, offset)
+        u1 = key_uniform_column(keys, offset + 1)
         cos_a = 1.0 - u0 * (1.0 - math.cos(self.half_angle))
         sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
         beta = 2.0 * math.pi * u1
@@ -164,7 +164,7 @@ class Mixture(DistributionSpec):
 
     def _sample_rows(self, keys, offset):
         # draw at `offset` selects the component; components draw from offset+1
-        u = key_uniform_column(keys.astype(np.uint64), offset)
+        u = key_uniform_column(keys, offset)
         cum = np.cumsum([w for w, _ in self.components])
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.components) - 1)
         rows = np.empty((keys.shape[0], 3))

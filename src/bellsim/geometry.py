@@ -97,7 +97,7 @@ def unit_rows_for_keys(keys: np.ndarray, offset: int = 0) -> np.ndarray:
     so the result is independent of how the key array is partitioned.
     Degenerate short triples are redrawn from the same stream.
     """
-    keys = keys.astype(np.uint64)
+    keys = np.asarray(keys, dtype=np.uint64)
     out = np.empty((keys.shape[0], 3))
     todo = np.arange(keys.shape[0])
     attempt = 0

@@ -45,9 +45,13 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, elementwise on a uint64 array.
 
     Must stay bit-identical to :func:`mix64`; uint64 arithmetic wraps
-    mod 2**64 exactly like the masked scalar path.
+    mod 2**64 exactly like the masked scalar path. ``z`` is left as it is.
     """
-    z = z.astype(np.uint64, copy=True)
+    return _mix64_inplace(z.astype(np.uint64, copy=True))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    # mix64_array on a uint64 temporary the caller owns, overwriting it
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -75,7 +79,7 @@ def child_keys(key: int, start: int, stop: int) -> np.ndarray:
     """Vectorized :func:`child_key` for indices ``start..stop-1``."""
     idx = np.arange(start, stop, dtype=np.uint64)
     base = np.uint64((key ^ _DERIVE_SALT) & _MASK)
-    return mix64_array(base + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
+    return _mix64_inplace(base + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
 def key_uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
@@ -84,7 +88,7 @@ def key_uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
     Equals ``CounterStream(k, counter=position).uniform()`` for every key k.
     """
     off = np.uint64(((position + 1) * _GOLDEN) & _MASK)
-    return _to_open_unit(mix64_array(keys.astype(np.uint64) + off))
+    return _to_open_unit(_mix64_inplace(np.asarray(keys, dtype=np.uint64) + off))
 
 
 @dataclass
@@ -114,7 +118,7 @@ class CounterStream:
         """Next ``count`` floats in (0, 1), consumed in order."""
         pos = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
-        raw = mix64_array(np.uint64(self.key) + pos * np.uint64(_GOLDEN))
+        raw = _mix64_inplace(np.uint64(self.key) + pos * np.uint64(_GOLDEN))
         return _to_open_unit(raw)
 
     def index_below(self, bound: int) -> int:

@@ -36,6 +36,7 @@ from bellsim import (
 from bellsim import chsh, cli, correlation, geometry, parallel
 from bellsim.chsh import (
     QuadTallies,
+    _SignPasses,
     _best,
     _perturbed_quads,
     _quad_rows,
@@ -327,6 +328,25 @@ def test_packed_search_evaluator_matches_chsh_statistic(seed, dist, n, quads):
     index = [(2 * q, 2 * q + 1, 2 * q, 2 * q + 1) for q in range(len(quads))]
     a_dirs, b_dirs = rows[:, :2].reshape(-1, 3), rows[:, 2:].reshape(-1, 3)
     assert _table_statistics(db.spins, a_dirs, b_dirs, index).tolist() == expected
+
+
+def test_one_sign_passes_serves_many_evaluations_bit_for_bit():
+    # the search shares one column copy and one scratch across calls of
+    # every size; a pass must never read what an earlier call left there
+    rng = np.random.default_rng(31)
+    for n in (5, 3001, 70_000):  # one pass per call, several, and one row per pass
+        db = generate_database(31, UniformSphere(), n)
+        passes = _SignPasses(db.spins)
+        for k in (1, 40, 3, 33):
+            rows = _quad_rows([_random_quad(rng) for _ in range(k)])
+            assert _reuse_statistics(passes, rows).tobytes() == (
+                _reuse_statistics(db.spins, rows).tobytes()
+            )
+            a_dirs, b_dirs = rows[:, :2].reshape(-1, 3), rows[:, 2:].reshape(-1, 3)
+            index = [(0, 2 * k - 1, 2 * k - 1, 0)]
+            assert _table_statistics(passes, a_dirs, b_dirs, index).tobytes() == (
+                _table_statistics(db.spins, a_dirs, b_dirs, index).tobytes()
+            )
 
 
 _mixtures = st.builds(

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from bellsim.geometry import unit_rows_for_keys
 from bellsim.rng import (
     CounterStream,
     child_key,
@@ -20,6 +21,24 @@ def test_scalar_and_vector_mix_agree():
     vec = mix64_array(inputs)
     sca = np.array([mix64(int(v)) for v in inputs], dtype=np.uint64)
     assert (vec == sca).all()
+
+
+def test_mixing_leaves_the_callers_keys_as_they_are():
+    # the draws mix a temporary in place; the caller's array is never it
+    keys = child_keys(root_key(3, 1), 0, 100)
+    kept = keys.copy()
+    mix64_array(keys)
+    key_uniform_column(keys, 4)
+    unit_rows_for_keys(keys, 8)
+    assert keys.tobytes() == kept.tobytes()
+
+
+def test_key_draws_take_any_integer_key_array_as_uint64():
+    keys = child_keys(root_key(3, 1), 0, 100)
+    signed = keys.view(np.int64)  # keys past 2**63 read as negative
+    assert (signed < 0).any()
+    assert key_uniform_column(signed, 2).tobytes() == key_uniform_column(keys, 2).tobytes()
+    assert unit_rows_for_keys(signed, 2).tobytes() == unit_rows_for_keys(keys, 2).tobytes()
 
 
 def test_uniforms_match_scalar_draws():
