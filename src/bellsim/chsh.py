@@ -45,7 +45,7 @@ from .experiment import ConfigurationError, GeneratedTrials, InvariantError, Tri
 from .geometry import (
     _REJECT_NORM,
     UnitVector,
-    _gaussian_columns,
+    _gaussian_triples,
     direction_at_angle,
     sample_uniform_directions,
 )
@@ -517,8 +517,7 @@ def _perturbed_quads(
     path redraws the triple (or rejects the direction) as it always has.
     """
     start = stream.counter
-    u = stream.uniforms(16 * size).reshape(-1, 4)
-    gx, gy, gz = _gaussian_columns(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    gx, gy, gz = _gaussian_triples(stream, 4 * size)
     norm = np.sqrt(gx * gx + gy * gy + gz * gz)
     moved = np.tile(quad, (size, 1)) + radius * (np.stack([gx, gy, gz], axis=1) / norm[:, None])
     x, y, z = moved.T

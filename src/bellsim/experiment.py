@@ -24,11 +24,20 @@ import numpy as np
 from .geometry import (
     NORM_TOLERANCE,
     UnitVector,
+    _column_rows,
+    _normalize_columns,
     orthonormal_basis,
     sample_uniform_direction,
     unit_rows_for_keys,
 )
-from .rng import DOMAIN_TRIALS, CounterStream, child_keys, key_uniform_column, root_key
+from .rng import (
+    DOMAIN_TRIALS,
+    CounterStream,
+    _uniform_column_into,
+    child_keys,
+    key_uniform_column,
+    root_key,
+)
 
 _WEIGHT_TOLERANCE = 1e-12
 _SEED_LIMIT = 1 << 64
@@ -81,7 +90,15 @@ class DistributionSpec:
         raise NotImplementedError
 
     def _sample_rows(self, keys: np.ndarray, offset: int) -> np.ndarray:
-        """One spin row per stream key, consuming draws from ``offset``."""
+        """One spin row per stream key, consuming draws from ``offset``.
+
+        ``keys`` is an integer array, read as uint64. Returns a new
+        C-contiguous (n, 3) float64 array whose row i depends on keys[i] and
+        ``offset`` alone, so the rows of any split of the keys are the rows
+        of the whole. Uniform and cap rows come from the column kernel
+        (``geometry._column_rows``), which computes them in sub-blocks of
+        (3, m) columns, in place.
+        """
         raise NotImplementedError
 
 
@@ -127,20 +144,40 @@ class Cap(DistributionSpec):
 
     def _sample_rows(self, keys, offset):
         # cos(alpha) uniform on [cos(half_angle), 1] gives the uniform cap.
-        u0 = key_uniform_column(keys, offset)
-        u1 = key_uniform_column(keys, offset + 1)
-        cos_a = 1.0 - u0 * (1.0 - math.cos(self.half_angle))
-        sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
-        beta = 2.0 * math.pi * u1
+        depth = 1.0 - math.cos(self.half_angle)
         axis = self.axis.as_array()
         e1, e2 = orthonormal_basis(axis)
-        rows = (
-            (sin_a * np.cos(beta))[:, None] * e1
-            + (sin_a * np.sin(beta))[:, None] * e2
-            + cos_a[:, None] * axis
-        )
-        norm = np.sqrt(rows[:, 0] ** 2 + rows[:, 1] ** 2 + rows[:, 2] ** 2)
-        return rows / norm[:, None]
+
+        def fill(keys, out):
+            m = keys.shape[0]
+            cos_a, beta, sin_a, term, norm = np.empty((5, m))
+            raw = np.empty(m, dtype=np.uint64)
+            _uniform_column_into(keys, offset, cos_a, raw)
+            _uniform_column_into(keys, offset + 1, beta, raw)
+            cos_a *= depth
+            np.subtract(1.0, cos_a, out=cos_a)
+            np.multiply(cos_a, cos_a, out=sin_a)
+            np.subtract(1.0, sin_a, out=sin_a)
+            np.maximum(0.0, sin_a, out=sin_a)
+            np.sqrt(sin_a, out=sin_a)
+            beta *= 2.0 * math.pi
+            # the weights of e1 and e2; that of e1 waits in the last row of
+            # out, which is written last
+            along_e1, along_e2 = out[2], beta
+            np.cos(beta, out=along_e1)
+            along_e1 *= sin_a
+            np.sin(beta, out=along_e2)
+            along_e2 *= sin_a
+            for j in (0, 1, 2):
+                # (sin_a cos(beta) e1 + sin_a sin(beta) e2) + cos_a axis
+                np.multiply(along_e1, e1[j], out=out[j])
+                np.multiply(along_e2, e2[j], out=term)
+                out[j] += term
+                np.multiply(cos_a, axis[j], out=term)
+                out[j] += term
+            _normalize_columns(out, norm, term)
+
+        return _column_rows(keys, fill)
 
 
 @dataclass(frozen=True)
@@ -163,15 +200,18 @@ class Mixture(DistributionSpec):
         return f"mixture({parts})"
 
     def _sample_rows(self, keys, offset):
-        # draw at `offset` selects the component; components draw from offset+1
+        # draw at `offset` selects the component; components draw from offset+1.
+        # The component is the count of cumulative weights <= u, capped at the
+        # last: the count over all but the last weight, which is never larger
         u = key_uniform_column(keys, offset)
-        cum = np.cumsum([w for w, _ in self.components])
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(self.components) - 1)
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for bound in np.cumsum([w for w, _ in self.components])[:-1]:
+            idx += u >= bound
         rows = np.empty((keys.shape[0], 3))
         for i, (_, spec) in enumerate(self.components):
-            mask = idx == i
-            if mask.any():
-                rows[mask] = spec._sample_rows(keys[mask], offset + 1)
+            picked = np.flatnonzero(idx == i)  # rows scatter far faster by index than by mask
+            if picked.size:
+                rows[picked] = spec._sample_rows(keys[picked], offset + 1)
         return rows
 
 
@@ -252,7 +292,14 @@ class TrialDatabase:
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The spin rows of trials [lo, hi), a read-only view."""
+        _check_range(lo, hi, self.n)
         return self.spins[lo:hi]
+
+
+def _check_range(lo: int, hi: int, n: int) -> None:
+    # both trial sources take exactly the ranges 0 <= lo <= hi <= n
+    if not 0 <= lo <= hi <= n:
+        raise IndexError(f"trials [{lo}, {hi}) outside [0, {n})")
 
 
 def _spin_rows(seed: int, distribution: DistributionSpec, lo: int, hi: int) -> np.ndarray:
@@ -288,6 +335,7 @@ class GeneratedTrials:
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The spin rows of trials [lo, hi)."""
+        _check_range(lo, hi, self.n)
         return _spin_rows(self.seed, self.distribution, lo, hi)
 
 

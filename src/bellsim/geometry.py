@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import CounterStream, key_uniform_column
+from .rng import CounterStream, _uniform_column_into
 
 NORM_TOLERANCE = 1e-12
 _REJECT_NORM = 1e-6  # raw gaussian triple shorter than this is redrawn
 _DRAWS_PER_ATTEMPT = 4  # two Box-Muller pairs; the fourth deviate is unused
+_SUB_BLOCK_ROWS = 16_384  # keys per generation kernel pass; its scratch stays in cache
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,83 @@ def direction_at_angle(theta: float) -> UnitVector:
     return UnitVector(math.sin(theta), 0.0, math.cos(theta))
 
 
-def _gaussian_columns(u1, u2, u3, u4):
-    # Box-Muller: exactly three N(0,1) deviates from four (0,1) uniforms.
-    r1 = np.sqrt(-2.0 * np.log(u1))
-    r2 = np.sqrt(-2.0 * np.log(u3))
-    return (
-        r1 * np.cos(2.0 * math.pi * u2),
-        r1 * np.sin(2.0 * math.pi * u2),
-        r2 * np.cos(2.0 * math.pi * u4),
-    )
+def _gaussian_columns(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Box-Muller: three N(0,1) deviates from each column of four (0,1) uniforms.
+
+    ``u`` is (4, m), rows u1..u4, and serves as scratch, so it is
+    overwritten; gx, gy, gz are written to the rows of ``out`` (3, m).
+    Every caller passes contiguous rows, the one layout the bit-exact
+    tests pin (``_gaussian_triples`` copies a stream's interleaved draws).
+    """
+    u1, u2, u3, u4 = u
+    for r, angle in ((u1, u2), (u3, u4)):
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle *= 2.0 * math.pi
+    gx, gy, gz = out
+    np.cos(u2, out=gx)
+    gx *= u1
+    np.sin(u2, out=gy)
+    gy *= u1
+    np.cos(u4, out=gz)
+    gz *= u3
+    return out
+
+
+def _gaussian_triples(stream: CounterStream, count: int) -> np.ndarray:
+    """The gaussian triples of the stream's next ``4 * count`` draws, four per
+    triple, as (3, count) columns."""
+    u = np.ascontiguousarray(stream.uniforms(4 * count).reshape(count, 4).T)
+    return _gaussian_columns(u, np.empty((3, count)))
+
+
+def _column_rows(keys: np.ndarray, fill) -> np.ndarray:
+    """The (n, 3) C-contiguous rows that ``fill(keys_block, out)`` writes as
+    (3, m) columns, one sub-block of at most ``_SUB_BLOCK_ROWS`` keys at a time.
+
+    ``fill`` writes each key's row into its column of ``out`` and depends on
+    nothing but that key, so the rows do not depend on the sub-blocks.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    n = keys.shape[0]
+    rows = np.empty((n, 3))
+    columns = np.empty((3, min(n, _SUB_BLOCK_ROWS)))
+    for lo in range(0, n, _SUB_BLOCK_ROWS):
+        hi = min(lo + _SUB_BLOCK_ROWS, n)
+        block = columns[:, : hi - lo]
+        fill(keys[lo:hi], block)
+        rows[lo:hi] = block.T
+    return rows
+
+
+def _normalize_columns(out: np.ndarray, norm: np.ndarray, square: np.ndarray) -> np.ndarray:
+    # divides the (3, m) ``out`` by its column lengths sqrt((x*x + y*y) + z*z),
+    # computed in ``norm`` with ``square`` as scratch; returns norm
+    np.square(out[0], out=norm)
+    for row in out[1:]:
+        np.square(row, out=square)
+        norm += square
+    np.sqrt(norm, out=norm)
+    out /= norm
+    return norm
+
+
+def _unit_columns(keys: np.ndarray, offset: int, out: np.ndarray) -> np.ndarray:
+    # the uniform directions of unit_rows_for_keys, into the (3, m) ``out``
+    m = keys.shape[0]
+    u = np.empty((4, m))
+    raw = np.empty(m, dtype=np.uint64)
+    for j, row in enumerate(u):
+        _uniform_column_into(keys, offset + j, row, raw)
+    _gaussian_columns(u, out)
+    norm = _normalize_columns(out, u[1], u[3])  # u is free once the deviates are out
+    redo = np.flatnonzero(norm < _REJECT_NORM)
+    if redo.size:  # the next attempt draws from the next four positions
+        out[:, redo] = _unit_columns(
+            keys[redo], offset + _DRAWS_PER_ATTEMPT, np.empty((3, redo.size))
+        )
+    return out
 
 
 def unit_rows_for_keys(keys: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -95,26 +164,14 @@ def unit_rows_for_keys(keys: np.ndarray, offset: int = 0) -> np.ndarray:
 
     Row i consumes draws offset, offset+1, ... of stream keys[i] only,
     so the result is independent of how the key array is partitioned.
-    Degenerate short triples are redrawn from the same stream.
+    The kernel works on sub-blocks of ``_SUB_BLOCK_ROWS`` keys: each of the
+    four uniform columns is drawn in place, Box-Muller
+    (``_gaussian_columns``) and the normalization run on (3, m) columns
+    with ``out=`` ufuncs, and the sub-block's rows are written once. A
+    row whose gaussian triple is shorter than ``_REJECT_NORM`` is redrawn
+    from the next four draws of its stream, as often as it takes.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    out = np.empty((keys.shape[0], 3))
-    todo = np.arange(keys.shape[0])
-    attempt = 0
-    while todo.size:
-        base = offset + _DRAWS_PER_ATTEMPT * attempt
-        k = keys[todo]
-        u = [key_uniform_column(k, base + j) for j in range(4)]
-        gx, gy, gz = _gaussian_columns(*u)
-        norm = np.sqrt(gx * gx + gy * gy + gz * gz)
-        ok = norm >= _REJECT_NORM
-        rows = todo[ok]
-        out[rows, 0] = gx[ok] / norm[ok]
-        out[rows, 1] = gy[ok] / norm[ok]
-        out[rows, 2] = gz[ok] / norm[ok]
-        todo = todo[~ok]
-        attempt += 1
-    return out
+    return _column_rows(keys, lambda block, out: _unit_columns(block, offset, out))
 
 
 def sample_uniform_direction(stream: CounterStream) -> UnitVector:
@@ -124,8 +181,7 @@ def sample_uniform_direction(stream: CounterStream) -> UnitVector:
     identical vector. Consumes four draws per attempt.
     """
     while True:
-        u1, u2, u3, u4 = stream.uniforms(4)
-        gx, gy, gz = _gaussian_columns(u1, u2, u3, u4)
+        gx, gy, gz = _gaussian_triples(stream, 1)[:, 0]
         norm = math.sqrt(gx * gx + gy * gy + gz * gz)
         if norm >= _REJECT_NORM:
             return UnitVector(gx / norm, gy / norm, gz / norm)
@@ -133,8 +189,7 @@ def sample_uniform_direction(stream: CounterStream) -> UnitVector:
 
 def sample_uniform_directions(stream: CounterStream, count: int) -> np.ndarray:
     """``count`` uniform directions drawn sequentially from one stream."""
-    u = stream.uniforms(4 * count).reshape(count, 4)
-    gx, gy, gz = _gaussian_columns(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    gx, gy, gz = _gaussian_triples(stream, count)
     norm = np.sqrt(gx * gx + gy * gy + gz * gz)
     out = np.stack([gx, gy, gz], axis=1)
     bad = np.flatnonzero(norm < _REJECT_NORM)

@@ -60,9 +60,14 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _to_open_unit(raw: np.ndarray) -> np.ndarray:
+def _to_open_unit(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
     # 53-bit mantissa, shifted off zero so log() is always safe: (0, 1).
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # Written into the float64 ``out``, in place; ``raw`` is overwritten.
+    raw >>= np.uint64(11)
+    out[...] = raw
+    out += 0.5
+    out *= 2.0**-53
+    return out
 
 
 def root_key(seed: int, domain: int = 0) -> int:
@@ -86,9 +91,21 @@ def key_uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
     """Draw number ``position`` from each stream in ``keys``, as floats in (0,1).
 
     Equals ``CounterStream(k, counter=position).uniform()`` for every key k.
+    Every step runs in place, in one uint64 buffer and the result; the
+    generation kernel repeats the same steps per column in buffers it
+    reuses (``_uniform_column_into``).
     """
-    off = np.uint64(((position + 1) * _GOLDEN) & _MASK)
-    return _to_open_unit(_mix64_inplace(np.asarray(keys, dtype=np.uint64) + off))
+    keys = np.asarray(keys, dtype=np.uint64)
+    return _uniform_column_into(keys, position, np.empty(keys.shape), np.empty_like(keys))
+
+
+def _uniform_column_into(
+    keys: np.ndarray, position: int, out: np.ndarray, raw: np.ndarray
+) -> np.ndarray:
+    # key_uniform_column of uint64 ``keys`` written into ``out``, with the
+    # uint64 ``raw``, shaped like keys, as scratch
+    np.add(keys, np.uint64(((position + 1) * _GOLDEN) & _MASK), out=raw)
+    return _to_open_unit(_mix64_inplace(raw), out)
 
 
 @dataclass
@@ -119,7 +136,7 @@ class CounterStream:
         pos = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
         raw = _mix64_inplace(np.uint64(self.key) + pos * np.uint64(_GOLDEN))
-        return _to_open_unit(raw)
+        return _to_open_unit(raw, np.empty(count))
 
     def index_below(self, bound: int) -> int:
         """Unbiased integer in [0, bound) via rejection on raw draws."""

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (per
 trial loops over measure_sign, 1-D quadrature, one object per search
-candidate) and shares no code with the vectorized implementation
-beyond the public building blocks it calls.
+candidate, whole-array temporaries for generation) and shares no code
+with the vectorized implementation beyond the public building blocks
+it calls.
 """
 
 import itertools
@@ -14,15 +15,21 @@ from scipy import integrate
 
 from bellsim import (
     CANONICAL_QUAD,
+    Cap,
+    FixedAxis,
+    Mixture,
     SettingQuad,
+    UniformSphere,
     UnitVector,
     chsh_statistic,
     direction_at_angle,
+    geometry,
     measure_sign,
     sample_uniform_directions,
 )
 from bellsim.correlation import setting_dots
-from bellsim.rng import CounterStream
+from bellsim.geometry import orthonormal_basis
+from bellsim.rng import _GOLDEN, _MASK, CounterStream, mix64_array
 
 
 def sign_product_mean_quadrature(theta: float) -> float:
@@ -209,3 +216,79 @@ def search_max_chsh(db, mode, budget, stream, initial=None):
     else:
         best = chsh_statistic(db, best_quad, "reuse")
     return best, best_quad
+
+
+# ---------------------------------------------------------------------------
+# trial generation, row by row with whole-array temporaries
+
+
+def uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
+    """Draw ``position`` of each key's stream, as a float in (0, 1)."""
+    raw = mix64_array(keys + np.uint64(((position + 1) * _GOLDEN) & _MASK))
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def gaussian_triples(keys: np.ndarray, offset: int):
+    """Box-Muller on draws offset .. offset + 3 of each key's stream."""
+    u1, u2, u3, u4 = (uniform_column(keys, offset + j) for j in range(4))
+    r1 = np.sqrt(-2.0 * np.log(u1))
+    r2 = np.sqrt(-2.0 * np.log(u3))
+    return (
+        r1 * np.cos(2.0 * math.pi * u2),
+        r1 * np.sin(2.0 * math.pi * u2),
+        r2 * np.cos(2.0 * math.pi * u4),
+    )
+
+
+def unit_rows_for_keys(keys, offset: int = 0) -> np.ndarray:
+    """Uniform directions; rows whose gaussian triple is shorter than
+    ``geometry._REJECT_NORM`` are redrawn from the next four draws, attempt by attempt."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((keys.shape[0], 3))
+    todo = np.arange(keys.shape[0])
+    attempt = 0
+    while todo.size:
+        gx, gy, gz = gaussian_triples(keys[todo], offset + 4 * attempt)
+        norm = np.sqrt(gx * gx + gy * gy + gz * gz)
+        ok = norm >= geometry._REJECT_NORM
+        rows = todo[ok]
+        out[rows, 0] = gx[ok] / norm[ok]
+        out[rows, 1] = gy[ok] / norm[ok]
+        out[rows, 2] = gz[ok] / norm[ok]
+        todo = todo[~ok]
+        attempt += 1
+    return out
+
+
+def sample_rows(spec, keys, offset: int = 0) -> np.ndarray:
+    """``spec._sample_rows(keys, offset)``, computed with (n, 3) temporaries."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if isinstance(spec, UniformSphere):
+        return unit_rows_for_keys(keys, offset)
+    if isinstance(spec, FixedAxis):
+        return np.tile(spec.axis.as_array(), (keys.shape[0], 1))
+    if isinstance(spec, Cap):
+        u0 = uniform_column(keys, offset)
+        u1 = uniform_column(keys, offset + 1)
+        cos_a = 1.0 - u0 * (1.0 - math.cos(spec.half_angle))
+        sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
+        beta = 2.0 * math.pi * u1
+        axis = spec.axis.as_array()
+        e1, e2 = orthonormal_basis(axis)
+        rows = (
+            (sin_a * np.cos(beta))[:, None] * e1
+            + (sin_a * np.sin(beta))[:, None] * e2
+            + cos_a[:, None] * axis
+        )
+        norm = np.sqrt(rows[:, 0] ** 2 + rows[:, 1] ** 2 + rows[:, 2] ** 2)
+        return rows / norm[:, None]
+    assert isinstance(spec, Mixture)
+    u = uniform_column(keys, offset)
+    cum = np.cumsum([w for w, _ in spec.components])
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(spec.components) - 1)
+    rows = np.empty((keys.shape[0], 3))
+    for i, (_, component) in enumerate(spec.components):
+        mask = idx == i
+        if mask.any():
+            rows[mask] = sample_rows(component, keys[mask], offset + 1)
+    return rows

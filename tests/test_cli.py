@@ -280,16 +280,38 @@ def test_reuse_search_tallies_its_best_quad_once(tmp_path, monkeypatch):
 
 
 _DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+# the argv of each workload of bench/run.py (its WORKLOADS), whose artifacts at
+# the default seed 0 have the sha256 recorded in bench/digests.json
+_BENCHMARK_ARGV = {
+    "sweep": ["sweep", "--n", "100000", "--steps", "181"],
+    "search": ["search", "--n", "10000", "--budget", "1000", "--mode", "reuse"],
+    "chsh": [
+        "chsh", "--n", "1000000", "--a1", "0", "--a2", "90", "--b1", "135", "--b2", "45",
+        "--dist", "mixture(0.5:uniform-sphere;0.5:cap(0,0,1,0.8))",
+    ],
+    "gendb": ["gen-db", "--n", "100000"],
+}
+
+
+def _benchmark_digest(tmp_path, workload, workers):
+    # the sha256 of the benchmark workload's artifact at its default seed
+    out = tmp_path / "artifact"
+    argv = [*_BENCHMARK_ARGV[workload], "--seed", "0", "--workers", workers, "--out", str(out)]
+    assert cli.main(argv) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_benchmark_search_matches_its_recorded_digest(tmp_path, workers):
-    # the benchmark's search workload at its default seed, read-only against its digest
     expected = json.loads(_DIGESTS.read_text())["search"]
-    out = tmp_path / "search.json"
-    argv = ["search", "--n", "10000", "--budget", "1000", "--mode", "reuse", "--seed", "0"]
-    assert cli.main([*argv, "--workers", workers, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+    assert _benchmark_digest(tmp_path, "search", workers) == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workload", ["sweep", "chsh", "gendb"])
+def test_benchmark_workload_matches_its_recorded_digest(tmp_path, workload, workers):
+    expected = json.loads(_DIGESTS.read_text())[workload]
+    assert _benchmark_digest(tmp_path, workload, workers) == expected
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from bellsim import (
     select_settings,
     write_database,
 )
+from bellsim import geometry
 from bellsim.experiment import _DB_ROW, _WRITE_BLOCK_ROWS, _format_rows
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
-from bellsim.rng import root_stream
+from bellsim.rng import DOMAIN_TRIALS, child_keys, root_key, root_stream
 
+import oracles
 from oracles import random_unit, write_database_per_row
 
 
@@ -218,6 +221,59 @@ def test_distribution_tag_round_trip_property(spec):
     back = parse_distribution(tag)
     assert back == spec
     assert back.tag() == tag  # also tells -0 from 0, which == does not
+
+
+# -- generation kernel --------------------------------------------------------
+
+_SUB = geometry._SUB_BLOCK_ROWS
+# no keys, one, a sub-block and one either side, and a count not a multiple of it
+_key_counts = st.sampled_from([0, 1, _SUB - 1, _SUB, _SUB + 1, 2 * _SUB + 123]) | st.integers(2, 300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=_specs,
+    seed=st.integers(0, 2**64 - 1),
+    count=_key_counts,
+    offset=st.integers(0, 9),
+    reject=st.sampled_from([geometry._REJECT_NORM, 0.5]),
+)
+@example(spec=UniformSphere(), seed=5, count=2 * _SUB + 123, offset=0, reject=0.5)
+def test_generation_kernel_matches_the_row_wise_oracle(spec, seed, count, offset, reject):
+    # a rejection norm of 0.5 redraws about 3% of the triples, some of them twice
+    keys = child_keys(root_key(seed, DOMAIN_TRIALS), 0, count)
+    with mock.patch.object(geometry, "_REJECT_NORM", reject):
+        rows = spec._sample_rows(keys, offset)
+        expected = oracles.sample_rows(spec, keys, offset)
+    assert rows.shape == (count, 3) and rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_the_oracle_example_redraws_on_later_attempts():
+    # the explicit example above: some rows are short on their first two attempts
+    keys = child_keys(root_key(5, DOMAIN_TRIALS), 0, 2 * _SUB + 123)
+    first, second = (np.sqrt(sum(g * g for g in oracles.gaussian_triples(keys, o))) for o in (0, 4))
+    assert ((first < 0.5) & (second < 0.5)).any()
+    assert ((first < 0.5) & ~(second < 0.5)).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_specs, seed=st.integers(0, 2**64 - 1), n=st.integers(1, 3 * _SUB), data=st.data())
+def test_generated_rows_over_any_cut_points_equal_one_call(spec, seed, n, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    trials = GeneratedTrials(seed, spec, n)
+    bounds = [0, *cuts, n]
+    parts = [trials.rows(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == trials.rows(0, n).tobytes()
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 15), (-2, 3), (-1, 0), (5, 3), (11, 11), (10, 11)])
+def test_both_trial_sources_reject_rows_outside_the_trials(lo, hi):
+    for source in (GeneratedTrials(3, UniformSphere(), 10), generate_database(3, UniformSphere(), 10)):
+        with pytest.raises(IndexError, match=rf"trials \[{lo}, {hi}\) outside \[0, 10\)"):
+            source.rows(lo, hi)
+        assert source.rows(0, 10).shape == (10, 3)
+        assert source.rows(10, 10).shape == source.rows(4, 4).shape == (0, 3)
 
 
 # -- measurement ------------------------------------------------------------
