@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from .geometry import (
 )
 from .rng import CounterStream
 from .stats import hoeffding_bound
-
-_BLOCK_QUADS = 32  # bounds the sign bits the search holds at once
-
 
 @dataclass(frozen=True)
 class SettingQuad:
@@ -351,6 +348,9 @@ def standard_combination(e11: float, e12: float, e21: float, e22: float) -> floa
 #
 # Search candidates are float64 arrays shaped (k, 4, 3): per quad the
 # directions a1, a2, b1, b2, each (x, y, z), the order of ``sort_key``.
+# Reuse mode ranks them by their exact integer numerators n*S.
+
+_FIRST_TILE = 64  # rows read before a candidate's first bound check; later tiles double
 
 
 def _quad_rows(quads) -> np.ndarray:
@@ -362,107 +362,82 @@ def _quad_of(row: np.ndarray) -> SettingQuad:
     return SettingQuad(*(UnitVector(*v) for v in row.tolist()))
 
 
-class _SignPasses:
-    """The spins of a reuse search, as its sign passes read them.
+def _sign_bits(s: np.ndarray, directions: np.ndarray, is_plus) -> np.ndarray:
+    """Packed signs of a tile's spin columns ``s`` (3, t) at each direction (k, 3), 1 for +1.
 
-    Holds the unit-stride spin columns (each pass is faster on them) and
-    the scratch of the passes, both allocated once here and shared by
-    every evaluation on these spins: the search makes one and hands it to
-    each ``_reuse_statistics`` and ``_table_statistics`` call.
+    ``is_plus`` is ``np.greater_equal`` at station A and ``np.less_equal`` at B:
+    the comparisons of ``station_products``, sign(0) := +1 included, on the
+    ``setting_dots`` expression. The last byte's padding bits are 0 at both.
     """
-
-    def __init__(self, spins: np.ndarray):
-        self.n = spins.shape[0]
-        self.columns = np.ascontiguousarray(spins.T)
-        # as many directions per ufunc call as fit in _BLOCK_ROWS elements (at least one)
-        self.step = max(1, _BLOCK_ROWS // max(self.n, 1))
-        self._dots = np.empty((self.step, self.n))
-        self._term = np.empty_like(self._dots)
-        self._plus = np.empty(self._dots.shape, dtype=bool)
-
-    def bits(self, directions: np.ndarray, is_plus) -> np.ndarray:
-        """One row of packed station signs per row of ``directions`` (k, 3), bit 1 for sign +1.
-
-        ``is_plus`` is ``np.greater_equal`` for station A and ``np.less_equal``
-        for station B: the comparisons of ``station_products``, including its
-        sign(0) := +1 rule. The dots are the elementwise expression of
-        ``setting_dots``, formed in place for ``step`` directions per ufunc
-        call. The padding bits of the last byte are 0 at both stations, so
-        they never count as a disagreement.
-        """
-        s0, s1, s2 = self.columns
-        bits = np.empty((len(directions), (self.n + 7) // 8), dtype=np.uint8)
-        for lo in range(0, len(directions), self.step):
-            d = directions[lo : lo + self.step, :, None]
-            dots, term, plus = self._dots[: len(d)], self._term[: len(d)], self._plus[: len(d)]
-            np.multiply(s0, d[:, 0], out=dots)
-            np.multiply(s1, d[:, 1], out=term)
-            dots += term
-            np.multiply(s2, d[:, 2], out=term)
-            dots += term
-            is_plus(dots, 0.0, out=plus)
-            bits[lo : lo + len(d)] = np.packbits(plus, axis=1)
-        return bits
+    d = directions[:, :, None]
+    return np.packbits(is_plus(s[0] * d[:, 0] + s[1] * d[:, 1] + s[2] * d[:, 2], 0.0), axis=1)
 
 
-def _passes_of(spins) -> _SignPasses:
-    return spins if isinstance(spins, _SignPasses) else _SignPasses(spins)
+def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
+    """Exact numerators n*S of candidate rows (k, 4, 3) on the spins (n, 3), and the
+    rows each candidate read.
 
-
-def _reuse_statistics(spins, quads: np.ndarray) -> np.ndarray:
-    """Reuse-mode statistics of candidate rows (k, 4, 3), each equal bit for bit
-    to ``chsh_statistic(db, quad, "reuse").statistic``.
-
-    ``spins`` is the (n, 3) spin array or its ``_SignPasses``. A pair tally
-    is n - popcount(bitsA(a) XOR bitsB(b)). Quads are taken
-    ``_BLOCK_QUADS`` at a time, which bounds the sign bits held at once.
+    The live candidates read the same tiles of rows, the first ``_FIRST_TILE``
+    long and each later one twice the last, up to ``_BLOCK_ROWS // 4``. Each
+    tile is copied to unit-stride columns once and takes its candidates
+    ``_BLOCK_ROWS`` sign elements at a time. A trial adds +2 where x2 != y1
+    if y1 = y2, and where x1 = y1 if not, and -2 elsewhere. With an
+    ``incumbent`` (numerator, quad row), a candidate whose first m rows sum
+    to P is dropped before the next tile if its best case P + 2(n - m) is
+    below the incumbent's numerator, or equal to it with a ``sort_key`` that
+    is not greater: it can never be ``_best``. A dropped candidate's
+    numerator is reported as -2n - 1, below any real one; every other
+    candidate is tallied in full.
     """
-    passes = _passes_of(spins)
-    n = passes.n
-    stats = np.empty(len(quads))
-    for lo in range(0, len(quads), _BLOCK_QUADS):
-        block = quads[lo : lo + _BLOCK_QUADS]
-        k = len(block)
-        a = passes.bits(block[:, :2].reshape(-1, 3), np.greater_equal).reshape(k, 2, 1, -1)
-        b = passes.bits(block[:, 2:].reshape(-1, 3), np.less_equal).reshape(k, 1, 2, -1)
-        pos = n - np.bitwise_count(a ^ b).sum(axis=3, dtype=np.int64)  # pos[:, i, j]: (a_i, b_j)
-        stats[lo : lo + k] = _reuse_statistic(
-            n, pos[:, 0, 0], pos[:, 0, 1], pos[:, 1, 0], pos[:, 1, 1]
-        )
-    return stats
+    n, k = len(spins), len(quads)
+    total, read, live = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64), np.arange(k)
+    if incumbent is not None:
+        bar, key, flat = incumbent[0], incumbent[1].ravel(), quads.reshape(k, 12)
+        first = (flat != key).argmax(axis=1)  # the first component that differs, if any
+        greater = flat[np.arange(k), first] > key[first]
+    m, tile = 0, _FIRST_TILE
+    while m < n and len(live):
+        if incumbent is not None:
+            bound = total[live] + 2 * (n - m)
+            live = live[(bound > bar) | ((bound == bar) & greater[live])]
+        s = np.ascontiguousarray(spins[m : m + tile].T)
+        t = s.shape[1]
+        step = _BLOCK_ROWS // (4 * t)
+        for ids in (live[lo : lo + step] for lo in range(0, len(live), step)):
+            a = _sign_bits(s, quads[ids, :2].reshape(-1, 3), np.greater_equal)
+            b = _sign_bits(s, quads[ids, 2:].reshape(-1, 3), np.less_equal)
+            x1, x2, y1, y2 = a[0::2], a[1::2], b[0::2], b[1::2]
+            plus = np.bitwise_count(x2 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2)))
+            total[ids] += 4 * plus.sum(axis=1, dtype=np.int64) - 2 * t
+        read[live] += t
+        m, tile = m + t, min(2 * tile, _BLOCK_ROWS // 4)
+    numerators = np.full(k, -2 * n - 1, dtype=np.int64)
+    numerators[live] = total[live]
+    return numerators, read
 
 
-def _table_statistics(spins, a_dirs: np.ndarray, b_dirs: np.ndarray, index) -> np.ndarray:
-    """Reuse-mode statistics of the quads (a_dirs[i1], a_dirs[i2], b_dirs[j1], b_dirs[j2]),
-    one per row (i1, i2, j1, j2) of ``index``, equal bit for bit to ``_reuse_statistics``.
-
-    ``spins`` is the (n, 3) spin array or its ``_SignPasses``. Each
-    direction's signs are measured once, and every quad reads its four
-    tallies by index from the table of all (a, b) pair tallies.
+def _table_numerators(spins: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, index):
+    """Exact numerators of the quads (a_dirs[i1], a_dirs[i2], b_dirs[j1], b_dirs[j2]), one
+    per row (i1, i2, j1, j2) of ``index``, read from one table of all (a, b) pair tallies:
+    each direction's signs are measured once per tile of rows.
     """
-    passes = _passes_of(spins)
-    n = passes.n
-    a_bits = passes.bits(a_dirs, np.greater_equal)
-    b_bits = passes.bits(b_dirs, np.less_equal)
-    pos = np.empty((len(a_bits), len(b_bits)), dtype=np.int64)
-    for row, a in zip(pos, a_bits):
-        row[:] = n - np.bitwise_count(a ^ b_bits).sum(axis=1, dtype=np.int64)
+    n = len(spins)
+    step = _BLOCK_ROWS // max(1, len(a_dirs), len(b_dirs))
+    disagree = np.zeros((len(a_dirs), len(b_dirs)), dtype=np.int64)
+    for m in range(0, n, step):
+        s = np.ascontiguousarray(spins[m : m + step].T)
+        a = _sign_bits(s, a_dirs, np.greater_equal)
+        b = _sign_bits(s, b_dirs, np.less_equal)
+        disagree += np.bitwise_count(a[:, None] ^ b).sum(axis=2, dtype=np.int64)
+    pos = n - disagree
     i1, i2, j1, j2 = np.asarray(index, dtype=np.intp).reshape(-1, 4).T
-    return _reuse_statistic(n, pos[i1, j1], pos[i1, j2], pos[i2, j1], pos[i2, j2])
+    return _numerator(n, pos[i1, j1], pos[i1, j2], pos[i2, j1], pos[i2, j2])
 
 
-def _eval_candidates(source, quads, mode, base_key, offset, workers) -> np.ndarray:
-    """Statistics for candidate rows (k, 4, 3).
-
-    Reuse mode runs in this process on packed sign bits; ``source`` is the
-    search's ``_SignPasses``. Fresh candidates derive their private stream
-    from (base_key, global candidate index) and are spread over a process
-    pool; ``source`` is the trial database.
-    """
-    if mode == "reuse":
-        return _reuse_statistics(source, quads)
+def _fresh_candidates(db, quads, base_key, offset, workers) -> np.ndarray:
+    """Fresh-mode statistics of candidate rows (k, 4, 3), each on its own stream, over a pool."""
     chunks = parallel.map_ranges(
-        _fresh_statistics, len(quads), workers, source, quads, base_key, offset, minimum=2
+        _fresh_statistics, len(quads), workers, db, quads, base_key, offset, minimum=2
     )
     return np.array([s for chunk in chunks for s in chunk])
 
@@ -545,6 +520,8 @@ def search_max_chsh(
     stream: CounterStream,
     initial: SettingQuad | None = None,
     workers: int = 1,
+    *,
+    report: Callable[..., None] | None = None,
 ) -> tuple[ChshResult, SettingQuad]:
     """Derivative-free search for the settings maximizing the statistic.
 
@@ -557,14 +534,18 @@ def search_max_chsh(
     that quad. The best candidate is reduced with an associative max
     keyed on (statistic, quad ordering), making the outcome independent
     of evaluation order and worker count. Candidates are kept as arrays
-    and only the winner becomes a SettingQuad. Reuse mode runs in this
-    process and ignores ``workers``.
+    and only the winner becomes a SettingQuad.
 
-    In reuse mode the winner is checked before it is returned: its
+    Reuse mode runs in this process and ignores ``workers``. The first
+    quad and the lattice are tallied in full; each later candidate is
+    dropped once the per-trial +-2 bound shows that it cannot beat the
+    best before it (``_tile_numerators``). ``report``, if given, is
+    called with counts of these ``candidates``: dropped ``unread``,
+    tallied in ``full``, and the ``rows`` they read. The winner's
     re-evaluation by ``chsh_statistic`` checks the per-trial identity,
-    and both evaluators that ranked the candidates, the packed one and
-    the lattice's pair table, must give it the re-evaluated statistic.
-    A failed check raises ``InvariantError``.
+    and both evaluators that ranked the candidates, the tile evaluator
+    and the lattice's pair table, must give it the same statistic, or
+    ``InvariantError`` is raised.
     """
     if budget < 1:
         raise ConfigurationError(f"search budget must be >= 1, got {budget}")
@@ -584,52 +565,58 @@ def search_max_chsh(
 
     quads = np.concatenate([first, directions[lattice], randoms])
     if mode == "reuse":
-        # every evaluation shares one column copy and one pass scratch
-        source = _SignPasses(db.spins)
-        # the lattice quads share g directions, so one pair table gives all their S
-        packed = _reuse_statistics(source, np.concatenate([first, randoms]))
-        table = _table_statistics(source, directions, directions, lattice)
-        stats = np.concatenate([packed[:1], table, packed[1:]])
+        # the lattice quads share g directions, so one pair table gives all their numerators
+        values = np.concatenate([
+            _tile_numerators(db.spins, first)[0],
+            _table_numerators(db.spins, directions, directions, lattice),
+        ])
+        i = _best(values, quads[: len(values)])
+        tail, read = _tile_numerators(db.spins, randoms, (values[i], quads[i]))
+        values, reads = np.concatenate([values, tail]), [read]
     else:
-        source = db
-        stats = _eval_candidates(source, quads, mode, base_key, 0, workers)
-    best_index = _best(stats, quads)
-    best_stat, best_quad = stats[best_index], quads[best_index]
+        values = _fresh_candidates(db, quads, base_key, 0, workers)
+    best_index = _best(values, quads)
+    best_value, best_quad = values[best_index], quads[best_index]
 
     # local refinement: perturb the incumbent with shrinking radius
-    offset = len(quads)
-    round_no = 0
+    offset, round_no = len(quads), 0
     while remaining > 0:
         size = min(32, remaining)
         radius = 0.4 * (0.8**round_no)
         batch = _perturbed_quads(best_quad, stream, radius, size)
-        batch_stats = _eval_candidates(source, batch, mode, base_key, offset, workers)
+        if mode == "reuse":
+            batch_values, read = _tile_numerators(db.spins, batch, (best_value, best_quad))
+            reads.append(read)
+        else:
+            batch_values = _fresh_candidates(db, batch, base_key, offset, workers)
         # the incumbent goes first, so an equal candidate leaves it in place
-        i = _best(np.append(best_stat, batch_stats), np.concatenate([best_quad[None], batch])) - 1
+        i = _best(np.append(best_value, batch_values), np.concatenate([best_quad[None], batch])) - 1
         if i >= 0:
-            best_stat, best_quad, best_index = batch_stats[i], batch[i], offset + i
+            best_value, best_quad, best_index = batch_values[i], batch[i], offset + i
         offset += size
         remaining -= size
         round_no += 1
 
     quad = _quad_of(best_quad)
     if mode == "fresh":
-        best_result = chsh_statistic(
+        return chsh_statistic(
             db, quad, "fresh", CounterStream(base_key).derive(best_index), workers=workers
-        )
-    else:
-        best_result = chsh_statistic(db, quad, "reuse")
-        a_dirs, b_dirs = best_quad[:2], best_quad[2:]
-        ranked = (
-            ("packed evaluator", _reuse_statistics(source, best_quad[None])[0]),
-            ("pair table", _table_statistics(source, a_dirs, b_dirs, [(0, 1, 0, 1)])[0]),
-        )
-        for name, statistic in ranked:
-            if statistic != best_result.statistic:
-                raise InvariantError(
-                    f"{name} gives the best quad S = {float(statistic)!r}, "
-                    f"its re-evaluation {best_result.statistic!r}"
-                )
+        ), quad
+    best_result = chsh_statistic(db, quad, "reuse")
+    ranked = (
+        ("tile evaluator", _tile_numerators(db.spins, best_quad[None])[0][0]),
+        ("pair table", _table_numerators(db.spins, best_quad[:2], best_quad[2:], [(0, 1, 0, 1)])[0]),
+    )
+    for name, numerator in ranked:
+        if numerator / db.n != best_result.statistic:
+            raise InvariantError(
+                f"{name} gives the best quad S = {float(numerator / db.n)!r}, "
+                f"its re-evaluation {best_result.statistic!r}"
+            )
+    if report is not None:
+        read = np.concatenate(reads)
+        unread, full = (int(np.count_nonzero(read == rows)) for rows in (0, db.n))
+        report(candidates=len(read), unread=unread, full=full, rows=int(read.sum()))
     return best_result, quad
 
 

@@ -246,9 +246,20 @@ def cmd_search(args) -> int:
     # generated in this process: at the sizes a search evaluates, a pool costs more than it saves
     db = generate_database(cfg.seed, cfg.distribution, cfg.n)
     stream = root_stream(cfg.seed, DOMAIN_SEARCH)
+
+    def pruned(candidates: int, unread: int, full: int, rows: int) -> None:
+        print(
+            f"search: {unread} of {candidates} random and refinement candidates dropped before "
+            f"reading a row, {full} tallied in full, {rows} of {candidates * cfg.n} rows read "
+            f"({rows / max(1, candidates * cfg.n):.2%})",
+            file=sys.stderr,
+        )
+
     # a reuse search checks its best quad before returning it, so the bound
     # below is printed only for a quad that passed
-    best, quad = search_max_chsh(db, cfg.mode, args.budget, stream, workers=cfg.workers)
+    best, quad = search_max_chsh(
+        db, cfg.mode, args.budget, stream, workers=cfg.workers, report=pruned
+    )
     doc = result_summary(
         best, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag(), budget=args.budget
     )

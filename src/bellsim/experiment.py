@@ -288,6 +288,8 @@ class TrialDatabase:
             )
 
     def spin(self, k: int) -> UnitVector:
+        if not 0 <= k < self.n:
+            raise IndexError(f"trial {k} outside [0, {self.n})")
         return UnitVector.from_array(self.spins[k])
 
     def rows(self, lo: int, hi: int) -> np.ndarray:

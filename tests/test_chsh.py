@@ -36,14 +36,13 @@ from bellsim import (
 from bellsim import chsh, cli, correlation, geometry, parallel
 from bellsim.chsh import (
     QuadTallies,
-    _SignPasses,
     _best,
     _perturbed_quads,
     _quad_rows,
     _quad_tallies,
     _range_tallies,
-    _reuse_statistics,
-    _table_statistics,
+    _table_numerators,
+    _tile_numerators,
     result_from_tallies,
     streamed_tallies,
 )
@@ -323,30 +322,81 @@ def test_packed_search_evaluator_matches_chsh_statistic(seed, dist, n, quads):
     db = generate_database(seed, dist, n)
     expected = [chsh_statistic(db, q, "reuse").statistic for q in quads]
     rows = _quad_rows(quads)
-    assert _reuse_statistics(db.spins, rows).tolist() == expected
+    # with no incumbent every candidate is tallied in full, to its exact numerator
+    numerators, read = _tile_numerators(db.spins, rows)
+    assert (numerators / n).tolist() == expected and read.tolist() == [n] * len(quads)
+    assert numerators.tolist() == [int(per_trial_terms(db, q).sum()) for q in quads]
     # the pair table over all the quads' directions, each quad read by index
     index = [(2 * q, 2 * q + 1, 2 * q, 2 * q + 1) for q in range(len(quads))]
     a_dirs, b_dirs = rows[:, :2].reshape(-1, 3), rows[:, 2:].reshape(-1, 3)
-    assert _table_statistics(db.spins, a_dirs, b_dirs, index).tolist() == expected
+    assert (_table_numerators(db.spins, a_dirs, b_dirs, index) / n).tolist() == expected
 
 
-def test_one_sign_passes_serves_many_evaluations_bit_for_bit():
-    # the search shares one column copy and one scratch across calls of
-    # every size; a pass must never read what an earlier call left there
+def test_one_tile_pass_serves_many_candidates_bit_for_bit():
+    # a tile takes its live candidates _BLOCK_ROWS sign elements at a time,
+    # and the pair table all its directions at once; a candidate must get
+    # the numerator it gets alone, whatever else shares its pass
     rng = np.random.default_rng(31)
-    for n in (5, 3001, 70_000):  # one pass per call, several, and one row per pass
+    for n in (5, 3001, 70_000):  # one tile, several, and tiles of one candidate per pass
         db = generate_database(31, UniformSphere(), n)
-        passes = _SignPasses(db.spins)
         for k in (1, 40, 3, 33):
             rows = _quad_rows([_random_quad(rng) for _ in range(k)])
-            assert _reuse_statistics(passes, rows).tobytes() == (
-                _reuse_statistics(db.spins, rows).tobytes()
-            )
+            alone = [_tile_numerators(db.spins, rows[i : i + 1])[0] for i in range(k)]
+            assert _tile_numerators(db.spins, rows)[0].tobytes() == np.concatenate(alone).tobytes()
             a_dirs, b_dirs = rows[:, :2].reshape(-1, 3), rows[:, 2:].reshape(-1, 3)
             index = [(0, 2 * k - 1, 2 * k - 1, 0)]
-            assert _table_statistics(passes, a_dirs, b_dirs, index).tobytes() == (
-                _table_statistics(db.spins, a_dirs, b_dirs, index).tobytes()
+            pair = (a_dirs[[0, -1]], b_dirs[[-1, 0]], [(0, 1, 0, 1)])
+            assert _table_numerators(db.spins, a_dirs, b_dirs, index).tobytes() == (
+                _table_numerators(db.spins, *pair).tobytes()
             )
+
+
+def _tile_ends(n: int, first_tile: int) -> list[int]:
+    """The rows read before each bound check: 0, then the end of each tile."""
+    ends, tile = [0], first_tile
+    while ends[-1] < n:
+        ends.append(min(n, ends[-1] + tile))
+        tile = min(2 * tile, correlation._BLOCK_ROWS // 4)
+    return ends
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=_distributions,
+    n=st.integers(1, 300),
+    quads=st.lists(st.builds(SettingQuad, _units, _units, _units, _units), min_size=1, max_size=12),
+    first_tile=st.integers(1, 64),
+    pick=st.integers(0, 11),
+    shift=st.sampled_from([-4, -2, 0, 2]),
+)
+@example(  # both quads end at S = 2, and only the second has a greater key than the first
+    seed=0, dist=FixedAxis(Z_AXIS), n=13,
+    quads=[CANONICAL_QUAD, SettingQuad(*[UnitVector.normalize(1.0, 0.0, 1.0)] * 4)],
+    first_tile=1, pick=0, shift=0,
+)
+def test_tile_evaluator_drops_a_candidate_at_its_first_losing_bound(
+    seed, dist, n, quads, first_tile, pick, shift
+):
+    # the incumbent is one candidate's numerator moved by shift, under that
+    # candidate's key; each candidate is read tile by tile until its best
+    # case, partial sum plus 2 per unread row, loses to the incumbent
+    db = generate_database(seed, dist, n)
+    rows = _quad_rows(quads)
+    terms = [np.array(oracles.brute_force_terms(db, q)) for q in quads]
+    bar, key = int(terms[pick % len(quads)].sum()) + shift, quads[pick % len(quads)].sort_key()
+    expected_numerators, expected_read = [], []
+    for q, t in zip(quads, terms):
+        best_case = {m: int(t[:m].sum()) + 2 * (n - m) for m in _tile_ends(n, first_tile)[:-1]}
+        losing = [
+            m for m, b in best_case.items() if b < bar or (b == bar and not q.sort_key() > key)
+        ]
+        expected_numerators.append(-2 * n - 1 if losing else int(t.sum()))
+        expected_read.append(losing[0] if losing else n)
+    with patch.object(chsh, "_FIRST_TILE", first_tile):
+        numerators, read = _tile_numerators(db.spins, rows, (bar, rows[pick % len(quads)]))
+    assert numerators.tolist() == expected_numerators
+    assert read.tolist() == expected_read
 
 
 _mixtures = st.builds(
@@ -472,6 +522,47 @@ def test_array_search_matches_the_sequential_oracle(seed, dist, n, budget, initi
     assert stream == oracle_stream
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=st.one_of(_distributions, _mixtures),
+    n=st.integers(1, 300),
+    budget=st.integers(1, 200),  # below 49 no lattice, below 3 no random quads
+    initial=st.none() | st.builds(SettingQuad, _units, _units, _units, _units),
+    first_tile=st.integers(1, 64),
+    block_rows=st.sampled_from([256, 4096, correlation._BLOCK_ROWS]),
+)
+# the initial quad's S is 1.013 < 2, and 8 of the 14 later candidates are
+# dropped after reading some of their rows
+@example(
+    seed=0, dist=UniformSphere(), n=300, budget=15,
+    initial=SettingQuad(X_AXIS, Y_AXIS, Z_AXIS, X_AXIS),
+    first_tile=64, block_rows=correlation._BLOCK_ROWS,
+)
+@example(  # many quads tie at S = 2, so only the key rule picks the winner
+    seed=0, dist=FixedAxis(Z_AXIS), n=13, budget=200, initial=None, first_tile=1, block_rows=256
+)
+def test_pruned_reuse_search_equals_the_unpruned_oracle(
+    seed, dist, n, budget, initial, first_tile, block_rows
+):
+    db = generate_database(seed, dist, n)
+    counts, stream, oracle_stream = [], root_stream(seed, 4), root_stream(seed, 4)
+    with patch.object(chsh, "_FIRST_TILE", first_tile), patch.object(chsh, "_BLOCK_ROWS", block_rows):
+        best, quad = search_max_chsh(
+            db, "reuse", budget, stream, initial, report=lambda **c: counts.append(c)
+        )
+    oracle_best, oracle_quad = oracles.search_max_chsh(db, "reuse", budget, oracle_stream, initial)
+    assert best == oracle_best
+    assert _quad_rows([quad]).tobytes() == _quad_rows([oracle_quad]).tobytes()
+    assert stream == oracle_stream
+    # the counts cover every candidate after the first quad and the lattice
+    (c,) = counts
+    g = int(((budget - 1) // 3) ** 0.25) if budget > 16 else 0
+    assert c["candidates"] == budget - 1 - (g**4 if g >= 2 else 0)
+    assert c["unread"] + c["full"] <= c["candidates"]
+    assert c["full"] * n <= c["rows"] <= (c["candidates"] - c["unread"]) * n
+
+
 @pytest.mark.parametrize(
     "seed,dist,workers",
     [
@@ -545,15 +636,20 @@ def test_perturbations_fall_back_to_the_sequential_draw_after_a_short_triple(mon
     )
 
 
+def _inflated_tiles(f):
+    def inflated(spins, *args):
+        numerators, read = f(spins, *args)
+        return numerators + len(spins) / 4, read
+
+    return inflated
+
+
 _SEARCH_DEFECTS = {
-    # the packed evaluator ranks every candidate a quarter too high
-    "_reuse_statistics": (
-        lambda f: lambda spins, quads: f(spins, quads) + 0.25,
-        "packed evaluator gives the best quad S = ",
-    ),
+    # the tile evaluator ranks every candidate a quarter too high
+    "_tile_numerators": (_inflated_tiles, "tile evaluator gives the best quad S = "),
     # the lattice's pair table does the same
-    "_table_statistics": (
-        lambda f: lambda *args: f(*args) + 0.25,
+    "_table_numerators": (
+        lambda f: lambda spins, *args: f(spins, *args) + len(spins) / 4,
         "pair table gives the best quad S = ",
     ),
     "_quad_tallies": (lambda f: _defective_quad_tallies("zero-term"), "per-trial identity violated"),

@@ -248,11 +248,19 @@ def test_search_banner_and_budget(tmp_path):
     assert doc["budget"] == 50 and doc["statistic"] <= 2.0
 
 
+def _inflated_tiles(f):
+    def inflated(spins, *args):
+        numerators, read = f(spins, *args)
+        return numerators + len(spins) / 4, read
+
+    return inflated
+
+
 _SEARCH_DEFECTS = {
-    # the packed evaluator ranks every candidate a quarter too high
-    "_reuse_statistics": lambda f: lambda spins, quads: [s + 0.25 for s in f(spins, quads)],
+    # the tile evaluator ranks every candidate a quarter too high
+    "_tile_numerators": _inflated_tiles,
     # the lattice's pair table does the same
-    "_table_statistics": lambda f: lambda *args: f(*args) + 0.25,
+    "_table_numerators": lambda f: lambda spins, *args: f(spins, *args) + len(spins) / 4,
     "_quad_tallies": lambda f: lambda spins, quad: _DEFECTS["zero-term"](f(spins, quad)),
 }
 
@@ -305,6 +313,23 @@ def _benchmark_digest(tmp_path, workload, workers):
 def test_benchmark_search_matches_its_recorded_digest(tmp_path, workers):
     expected = json.loads(_DIGESTS.read_text())["search"]
     assert _benchmark_digest(tmp_path, "search", workers) == expected
+
+
+def test_benchmark_search_reads_no_row_of_its_random_and_refinement_candidates(tmp_path, capsys):
+    # the lattice reaches S = 2 with a1 = +x, the greatest first key, so the
+    # bound drops all 743 later candidates before they read a row
+    expected = json.loads(_DIGESTS.read_text())["search"]
+    assert _benchmark_digest(tmp_path, "search", "1") == expected
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "search: 743 of 743 random and refinement candidates dropped before reading a row, "
+        "0 tallied in full, 0 of 7430000 rows read (0.00%)\n"
+    )
+    # stdout is as it was
+    assert captured.out == (
+        f"search: wrote {tmp_path / 'artifact'} (budget=1000, mode=reuse, workers=1)\n"
+        "bound respected: S_max = 2 ≤ 2\n"
+    )
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -276,6 +276,17 @@ def test_both_trial_sources_reject_rows_outside_the_trials(lo, hi):
         assert source.rows(10, 10).shape == source.rows(4, 4).shape == (0, 3)
 
 
+@pytest.mark.parametrize("k", [-1, 0, 9, 10])
+def test_both_trial_sources_take_exactly_the_trials_they_hold(k):
+    sources = (GeneratedTrials(3, UniformSphere(), 10), generate_database(3, UniformSphere(), 10))
+    for source in sources:
+        if 0 <= k < 10:
+            assert source.spin(k).as_array().tobytes() == source.rows(k, k + 1)[0].tobytes()
+        else:
+            with pytest.raises(IndexError, match=rf"^trial {k} outside \[0, 10\)$"):
+                source.spin(k)
+
+
 # -- measurement ------------------------------------------------------------
 
 
