@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import parallel
+from . import geometry, parallel
 from ._version import __version__
 from .correlation import (
     _BLOCK_ROWS,
@@ -115,11 +115,6 @@ class ChshResult:
 # per-trial terms and the statistic
 
 
-def _pm2_terms(x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """The per-trial terms x1*(y1 - y2) - x2*(y2 + y1), each +-2, from the station signs."""
-    return x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
-
-
 class QuadTallies(NamedTuple):
     """What reuse mode keeps of a run of trials; runs merge by addition and min/max.
 
@@ -148,44 +143,51 @@ class QuadTallies(NamedTuple):
         )
 
 
-def _quad_tallies(spins: np.ndarray, quad: SettingQuad) -> QuadTallies:
-    x1, y1, ta1, tb1 = station_products(spins, quad.a1, quad.b1)
-    x2, y2, ta2, tb2 = station_products(spins, quad.a2, quad.b2)
-    terms = _pm2_terms(x1, y1, x2, y2)
+def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTallies:
+    """Tallies of the spin columns ``s`` (3, m) at the quad rows ``quad`` (4, 3), a1, a2,
+    b1, b2, with ``dots`` (2, 4, >= m) as scratch for ``_sign_bits``, the search's kernel.
+
+    Ties are the dots' exact zeros, and a pair's ``pos`` is m less the trials
+    whose signs differ. The +2 terms are counted as in ``_tile_numerators``,
+    so the term sum and the numerator from ``pos`` are computed apart.
+    """
+    m = s.shape[1]
+    d = dots[:, :, :m]
+    x = _sign_bits(s, quad[:2], np.greater_equal, d[:, :2])
+    y = _sign_bits(s, quad[2:], np.less_equal, d[:, 2:])
+    tie = np.packbits(d[0] == 0.0, axis=1)
+    i, j = [0, 0, 1, 1], [0, 1, 0, 1]  # the pairs (a1,b1), (a1,b2), (a2,b1), (a2,b2)
+    differ = np.bitwise_count(x[i] ^ y[j]).sum(axis=1, dtype=np.int64)
+    tied = np.bitwise_count(tie[i] | tie[2:][j]).sum(axis=1, dtype=np.int64)
+    (x1, x2), (y1, y2) = x, y
+    plus = int(np.bitwise_count(x2 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2))).sum(dtype=np.int64))
     return QuadTallies(
-        n=len(terms),
-        pos=(
-            int(np.count_nonzero(x1 == y1)),
-            int(np.count_nonzero(x1 == y2)),
-            int(np.count_nonzero(x2 == y1)),
-            int(np.count_nonzero(x2 == y2)),
-        ),
-        ties=(
-            int(np.count_nonzero(ta1 | tb1)),
-            int(np.count_nonzero(ta1 | tb2)),
-            int(np.count_nonzero(ta2 | tb1)),
-            int(np.count_nonzero(ta2 | tb2)),
-        ),
-        term_min=int(terms.min()),
-        term_max=int(terms.max()),
-        term_sum=int(terms.sum()),
-        term_pm2=int(np.count_nonzero(np.abs(terms) == 2)),
+        n=m,
+        pos=tuple((m - differ).tolist()),
+        ties=tuple(tied.tolist()),
+        term_min=2 if plus == m else -2,
+        term_max=-2 if plus == 0 else 2,
+        term_sum=4 * plus - 2 * m,
+        term_pm2=m,
     )
 
 
 def _range_tallies(source, quad: SettingQuad, lo: int, hi: int) -> QuadTallies:
     """Tallies of trials [lo, hi) of a TrialDatabase or GeneratedTrials.
 
-    The rows are taken one block at a time, so of generated trials no
-    more than one block ever exists.
+    The trials are visited one block of rows at a time as the (3, m)
+    columns that ``visit_columns`` gives, in any order, so of generated
+    trials no more than one block ever exists and none is put in trial
+    order. The dots scratch serves every visit of the range.
     """
-    return functools.reduce(
-        QuadTallies.merge,
-        (
-            _quad_tallies(source.rows(b, min(b + _BLOCK_ROWS, hi)), quad)
-            for b in range(lo, hi, _BLOCK_ROWS)
-        ),
-    )
+    row = _quad_rows([quad])[0]
+    dots = np.empty((2, 4, min(hi - lo, _BLOCK_ROWS, geometry._SUB_BLOCK_ROWS)))
+    parts = []
+    for b in range(lo, hi, _BLOCK_ROWS):
+        source.visit_columns(
+            b, min(b + _BLOCK_ROWS, hi), lambda s, _: parts.append(_quad_tallies(s, row, dots))
+        )
+    return functools.reduce(QuadTallies.merge, parts)
 
 
 def streamed_tallies(
@@ -212,7 +214,7 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad) -> np.ndarray:
     spins = db.rows(0, db.n)
     x1, y1, _, _ = station_products(spins, quad.a1, quad.b1)
     x2, y2, _, _ = station_products(spins, quad.a2, quad.b2)
-    return _pm2_terms(x1, y1, x2, y2)
+    return x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
 
 
 def _numerator(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> int:
@@ -362,15 +364,20 @@ def _quad_of(row: np.ndarray) -> SettingQuad:
     return SettingQuad(*(UnitVector(*v) for v in row.tolist()))
 
 
-def _sign_bits(s: np.ndarray, directions: np.ndarray, is_plus) -> np.ndarray:
+def _sign_bits(s: np.ndarray, directions: np.ndarray, is_plus, dots=None) -> np.ndarray:
     """Packed signs of a tile's spin columns ``s`` (3, t) at each direction (k, 3), 1 for +1.
 
     ``is_plus`` is ``np.greater_equal`` at station A and ``np.less_equal`` at B:
     the comparisons of ``station_products``, sign(0) := +1 included, on the
-    ``setting_dots`` expression. The last byte's padding bits are 0 at both.
+    ``setting_dots`` expression, op for op. The last byte's padding bits are 0
+    at both. ``dots``, (2, k, t) scratch if given, keeps the dots in ``dots[0]``.
     """
-    d = directions[:, :, None]
-    return np.packbits(is_plus(s[0] * d[:, 0] + s[1] * d[:, 1] + s[2] * d[:, 2], 0.0), axis=1)
+    d, term = np.empty((2, len(directions), s.shape[1])) if dots is None else dots
+    np.multiply(s[0], directions[:, 0, None], out=d)
+    for j in (1, 2):
+        np.multiply(s[j], directions[:, j, None], out=term)
+        d += term
+    return np.packbits(is_plus(d, 0.0), axis=1)
 
 
 def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
@@ -514,7 +521,7 @@ def _best(stats: np.ndarray, quads: np.ndarray) -> int:
 
 
 def search_max_chsh(
-    db: TrialDatabase,
+    db: TrialDatabase | GeneratedTrials,
     mode: str,
     budget: int,
     stream: CounterStream,
@@ -536,7 +543,10 @@ def search_max_chsh(
     of evaluation order and worker count. Candidates are kept as arrays
     and only the winner becomes a SettingQuad.
 
-    Reuse mode runs in this process and ignores ``workers``. The first
+    Fresh mode takes ``GeneratedTrials``, which its pool tasks pickle in a
+    few hundred bytes, where a database is pickled whole. Reuse mode reads
+    all rows of ``db`` at once, so it is usually given a ``TrialDatabase``;
+    it runs in this process and ignores ``workers``. The first
     quad and the lattice are tallied in full; each later candidate is
     dropped once the per-trial +-2 bound shows that it cannot beat the
     best before it (``_tile_numerators``). ``report``, if given, is
@@ -565,13 +575,14 @@ def search_max_chsh(
 
     quads = np.concatenate([first, directions[lattice], randoms])
     if mode == "reuse":
+        spins = db.rows(0, db.n)
         # the lattice quads share g directions, so one pair table gives all their numerators
         values = np.concatenate([
-            _tile_numerators(db.spins, first)[0],
-            _table_numerators(db.spins, directions, directions, lattice),
+            _tile_numerators(spins, first)[0],
+            _table_numerators(spins, directions, directions, lattice),
         ])
         i = _best(values, quads[: len(values)])
-        tail, read = _tile_numerators(db.spins, randoms, (values[i], quads[i]))
+        tail, read = _tile_numerators(spins, randoms, (values[i], quads[i]))
         values, reads = np.concatenate([values, tail]), [read]
     else:
         values = _fresh_candidates(db, quads, base_key, 0, workers)
@@ -585,7 +596,7 @@ def search_max_chsh(
         radius = 0.4 * (0.8**round_no)
         batch = _perturbed_quads(best_quad, stream, radius, size)
         if mode == "reuse":
-            batch_values, read = _tile_numerators(db.spins, batch, (best_value, best_quad))
+            batch_values, read = _tile_numerators(spins, batch, (best_value, best_quad))
             reads.append(read)
         else:
             batch_values = _fresh_candidates(db, batch, base_key, offset, workers)
@@ -604,8 +615,8 @@ def search_max_chsh(
         ), quad
     best_result = chsh_statistic(db, quad, "reuse")
     ranked = (
-        ("tile evaluator", _tile_numerators(db.spins, best_quad[None])[0][0]),
-        ("pair table", _table_numerators(db.spins, best_quad[:2], best_quad[2:], [(0, 1, 0, 1)])[0]),
+        ("tile evaluator", _tile_numerators(spins, best_quad[None])[0][0]),
+        ("pair table", _table_numerators(spins, best_quad[:2], best_quad[2:], [(0, 1, 0, 1)])[0]),
     )
     for name, numerator in ranked:
         if numerator / db.n != best_result.statistic:

@@ -24,11 +24,11 @@ import numpy as np
 from .geometry import (
     NORM_TOLERANCE,
     UnitVector,
-    _column_rows,
+    _column_blocks,
     _normalize_columns,
+    _unit_columns,
     orthonormal_basis,
     sample_uniform_direction,
-    unit_rows_for_keys,
 )
 from .rng import (
     DOMAIN_TRIALS,
@@ -89,17 +89,27 @@ class DistributionSpec:
     def tag(self) -> str:
         raise NotImplementedError
 
-    def _sample_rows(self, keys: np.ndarray, offset: int) -> np.ndarray:
-        """One spin row per stream key, consuming draws from ``offset``.
+    def _visit_columns(self, keys: np.ndarray, offset: int, visit, where=None) -> None:
+        """``visit(cols, positions)`` for the spins of the uint64 stream ``keys``, drawn from
+        ``offset`` on, in (3, m) column sub-blocks (``geometry._column_blocks``).
 
-        ``keys`` is an integer array, read as uint64. Returns a new
-        C-contiguous (n, 3) float64 array whose row i depends on keys[i] and
-        ``offset`` alone, so the rows of any split of the keys are the rows
-        of the whole. Uniform and cap rows come from the column kernel
-        (``geometry._column_rows``), which computes them in sub-blocks of
-        (3, m) columns, in place.
+        Spin i depends on keys[i] and ``offset`` alone. ``positions`` locate
+        ``cols`` among the keys: a slice, or indices into ``where`` once a
+        mixture has split them. A consumer that ignores them never orders the spins.
         """
         raise NotImplementedError
+
+    def _sample_rows(self, keys: np.ndarray, offset: int) -> np.ndarray:
+        """One spin row per stream key (an integer array, read as uint64), consuming draws
+        from ``offset``: the one consumer that puts the column visits in order."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        rows = np.empty((keys.shape[0], 3))
+
+        def put(cols, where):
+            rows[where] = cols.T
+
+        self._visit_columns(keys, offset, put)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -107,8 +117,10 @@ class UniformSphere(DistributionSpec):
     def tag(self) -> str:
         return "uniform-sphere"
 
-    def _sample_rows(self, keys, offset):
-        return unit_rows_for_keys(keys, offset)
+    def _visit_columns(self, keys, offset, visit, where=None):
+        _column_blocks(
+            keys.shape[0], lambda lo, hi, out: _unit_columns(keys[lo:hi], offset, out), visit, where
+        )
 
 
 @dataclass(frozen=True)
@@ -121,8 +133,9 @@ class FixedAxis(DistributionSpec):
         a = self.axis
         return f"fixed-axis({','.join(map(format_g17, (a.x, a.y, a.z)))})"
 
-    def _sample_rows(self, keys, offset):
-        return np.tile(self.axis.as_array(), (keys.shape[0], 1))
+    def _visit_columns(self, keys, offset, visit, where=None):
+        axis = self.axis.as_array()[:, None]
+        _column_blocks(keys.shape[0], lambda lo, hi, out: np.copyto(out, axis), visit, where)
 
 
 @dataclass(frozen=True)
@@ -142,18 +155,17 @@ class Cap(DistributionSpec):
         a = self.axis
         return f"cap({','.join(map(format_g17, (a.x, a.y, a.z, self.half_angle)))})"
 
-    def _sample_rows(self, keys, offset):
+    def _visit_columns(self, keys, offset, visit, where=None):
         # cos(alpha) uniform on [cos(half_angle), 1] gives the uniform cap.
         depth = 1.0 - math.cos(self.half_angle)
         axis = self.axis.as_array()
         e1, e2 = orthonormal_basis(axis)
 
-        def fill(keys, out):
-            m = keys.shape[0]
-            cos_a, beta, sin_a, term, norm = np.empty((5, m))
-            raw = np.empty(m, dtype=np.uint64)
-            _uniform_column_into(keys, offset, cos_a, raw)
-            _uniform_column_into(keys, offset + 1, beta, raw)
+        def fill(lo, hi, out):
+            cos_a, beta, sin_a, term, norm = np.empty((5, hi - lo))
+            raw = np.empty(hi - lo, dtype=np.uint64)
+            _uniform_column_into(keys[lo:hi], offset, cos_a, raw)
+            _uniform_column_into(keys[lo:hi], offset + 1, beta, raw)
             cos_a *= depth
             np.subtract(1.0, cos_a, out=cos_a)
             np.multiply(cos_a, cos_a, out=sin_a)
@@ -177,7 +189,7 @@ class Cap(DistributionSpec):
                 out[j] += term
             _normalize_columns(out, norm, term)
 
-        return _column_rows(keys, fill)
+        _column_blocks(keys.shape[0], fill, visit, where)
 
 
 @dataclass(frozen=True)
@@ -199,7 +211,7 @@ class Mixture(DistributionSpec):
         parts = ";".join(f"{format_g17(w)}:{spec.tag()}" for w, spec in self.components)
         return f"mixture({parts})"
 
-    def _sample_rows(self, keys, offset):
+    def _visit_columns(self, keys, offset, visit, where=None):
         # draw at `offset` selects the component; components draw from offset+1.
         # The component is the count of cumulative weights <= u, capped at the
         # last: the count over all but the last weight, which is never larger
@@ -207,12 +219,11 @@ class Mixture(DistributionSpec):
         idx = np.zeros(u.shape, dtype=np.intp)
         for bound in np.cumsum([w for w, _ in self.components])[:-1]:
             idx += u >= bound
-        rows = np.empty((keys.shape[0], 3))
         for i, (_, spec) in enumerate(self.components):
             picked = np.flatnonzero(idx == i)  # rows scatter far faster by index than by mask
             if picked.size:
-                rows[picked] = spec._sample_rows(keys[picked], offset + 1)
-        return rows
+                at = picked if where is None else where[picked]
+                spec._visit_columns(keys[picked], offset + 1, visit, at)
 
 
 def _unit_from_components(x: float, y: float, z: float) -> UnitVector:
@@ -286,6 +297,9 @@ class TrialDatabase:
             raise ConfigurationError(
                 f"database needs spins shaped ({self.n}, 3), got {self.spins.shape}"
             )
+        x, y, z = self.spins.T
+        if not np.abs(x * x + y * y + z * z - 1.0).max() <= NORM_TOLERANCE:  # NaN fails too
+            raise ConfigurationError("database contains non-unit spin rows")
 
     def spin(self, k: int) -> UnitVector:
         if not 0 <= k < self.n:
@@ -297,6 +311,12 @@ class TrialDatabase:
         _check_range(lo, hi, self.n)
         return self.spins[lo:hi]
 
+    def visit_columns(self, lo: int, hi: int, visit) -> None:
+        """Calls ``visit(cols, positions)`` over trials [lo, hi) as ``GeneratedTrials`` does,
+        each sub-block of rows copied to the (3, m) columns once."""
+        rows = self.rows(lo, hi)
+        _column_blocks(hi - lo, lambda a, b, out: np.copyto(out, rows[a:b].T), visit)
+
 
 def _check_range(lo: int, hi: int, n: int) -> None:
     # both trial sources take exactly the ranges 0 <= lo <= hi <= n
@@ -304,9 +324,8 @@ def _check_range(lo: int, hi: int, n: int) -> None:
         raise IndexError(f"trials [{lo}, {hi}) outside [0, {n})")
 
 
-def _spin_rows(seed: int, distribution: DistributionSpec, lo: int, hi: int) -> np.ndarray:
-    keys = child_keys(root_key(seed, DOMAIN_TRIALS), lo, hi)
-    return distribution._sample_rows(keys, 0)
+def _trial_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    return child_keys(root_key(seed, DOMAIN_TRIALS), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -338,7 +357,14 @@ class GeneratedTrials:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The spin rows of trials [lo, hi)."""
         _check_range(lo, hi, self.n)
-        return _spin_rows(self.seed, self.distribution, lo, hi)
+        return self.distribution._sample_rows(_trial_keys(self.seed, lo, hi), 0)
+
+    def visit_columns(self, lo: int, hi: int, visit) -> None:
+        """Calls ``visit(cols, positions)`` with the spins of trials [lo, hi) as they are
+        generated, (3, m) columns whose positions count from lo
+        (``DistributionSpec._visit_columns``); they are never put in trial order."""
+        _check_range(lo, hi, self.n)
+        self.distribution._visit_columns(_trial_keys(self.seed, lo, hi), 0, visit)
 
 
 def generate_database(seed: int, distribution: DistributionSpec, n: int) -> TrialDatabase:
@@ -617,8 +643,5 @@ def read_database(fileobj) -> TrialDatabase:
             raise ConfigurationError(f"bad trial line {k}") from exc
     if fileobj.readline():
         raise ConfigurationError(f"unexpected content after trial {n - 1}")
-    norm_err = np.abs(np.sum(spins * spins, axis=1) - 1.0)
-    if not norm_err.max() <= NORM_TOLERANCE:  # NaN-safe: a NaN row fails here
-        raise ConfigurationError("database contains non-unit spin rows")
     spins.setflags(write=False)
     return TrialDatabase(seed=seed, distribution=dist, n=n, spins=spins)

@@ -111,23 +111,18 @@ def _gaussian_triples(stream: CounterStream, count: int) -> np.ndarray:
     return _gaussian_columns(u, np.empty((3, count)))
 
 
-def _column_rows(keys: np.ndarray, fill) -> np.ndarray:
-    """The (n, 3) C-contiguous rows that ``fill(keys_block, out)`` writes as
-    (3, m) columns, one sub-block of at most ``_SUB_BLOCK_ROWS`` keys at a time.
-
-    ``fill`` writes each key's row into its column of ``out`` and depends on
-    nothing but that key, so the rows do not depend on the sub-blocks.
+def _column_blocks(n: int, fill, visit, where=None) -> None:
+    """``fill(lo, hi, cols)``, then ``visit(cols, positions)``, for each sub-block [lo, hi)
+    of at most ``_SUB_BLOCK_ROWS`` of n rows, in order. ``cols`` is a (3, hi - lo) view
+    of one scratch array that every sub-block reuses. ``positions`` is ``slice(lo, hi)``,
+    or ``where[lo:hi]`` given the positions ``where`` of the n rows (a mixture's picks).
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    n = keys.shape[0]
-    rows = np.empty((n, 3))
     columns = np.empty((3, min(n, _SUB_BLOCK_ROWS)))
     for lo in range(0, n, _SUB_BLOCK_ROWS):
         hi = min(lo + _SUB_BLOCK_ROWS, n)
-        block = columns[:, : hi - lo]
-        fill(keys[lo:hi], block)
-        rows[lo:hi] = block.T
-    return rows
+        cols = columns[:, : hi - lo]
+        fill(lo, hi, cols)
+        visit(cols, slice(lo, hi) if where is None else where[lo:hi])
 
 
 def _normalize_columns(out: np.ndarray, norm: np.ndarray, square: np.ndarray) -> np.ndarray:
@@ -143,7 +138,15 @@ def _normalize_columns(out: np.ndarray, norm: np.ndarray, square: np.ndarray) ->
 
 
 def _unit_columns(keys: np.ndarray, offset: int, out: np.ndarray) -> np.ndarray:
-    # the uniform directions of unit_rows_for_keys, into the (3, m) ``out``
+    """Uniform sphere directions, one per uint64 stream key, into the (3, m) ``out``.
+
+    Column i consumes draws offset, offset+1, ... of stream keys[i] only,
+    so the result is independent of how the keys are partitioned. The four
+    uniform columns are drawn in place, and Box-Muller (``_gaussian_columns``)
+    and the normalization run on (3, m) columns with ``out=`` ufuncs. A
+    column whose gaussian triple is shorter than ``_REJECT_NORM`` is redrawn
+    from the next four draws of its stream, as often as it takes.
+    """
     m = keys.shape[0]
     u = np.empty((4, m))
     raw = np.empty(m, dtype=np.uint64)
@@ -157,21 +160,6 @@ def _unit_columns(keys: np.ndarray, offset: int, out: np.ndarray) -> np.ndarray:
             keys[redo], offset + _DRAWS_PER_ATTEMPT, np.empty((3, redo.size))
         )
     return out
-
-
-def unit_rows_for_keys(keys: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Uniform sphere directions, one per stream key, vectorized.
-
-    Row i consumes draws offset, offset+1, ... of stream keys[i] only,
-    so the result is independent of how the key array is partitioned.
-    The kernel works on sub-blocks of ``_SUB_BLOCK_ROWS`` keys: each of the
-    four uniform columns is drawn in place, Box-Muller
-    (``_gaussian_columns``) and the normalization run on (3, m) columns
-    with ``out=`` ufuncs, and the sub-block's rows are written once. A
-    row whose gaussian triple is shorter than ``_REJECT_NORM`` is redrawn
-    from the next four draws of its stream, as often as it takes.
-    """
-    return _column_rows(keys, lambda block, out: _unit_columns(block, offset, out))
 
 
 def sample_uniform_direction(stream: CounterStream) -> UnitVector:

@@ -27,7 +27,8 @@ from bellsim import (
     measure_sign,
     sample_uniform_directions,
 )
-from bellsim.correlation import setting_dots
+from bellsim.chsh import QuadTallies
+from bellsim.correlation import setting_dots, station_products
 from bellsim.geometry import orthonormal_basis
 from bellsim.rng import _GOLDEN, _MASK, CounterStream, mix64_array
 
@@ -90,6 +91,25 @@ def brute_force_terms(db, quad) -> list:
         y2 = measure_sign(-1, s, quad.b2).value
         terms.append(x1 * (y1 - y2) - x2 * (y2 + y1))
     return terms
+
+
+def quad_tallies(rows: np.ndarray, quad) -> QuadTallies:
+    """Reuse-mode tallies of the spin rows (n, 3), from int8 +-1 station signs
+    (``station_products``) and the int64 terms x1*(y1 - y2) - x2*(y2 + y1)."""
+    x1, y1, ta1, tb1 = station_products(rows, quad.a1, quad.b1)
+    x2, y2, ta2, tb2 = station_products(rows, quad.a2, quad.b2)
+    terms = x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
+    return QuadTallies(
+        n=len(terms),
+        pos=tuple(int(np.count_nonzero(x == y)) for x, y in ((x1, y1), (x1, y2), (x2, y1), (x2, y2))),
+        ties=tuple(
+            int(np.count_nonzero(ta | tb)) for ta, tb in ((ta1, tb1), (ta1, tb2), (ta2, tb1), (ta2, tb2))
+        ),
+        term_min=int(terms.min()),
+        term_max=int(terms.max()),
+        term_sum=int(terms.sum()),
+        term_pm2=int(np.count_nonzero(np.abs(terms) == 2)),
+    )
 
 
 def random_unit(rng: np.random.Generator) -> UnitVector:

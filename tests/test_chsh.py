@@ -14,6 +14,7 @@ from bellsim import (
     Cap,
     ChshResult,
     ConfigurationError,
+    DistributionSpec,
     FixedAxis,
     GeneratedTrials,
     InvariantError,
@@ -144,7 +145,7 @@ _DEFECTS = {
 
 def _defective_quad_tallies(defect):
     quad_tallies = chsh._quad_tallies
-    return lambda spins, quad: _DEFECTS[defect](quad_tallies(spins, quad))
+    return lambda cols, quad, dots: _DEFECTS[defect](quad_tallies(cols, quad, dots))
 
 
 @pytest.mark.parametrize("defect", list(_DEFECTS))
@@ -446,6 +447,20 @@ def test_streamed_tallies_match_the_database_path(seed, dist, n, workers, block_
     assert result.statistic == int(terms.sum()) / n
 
 
+def test_reuse_tallies_never_put_generated_trials_in_order(monkeypatch):
+    # each generated sub-block is tallied where the kernel wrote it, no row is formed
+    dist = Mixture(((0.5, UniformSphere()), (0.5, Cap(Z_AXIS, 0.8))))
+    expected = chsh_statistic(generate_database(4, dist, 70_000), CANONICAL_QUAD)
+
+    def refuse(*args):
+        raise AssertionError("rows put in trial order")
+
+    monkeypatch.setattr(DistributionSpec, "_sample_rows", refuse)
+    assert chsh_statistic(GeneratedTrials(4, dist, 70_000), CANONICAL_QUAD) == expected
+    with pytest.raises(AssertionError, match="rows put in trial order"):
+        GeneratedTrials(4, dist, 70_000).rows(0, 1)
+
+
 _unit_rows = st.lists(_units, min_size=1, max_size=40).map(
     lambda us: np.array([(u.x, u.y, u.z) for u in us])
 )
@@ -458,9 +473,61 @@ _unit_rows = st.lists(_units, min_size=1, max_size=40).map(
     quad=SettingQuad(Z_AXIS, X_AXIS, Y_AXIS, Z_AXIS.negated()),
 )
 def test_pm2_identity_holds_on_any_finite_unit_rows(rows, quad):
-    tallies = _quad_tallies(rows, quad)
+    cols, dots = np.ascontiguousarray(rows.T), np.empty((2, 4, len(rows)))
+    tallies = _quad_tallies(cols, _quad_rows([quad])[0], dots)
     assert tallies.n == len(rows)
     result_from_tallies(tallies)  # raises InvariantError if the identity fails
+
+
+_nested_mixtures = st.recursive(
+    _distributions,
+    lambda children: st.builds(
+        lambda w, first, second: Mixture(((w, first), (1.0 - w, second))),
+        st.floats(0.1, 0.9),
+        children,
+        children,
+    ),
+    max_leaves=4,
+)
+_SIGNED_ZERO_AXIS = FixedAxis(UnitVector(-0.0, 0.0, -1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dist=_nested_mixtures,
+    n=st.integers(1, 300),
+    start=st.integers(0, 299),
+    length=st.integers(1, 300),
+    quad=_quads,
+    block_rows=st.one_of(st.integers(1, 16), st.just(correlation._BLOCK_ROWS)),
+    sub_block_rows=st.one_of(st.integers(1, 16), st.just(geometry._SUB_BLOCK_ROWS)),
+    stored=st.booleans(),
+)
+# axis spins against axis settings: exact zero dots at both stations, in
+# sub-blocks of 5 and 3 rows whose packed bytes are mostly padding
+@example(seed=0, dist=FixedAxis(X_AXIS), n=13, start=0, length=13,
+         quad=SettingQuad(Z_AXIS, X_AXIS, Y_AXIS, Z_AXIS.negated()),
+         block_rows=5, sub_block_rows=3, stored=False)
+@example(seed=0, dist=_SIGNED_ZERO_AXIS, n=11, start=2, length=300,
+         quad=SettingQuad(X_AXIS.negated(), Z_AXIS, Y_AXIS, X_AXIS),
+         block_rows=16, sub_block_rows=7, stored=True)
+@example(seed=7, dist=Mixture(((0.5, _SIGNED_ZERO_AXIS), (0.5, FixedAxis(Y_AXIS.negated())))),
+         n=299, start=0, length=300, quad=SettingQuad(Z_AXIS, Y_AXIS, X_AXIS, Y_AXIS.negated()),
+         block_rows=correlation._BLOCK_ROWS, sub_block_rows=geometry._SUB_BLOCK_ROWS, stored=False)
+def test_column_tallies_equal_the_int8_oracle_on_the_same_rows(
+    seed, dist, n, start, length, quad, block_rows, sub_block_rows, stored
+):
+    lo = start % n
+    hi = min(n, lo + length)
+    source = generate_database(seed, dist, n) if stored else GeneratedTrials(seed, dist, n)
+    with patch.object(chsh, "_BLOCK_ROWS", block_rows), patch.object(
+        geometry, "_SUB_BLOCK_ROWS", sub_block_rows
+    ):
+        tallies = _range_tallies(source, quad, lo, hi)
+    expected = oracles.quad_tallies(source.rows(lo, hi), quad)
+    for field in QuadTallies._fields:
+        assert getattr(tallies, field) == getattr(expected, field), field
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from bellsim import (
     correlation,
     generate_database,
     parallel,
+    parse_distribution,
     read_database,
     result_summary,
 )
@@ -187,6 +189,37 @@ def test_each_command_opens_one_pool_at_two_workers_and_none_at_one(
     assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
 
 
+def test_fresh_search_ships_generated_trials_and_never_a_database(tmp_path, monkeypatch):
+    # each pool task is pickled as a process pool pickles it, then run in this process
+    sizes = []
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks = [pickle.dumps((fn, *task)) for task in zip(*iterables)]
+            sizes.extend(map(len, tasks))
+            return [f(*args) for f, *args in map(pickle.loads, tasks)]
+
+    dist = "cap(0,0,1,0.8)"
+    argv = ["search", "--mode", "fresh", "--seed", "3", "--n", "5000", "--budget", "40", "--dist", dist]
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", PicklingPool)
+    assert cli.main([*argv, "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
+    monkeypatch.undo()
+    assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
+    # the initial candidates, one refinement round and the winner's tallies, 8 tasks each
+    database = len(pickle.dumps(generate_database(3, parse_distribution(dist), 5000)))
+    assert len(sizes) == 24 and max(sizes) < 4096 < database
+
+
 def test_gen_db_opens_no_pool_at_one_or_two_workers(tmp_path, pool_recorder):
     # generated rows stream through the writer in this process at any --workers
     pool_recorder.refuse = True
@@ -209,8 +242,8 @@ _DEFECTS = {
 def test_chsh_defect_check_reads_the_counters(tmp_path, monkeypatch, capsys, defect):
     quad_tallies = chsh._quad_tallies
 
-    def defective(spins, quad):
-        return _DEFECTS[defect](quad_tallies(spins, quad))
+    def defective(cols, quad, dots):
+        return _DEFECTS[defect](quad_tallies(cols, quad, dots))
 
     monkeypatch.setattr(chsh, "_quad_tallies", defective)
     out = tmp_path / "chsh.json"
@@ -261,7 +294,7 @@ _SEARCH_DEFECTS = {
     "_tile_numerators": _inflated_tiles,
     # the lattice's pair table does the same
     "_table_numerators": lambda f: lambda spins, *args: f(spins, *args) + len(spins) / 4,
-    "_quad_tallies": lambda f: lambda spins, quad: _DEFECTS["zero-term"](f(spins, quad)),
+    "_quad_tallies": lambda f: lambda *args: _DEFECTS["zero-term"](f(*args)),
 }
 
 

@@ -267,6 +267,45 @@ def test_generated_rows_over_any_cut_points_equal_one_call(spec, seed, n, data):
     assert np.concatenate(parts).tobytes() == trials.rows(0, n).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=_specs,
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 300),
+    offset=st.integers(0, 9),
+    start=st.integers(0, 299),
+    length=st.integers(1, 300),
+    sub_block_rows=st.integers(1, 16),
+)
+def test_column_visits_hold_the_oracle_rows_at_their_positions(
+    spec, seed, n, offset, start, length, sub_block_rows
+):
+    # every row is visited once, in (3, m) columns of at most sub_block_rows, at
+    # positions that index the row-wise oracle's rows: in a mixture, the rows
+    # each component picked, composed through every level of nesting
+    lo = start % n
+    hi = min(n, lo + length)
+    keys = child_keys(root_key(seed, DOMAIN_TRIALS), 0, n)
+    oracle_rows = oracles.sample_rows(spec, keys, 0)
+    db = generate_database(seed, spec, n)
+    runs = [
+        (lambda visit: spec._visit_columns(keys, offset, visit), oracles.sample_rows(spec, keys, offset)),
+        (lambda visit: GeneratedTrials(seed, spec, n).visit_columns(lo, hi, visit), oracle_rows[lo:hi]),
+        (lambda visit: db.visit_columns(lo, hi, visit), oracle_rows[lo:hi]),
+    ]
+    for run, rows in runs:
+        seen = np.zeros(len(rows), dtype=np.int64)
+
+        def visit(cols, where):
+            assert cols.shape == (3, rows[where].shape[0]) and cols.shape[1] <= sub_block_rows
+            assert np.ascontiguousarray(cols.T).tobytes() == rows[where].tobytes()
+            np.add.at(seen, where, 1)
+
+        with mock.patch.object(geometry, "_SUB_BLOCK_ROWS", sub_block_rows):
+            run(visit)
+        assert seen.tolist() == [1] * len(rows)
+
+
 @pytest.mark.parametrize("lo,hi", [(0, 15), (-2, 3), (-1, 0), (5, 3), (11, 11), (10, 11)])
 def test_both_trial_sources_reject_rows_outside_the_trials(lo, hi):
     for source in (GeneratedTrials(3, UniformSphere(), 10), generate_database(3, UniformSphere(), 10)):
@@ -400,6 +439,20 @@ def test_database_text_rejects_nan_row():
     good = _database_lines(2)
     text = "\n".join([good[0], "0 nan nan nan", good[2]]) + "\n"
     with pytest.raises(ConfigurationError):
+        read_database(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "row", [(math.nan, 0.0, 1.0), (0.0, -math.inf, 0.0), (0.0, 0.0, 0.0), (0.0, 2.0, 0.0)]
+)
+def test_every_database_rejects_non_finite_and_non_unit_rows(row):
+    # built directly or read from text, a database holds unit rows only, so no
+    # tally ever reads a malformed one
+    spins = np.array([(0.0, 0.0, 1.0), row])
+    with pytest.raises(ConfigurationError, match="^database contains non-unit spin rows$"):
+        TrialDatabase(seed=0, distribution=UniformSphere(), n=2, spins=spins)
+    text = _database_lines(2)[0] + "\n" + "".join(_DB_ROW % (k, *r) for k, r in enumerate(spins))
+    with pytest.raises(ConfigurationError, match="^database contains non-unit spin rows$"):
         read_database(io.StringIO(text))
 
 

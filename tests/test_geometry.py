@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from bellsim import UnitVector, angle_between, direction_at_angle, sample_uniform_direction
-from bellsim.geometry import (
-    Z_AXIS,
-    orthonormal_basis,
-    sample_uniform_directions,
-    unit_rows_for_keys,
+from bellsim import (
+    UniformSphere,
+    UnitVector,
+    angle_between,
+    direction_at_angle,
+    sample_uniform_direction,
 )
+from bellsim.geometry import Z_AXIS, orthonormal_basis, sample_uniform_directions
 from bellsim.rng import CounterStream, child_keys, root_key, root_stream
 
 from oracles import random_unit
@@ -70,7 +71,7 @@ def test_sampling_is_deterministic_in_stream_state():
 
 def test_scalar_and_batched_key_sampling_agree():
     keys = child_keys(root_key(77, 1), 0, 25)
-    rows = unit_rows_for_keys(keys)
+    rows = UniformSphere()._sample_rows(keys, 0)
     for i, k in enumerate(keys):
         v = sample_uniform_direction(CounterStream(int(k)))
         assert rows[i].tolist() == [v.x, v.y, v.z]

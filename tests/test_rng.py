@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from bellsim.geometry import unit_rows_for_keys
+from bellsim import UniformSphere
 from bellsim.rng import (
     CounterStream,
     child_key,
@@ -29,7 +29,7 @@ def test_mixing_leaves_the_callers_keys_as_they_are():
     kept = keys.copy()
     mix64_array(keys)
     key_uniform_column(keys, 4)
-    unit_rows_for_keys(keys, 8)
+    UniformSphere()._sample_rows(keys, 8)
     assert keys.tobytes() == kept.tobytes()
 
 
@@ -38,7 +38,8 @@ def test_key_draws_take_any_integer_key_array_as_uint64():
     signed = keys.view(np.int64)  # keys past 2**63 read as negative
     assert (signed < 0).any()
     assert key_uniform_column(signed, 2).tobytes() == key_uniform_column(keys, 2).tobytes()
-    assert unit_rows_for_keys(signed, 2).tobytes() == unit_rows_for_keys(keys, 2).tobytes()
+    uniform = UniformSphere()
+    assert uniform._sample_rows(signed, 2).tobytes() == uniform._sample_rows(keys, 2).tobytes()
 
 
 def test_uniforms_match_scalar_draws():
