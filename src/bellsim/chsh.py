@@ -148,8 +148,10 @@ def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTall
     b1, b2, with ``dots`` (2, 4, >= m) as scratch for ``_sign_bits``, the search's kernel.
 
     Ties are the dots' exact zeros, and a pair's ``pos`` is m less the trials
-    whose signs differ. The +2 terms are counted as in ``_tile_numerators``,
-    so the term sum and the numerator from ``pos`` are computed apart.
+    whose signs differ. On packed bits every term is +-2 by construction, so
+    ``term_pm2`` is m. The +2 terms are counted as in ``_tile_numerators``, so
+    the term sum and the numerator from ``pos`` are computed apart: that pair
+    is what the identity check compares.
     """
     m = s.shape[1]
     d = dots[:, :, :m]
@@ -521,7 +523,7 @@ def _best(stats: np.ndarray, quads: np.ndarray) -> int:
 
 
 def search_max_chsh(
-    db: TrialDatabase | GeneratedTrials,
+    db: TrialDatabase,
     mode: str,
     budget: int,
     stream: CounterStream,
@@ -543,10 +545,7 @@ def search_max_chsh(
     of evaluation order and worker count. Candidates are kept as arrays
     and only the winner becomes a SettingQuad.
 
-    Fresh mode takes ``GeneratedTrials``, which its pool tasks pickle in a
-    few hundred bytes, where a database is pickled whole. Reuse mode reads
-    all rows of ``db`` at once, so it is usually given a ``TrialDatabase``;
-    it runs in this process and ignores ``workers``. The first
+    Reuse mode runs in this process and ignores ``workers``. The first
     quad and the lattice are tallied in full; each later candidate is
     dropped once the per-trial +-2 bound shows that it cannot beat the
     best before it (``_tile_numerators``). ``report``, if given, is
@@ -575,14 +574,13 @@ def search_max_chsh(
 
     quads = np.concatenate([first, directions[lattice], randoms])
     if mode == "reuse":
-        spins = db.rows(0, db.n)
         # the lattice quads share g directions, so one pair table gives all their numerators
         values = np.concatenate([
-            _tile_numerators(spins, first)[0],
-            _table_numerators(spins, directions, directions, lattice),
+            _tile_numerators(db.spins, first)[0],
+            _table_numerators(db.spins, directions, directions, lattice),
         ])
         i = _best(values, quads[: len(values)])
-        tail, read = _tile_numerators(spins, randoms, (values[i], quads[i]))
+        tail, read = _tile_numerators(db.spins, randoms, (values[i], quads[i]))
         values, reads = np.concatenate([values, tail]), [read]
     else:
         values = _fresh_candidates(db, quads, base_key, 0, workers)
@@ -596,7 +594,7 @@ def search_max_chsh(
         radius = 0.4 * (0.8**round_no)
         batch = _perturbed_quads(best_quad, stream, radius, size)
         if mode == "reuse":
-            batch_values, read = _tile_numerators(spins, batch, (best_value, best_quad))
+            batch_values, read = _tile_numerators(db.spins, batch, (best_value, best_quad))
             reads.append(read)
         else:
             batch_values = _fresh_candidates(db, batch, base_key, offset, workers)
@@ -615,8 +613,8 @@ def search_max_chsh(
         ), quad
     best_result = chsh_statistic(db, quad, "reuse")
     ranked = (
-        ("tile evaluator", _tile_numerators(spins, best_quad[None])[0][0]),
-        ("pair table", _table_numerators(spins, best_quad[:2], best_quad[2:], [(0, 1, 0, 1)])[0]),
+        ("tile evaluator", _tile_numerators(db.spins, best_quad[None])[0][0]),
+        ("pair table", _table_numerators(db.spins, best_quad[:2], best_quad[2:], [(0, 1, 0, 1)])[0]),
     )
     for name, numerator in ranked:
         if numerator / db.n != best_result.statistic:

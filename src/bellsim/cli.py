@@ -243,9 +243,8 @@ def cmd_search(args) -> int:
     if args.budget < 1:
         raise ConfigurationError(f"--budget must be >= 1, got {args.budget}")
 
-    # a reuse search reads all rows here at once; a fresh search's pool tasks carry no database
-    source = generate_database if cfg.mode == "reuse" else GeneratedTrials
-    db = source(cfg.seed, cfg.distribution, cfg.n)
+    # generated in this process: at the sizes a search evaluates, a pool costs more than it saves
+    db = generate_database(cfg.seed, cfg.distribution, cfg.n)
     stream = root_stream(cfg.seed, DOMAIN_SEARCH)
 
     def pruned(candidates: int, unread: int, full: int, rows: int) -> None:

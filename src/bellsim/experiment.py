@@ -220,7 +220,7 @@ class Mixture(DistributionSpec):
         for bound in np.cumsum([w for w, _ in self.components])[:-1]:
             idx += u >= bound
         for i, (_, spec) in enumerate(self.components):
-            picked = np.flatnonzero(idx == i)  # rows scatter far faster by index than by mask
+            picked = np.flatnonzero(idx == i)  # indices compose as positions in nested mixtures
             if picked.size:
                 at = picked if where is None else where[picked]
                 spec._visit_columns(keys[picked], offset + 1, visit, at)

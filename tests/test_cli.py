@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,6 @@ from bellsim import (
     correlation,
     generate_database,
     parallel,
-    parse_distribution,
     read_database,
     result_summary,
 )
@@ -187,37 +185,6 @@ def test_each_command_opens_one_pool_at_two_workers_and_none_at_one(
     assert cli.main([*argv, "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
     assert pool_recorder.requests == [2] and len(pool_recorder.processes) == 1
     assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
-
-
-def test_fresh_search_ships_generated_trials_and_never_a_database(tmp_path, monkeypatch):
-    # each pool task is pickled as a process pool pickles it, then run in this process
-    sizes = []
-
-    class PicklingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            tasks = [pickle.dumps((fn, *task)) for task in zip(*iterables)]
-            sizes.extend(map(len, tasks))
-            return [f(*args) for f, *args in map(pickle.loads, tasks)]
-
-    dist = "cap(0,0,1,0.8)"
-    argv = ["search", "--mode", "fresh", "--seed", "3", "--n", "5000", "--budget", "40", "--dist", dist]
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", PicklingPool)
-    assert cli.main([*argv, "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
-    monkeypatch.undo()
-    assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
-    assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
-    # the initial candidates, one refinement round and the winner's tallies, 8 tasks each
-    database = len(pickle.dumps(generate_database(3, parse_distribution(dist), 5000)))
-    assert len(sizes) == 24 and max(sizes) < 4096 < database
 
 
 def test_gen_db_opens_no_pool_at_one_or_two_workers(tmp_path, pool_recorder):
