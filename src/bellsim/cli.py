@@ -98,14 +98,15 @@ def _parse_direction(text: str, flag: str) -> UnitVector:
         raise ConfigurationError(f"{flag}: bad direction {text!r}: {exc}") from exc
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call ``write(handle)`` on a temp file beside ``path``, then rename it into place."""
+def _atomic_write(path: str, write):
+    """Return ``write(handle)`` of a temp file beside ``path``, renamed into place after it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".bellsim-tmp-", dir=directory)
     try:
         with os.fdopen(fd, "w") as handle:
-            write(handle)
+            result = write(handle)
         os.replace(tmp, path)
+        return result
     except BaseException:
         try:
             os.unlink(tmp)
@@ -131,11 +132,12 @@ def cmd_gen_db(args) -> int:
     cfg = _config_from_args(args, default_out="db.txt", formats=("text",))
     # rows are generated and formatted one block at a time, in this process
     trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
-    _atomic_write(cfg.out, lambda handle: write_database(trials, handle))
+    spliced = _atomic_write(cfg.out, lambda handle: write_database(trials, handle))
     print(
         f"gen-db: wrote {cfg.out} (n={cfg.n}, seed={cfg.seed}, "
         f"dist={cfg.distribution.tag()}, workers={cfg.workers})"
     )
+    print(f"gen-db: {spliced} of {cfg.n} rows outside the row kernel's domain", file=sys.stderr)
     return 0
 
 
@@ -161,11 +163,9 @@ def cmd_sweep(args) -> int:
     if args.plane:
         try:
             p1, p2 = args.plane.split(";")
-            e1 = _parse_direction(p1, "--plane")
-            e2 = _parse_direction(p2, "--plane")
         except ValueError as exc:
             raise ConfigurationError(f"--plane: expected 'x,y,z;x,y,z', got {args.plane!r}") from exc
-        plane = (e1, e2)
+        plane = (_parse_direction(p1, "--plane"), _parse_direction(p2, "--plane"))
 
     trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
     curve = sweep_correlation(trials, grid, plane=plane, workers=cfg.workers)

@@ -69,7 +69,8 @@ def format_g17(v: float) -> str:
     """The package's one float formatter: 17 significant digits, a bit-exact round trip.
 
     The database writer's ``%.17g`` row format is the same CPython conversion,
-    signed zero (``-0``) included.
+    signed zero (``-0``) included, and its row kernel (``_format_block``) is a
+    vectorized equal of that conversion, byte for byte.
     """
     return format(float(v), ".17g")
 
@@ -447,20 +448,17 @@ _WRITE_BLOCK_ROWS = 4096
 # value, and the cap keeps int() away from its limit on very long digit strings
 _CANONICAL_FIELD = re.compile(r"([a-z]+)=(0|[1-9][0-9]{0,19})")
 
-# The row kernel lays each row out in a fixed 93-byte slot, then keeps the
-# bytes that ``_DB_ROW`` would write: a 20-digit index, right-aligned, and per
-# component a 24-byte field of a 7-byte prefix, right-aligned (" ", a "-" if
-# negative, "0." and the zeros after the point), then 17 significand digits.
-_INDEX_WIDTH, _LEAD, _FIELD_WIDTH = 20, 7, 24
-_FIELD_POS = np.arange(_FIELD_WIDTH, dtype=np.uint8)
-_INDEX_POS = np.arange(_INDEX_WIDTH, 0, -1, dtype=np.uint8)
+# The row kernel lays each row out as uint32 words from tables, NUL in every byte
+# ``_DB_ROW`` would not write, then drops the NULs: the index in 4-digit words, then
+# per component two words of prefix (" ", a "-" if negative, "0." and the zeros after
+# the point) and leading digit and four of the other 16 digits, then a "\n" word.
+_WORD = 10_000  # the values of one 4-digit word
 
 
 class _KernelTables(NamedTuple):
-    prefix: np.ndarray  # the 7-byte prefix of 5 * negative - X, for X = 0, -1, ..., -4
-    prefix_start: np.ndarray  # where each prefix's text starts in its 7 bytes
-    digits4: np.ndarray  # the four ASCII digits of 0 .. 9999, one uint32 each
-    pow10: np.ndarray  # 10^1 .. 10^19, the index width steps
+    lead: np.ndarray  # two words (8 bytes) at 10 * (5 * negative - X) + leading digit
+    index: np.ndarray  # the word of w in 0 .. 9999 at w, leading zeros as NUL; at 10^4 + w, whole
+    trail: np.ndarray  # the word of w at w, trailing zeros as NUL; at 10^4 + w, whole
     pow5: np.ndarray  # 5^(16 - X) for X = 0, -1, ..., -4
 
 
@@ -468,17 +466,20 @@ class _KernelTables(NamedTuple):
 def _kernel_tables() -> _KernelTables:
     """The row kernel's tables, built on its first call (only ``gen-db`` needs
     them), and read-only, since every caller shares them."""
-    prefixes = [
-        " " + "-" * neg + ("0." + "0" * (j - 1) if j else "") for neg in (0, 1) for j in range(5)
-    ]
-    text = "".join(t.rjust(_LEAD) for t in prefixes).encode()
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()  # row w: w's digits
+    text = digits + np.uint8(ord("0"))
+
+    def words(keep):
+        return np.concatenate([np.where(keep, text, 0), text]).view(np.uint32).ravel()
+
+    prefixes = [" ", " 0.", " 0.0", " 0.00", " 0.000", " -", " -0.", " -0.0", " -0.00", " -0.000"]
+    lead = np.empty((10, 10, 8), dtype=np.uint8)  # each prefix, right-aligned, and each digit
+    lead[..., :7] = np.array([list(p.rjust(7, "\0").encode()) for p in prefixes])[:, None]
+    lead[..., 7] = text[:10, 3]
     tables = _KernelTables(
-        prefix=np.frombuffer(text, np.uint8).reshape(-1, _LEAD),
-        prefix_start=np.array([_LEAD - len(t) for t in prefixes], dtype=np.uint8),
-        digits4=np.ascontiguousarray(
-            np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
-        ).view(np.uint32).ravel(),
-        pow10=10 ** np.arange(1, 20, dtype=np.uint64),
+        lead=lead.view("V8").ravel(),
+        index=words(np.logical_or.accumulate(digits != 0, axis=1)),
+        trail=words(np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]),
         pow5=5 ** np.arange(16, 21, dtype=np.uint64),
     )
     for table in tables:
@@ -493,20 +494,6 @@ _U1, _U32, _U64, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(64), np.uint64(
 def _divmod(values: np.ndarray, unit, dtype) -> tuple[np.ndarray, np.ndarray]:
     high = values // unit  # floor division by a scalar is far faster than np.divmod
     return high, (values - high * unit).astype(dtype)
-
-
-def _ascii_digits(values: np.ndarray) -> np.ndarray:
-    """The 20 decimal digits of each unsigned 64-bit value, zero-padded, as ASCII bytes."""
-    words = np.empty((values.shape[0], 5), dtype=np.uint32)
-    head, rest = _divmod(values, _TEN16, np.uint64)
-    high, low = _divmod(rest, _TEN8, np.uint32)
-    digits4 = _kernel_tables().digits4
-    words[:, 0] = digits4.take(head)
-    for col, part in ((1, high.astype(np.uint32)), (3, low)):
-        words[:, col], words[:, col + 1] = (
-            digits4.take(p) for p in _divmod(part, np.uint32(10_000), np.intp)
-        )
-    return words.view(np.uint8)
 
 
 def _scaled(mant: np.ndarray, exp2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -532,7 +519,12 @@ def _scaled(mant: np.ndarray, exp2: np.ndarray, x: np.ndarray) -> tuple[np.ndarr
 
 
 def _format_rows(rows: np.ndarray, lo: int) -> str:
-    """``_DB_ROW`` of trials lo, lo + 1, ... with spin rows ``rows``, equal to it bit for bit.
+    """``_DB_ROW`` of trials lo, lo + 1, ... with spin rows ``rows``, equal to it bit for bit."""
+    return _format_block(rows, lo)[0]
+
+
+def _format_block(rows: np.ndarray, lo: int) -> tuple[str, int]:
+    """``_format_rows``, and how many of its rows went through ``_DB_ROW`` itself.
 
     A component v with 1e-4 <= |v| <= 1, whose ``%.17g`` text is in fixed
     notation "0.<zeros><17 digits>" with trailing zeros cut (or "1"), is
@@ -542,7 +534,7 @@ def _format_rows(rows: np.ndarray, lo: int) -> str:
     v within 5e-18 (relative) below a power of ten, and the nearest double
     below 1, 0.1, 0.01 or 0.001 is at least 8e-17 away. A row with any other
     component (0 < |v| < 1e-4, |v| > 1, a subnormal, or non-finite) goes
-    through ``_DB_ROW`` itself.
+    through ``_DB_ROW`` itself, spliced in between the kernel's stretches.
     """
     tables = _kernel_tables()
     m = rows.shape[0]
@@ -550,7 +542,7 @@ def _format_rows(rows: np.ndarray, lo: int) -> str:
     mag = np.abs(v)
     zero = mag == 0.0
     fixed = (mag >= 1e-4) & (mag <= 1.0)  # NaN-safe: NaN fails both
-    fallback = ~(fixed | zero).reshape(m, 3).all(axis=1)
+    fallback = np.flatnonzero(~(fixed | zero).reshape(m, 3).all(axis=1))
     # every other value is swapped for 0.5, so the integer path stays in range
     mag = np.where(fixed, mag, 0.5)
     frac, exp2 = np.frexp(mag)
@@ -564,49 +556,51 @@ def _format_rows(rows: np.ndarray, lo: int) -> str:
     sig[zero] = 0
     x[zero] = 0
 
+    width = -(-len(str(lo + m - 1)) // 4)  # the index words of the block's last index
+    slot = np.empty((m, width + 19), dtype=np.uint32)
     index = np.arange(m, dtype=np.uint64) + np.uint64(lo)
-    digits = _ascii_digits(sig)[:, 3:]
-    prefix = 5 * np.signbit(v) - x
-    fields = np.concatenate([tables.prefix[prefix], digits], axis=1)
-    slot = np.concatenate(
-        [_ascii_digits(index), fields.reshape(m, -1), np.full((m, 1), ord("\n"), np.uint8)], axis=1
-    )
-    # a field keeps [start, end): its prefix, and its digits up to the last nonzero one
-    start = tables.prefix_start[prefix]
-    end = _LEAD + np.where(sig == 0, 1, 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1))
-    kept = (_FIELD_POS - start[:, None]) < (end - start).astype(np.uint8)[:, None]
-    width = 1 + np.searchsorted(tables.pow10, index, side="right")
-    keep = np.concatenate(
-        [_INDEX_POS <= width.astype(np.uint8)[:, None], kept.reshape(m, -1), np.ones((m, 1), bool)],
-        axis=1,
-    )
-    if not fallback.any():
-        return slot[keep].tobytes().decode("ascii")
-
-    keep[fallback] = False
-    text = slot[keep].tobytes().decode("ascii")
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    pieces, done = [], 0
-    for r in np.flatnonzero(fallback).tolist():
-        pieces += [text[done : ends[r]], _DB_ROW % (lo + r, *rows[r].tolist())]
-        done = ends[r]
-    pieces.append(text[done:])
-    return "".join(pieces)
+    for j in range(width):
+        head = index // np.uint64(_WORD ** (width - 1 - j))  # the index without its later words
+        slot[:, j] = tables.index.take(np.where(head < _WORD, head, head % _WORD + _WORD))
+    if lo == 0:
+        slot[0, width - 1] = ord("0")  # index 0 keeps its one digit
+    lead, rest = _divmod(sig, _TEN16, np.uint64)
+    fields = slot[:, width:-1].reshape(m, 3, 6, copy=False)
+    prefix = (5 * np.signbit(v) - x) * 10 + lead.astype(np.int64)
+    fields[..., :2].view("V8")[..., 0] = tables.lead.take(prefix).reshape(m, 3)  # 2 words each
+    high, low = _divmod(rest, _TEN8, np.uint32)
+    unit = np.uint32(_WORD)
+    words = [w for part in (high.astype(np.uint32), low) for w in _divmod(part, unit, np.intp)]
+    later = np.zeros(3 * m, dtype=bool)  # a nonzero word after this one
+    for j in (3, 2, 1, 0):
+        fields[..., 2 + j] = tables.trail.take(words[j] + _WORD * later).reshape(m, 3)
+        later |= words[j] != 0
+    slot[:, -1] = ord("\n")
+    slot[fallback] = 0  # a row outside the domain is all NUL, and its ``_DB_ROW`` text follows
+    pieces = [b""] * (2 * fallback.size + 1)
+    pieces[::2] = (part.tobytes().translate(None, b"\0") for part in np.split(slot, fallback))
+    pieces[1::2] = ((_DB_ROW % (lo + r, *rows[r].tolist())).encode() for r in fallback.tolist())
+    return b"".join(pieces).decode("ascii"), fallback.size
 
 
-def write_database(source: TrialDatabase | GeneratedTrials, fileobj) -> None:
+def write_database(source: TrialDatabase | GeneratedTrials, fileobj) -> int:
     """Write the line-oriented text format; floats carry 17 significant digits.
 
     ``source`` is a database or generated trials: anything with ``n``,
     ``seed``, ``distribution`` and ``rows(lo, hi)``. Rows are read, formatted
-    by ``_format_rows`` and written one block at a time, one ``write`` per
-    block, so neither the rows nor their text are ever held whole.
+    by ``_format_block`` and written one block at a time, one ``write`` per
+    block, so neither the rows nor their text are ever held whole. Returns how
+    many rows went through the ``%`` row format rather than the kernel.
     """
     fileobj.write(
         f"{_DB_HEADER_PREFIX} seed={source.seed} dist={source.distribution.tag()} n={source.n}\n"
     )
+    spliced = 0
     for lo in range(0, source.n, _WRITE_BLOCK_ROWS):
-        fileobj.write(_format_rows(source.rows(lo, min(lo + _WRITE_BLOCK_ROWS, source.n)), lo))
+        text, count = _format_block(source.rows(lo, min(lo + _WRITE_BLOCK_ROWS, source.n)), lo)
+        fileobj.write(text)
+        spliced += count
+    return spliced
 
 
 def _header_count(field: str, key: str) -> int:

@@ -38,6 +38,11 @@ class UnitVector:
 
     @classmethod
     def normalize(cls, x: float, y: float, z: float) -> "UnitVector":
+        if not all(map(math.isfinite, (x, y, z))):
+            raise ValueError(f"cannot normalize a non-finite vector: ({x}, {y}, {z})")
+        # where the squares overflow, scaled down first (x / 1.0 is x, bit for bit)
+        big = max(abs(x), abs(y), abs(z)) if math.isinf(x * x + y * y + z * z) else 1.0
+        x, y, z = x / big, y / big, z / big
         n = math.sqrt(x * x + y * y + z * z)
         if n < _REJECT_NORM:
             raise ValueError("cannot normalize near-zero vector")

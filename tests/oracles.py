@@ -121,6 +121,15 @@ def random_unit(rng: np.random.Generator) -> UnitVector:
             return UnitVector(v[0] / norm, v[1] / norm, v[2] / norm)
 
 
+def first_line_difference(text: str, expected: str):
+    """None if the texts are equal, else the first line number where they differ and
+    both versions of that line: a short failure report for texts of many lines."""
+    for k, pair in enumerate(itertools.zip_longest(text.splitlines(), expected.splitlines())):
+        if pair[0] != pair[1]:
+            return k, *pair
+    return None if text == expected else (None, text[-2:], expected[-2:])
+
+
 def write_database_per_row(db, fileobj) -> None:
     """The database text format written one row, and one float, at a time."""
     fileobj.write(f"bellsim-db v1 seed={db.seed} dist={db.distribution.tag()} n={db.n}\n")

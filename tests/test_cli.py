@@ -1,12 +1,14 @@
 """End-to-end command tests through the installed entry point."""
 
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellsim import (
@@ -17,10 +19,13 @@ from bellsim import (
     correlation,
     generate_database,
     parallel,
+    parse_distribution,
     read_database,
     result_summary,
 )
 from bellsim.experiment import _WRITE_BLOCK_ROWS
+
+from oracles import first_line_difference, write_database_per_row
 
 
 def run_cli(*args, cwd=None):
@@ -435,6 +440,82 @@ def test_invalid_configs_fail_fast(tmp_path, args, needle):
     assert proc.returncode == 2
     assert needle in proc.stderr
     assert not (tmp_path / "x").exists()
+
+
+# runs each command through cli.main in one fresh process and prints, after each,
+# how many row-kernel table sets that process has built
+_TABLES_PROBE = """
+import json, sys
+from bellsim import cli
+from bellsim.experiment import _kernel_tables
+built = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    built.append([argv[0], _kernel_tables.cache_info().currsize])
+print(json.dumps(built))
+"""
+
+
+def test_only_gen_db_builds_the_row_kernel_tables(tmp_path):
+    out = ["--out", str(tmp_path / "artifact")]
+    commands = [
+        ["chsh", "--n", "300", "--a1", "0", "--a2", "90", "--b1", "135", "--b2", "45", *out],
+        ["sweep", "--n", "300", "--steps", "5", *out],
+        ["search", "--n", "300", "--budget", "20", *out],
+        ["enumerate"],
+        ["gen-db", "--n", "300", *out],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLES_PROBE, json.dumps(commands)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["chsh", 0], ["sweep", 0], ["search", 0], ["enumerate", 0], ["gen-db", 1]
+    ]
+
+
+@pytest.mark.parametrize(
+    "dist,n",
+    [("uniform-sphere", 3 * _WRITE_BLOCK_ROWS + 17), ("fixed-axis(1e-5,0,1)", 50), ("cap(0,0,1,0.5)", 40)],
+)
+def test_gen_db_counts_its_row_format_rows_on_stderr_only(tmp_path, capsys, dist, n):
+    out = tmp_path / "db.txt"
+    assert cli.main(["gen-db", "--seed", "3", "--n", str(n), "--dist", dist, "--out", str(out)]) == 0
+    db = generate_database(3, parse_distribution(dist), n)
+    mag = np.abs(db.spins)
+    outside = int((~((mag == 0.0) | ((mag >= 1e-4) & (mag <= 1.0)))).any(axis=1).sum())
+    assert outside == {"uniform-sphere": 6, "fixed-axis(1e-5,0,1)": n, "cap(0,0,1,0.5)": 0}[dist]
+    captured = capsys.readouterr()
+    assert captured.err == f"gen-db: {outside} of {n} rows outside the row kernel's domain\n"
+    assert captured.out == (
+        f"gen-db: wrote {out} (n={n}, seed=3, dist={db.distribution.tag()}, workers=1)\n"
+    )
+    per_row = io.StringIO()
+    write_database_per_row(db, per_row)
+    assert first_line_difference(out.read_text(), per_row.getvalue()) is None
+
+
+def test_directions_with_overflowing_squares_are_normalized_and_non_finite_ones_named(tmp_path):
+    def run(*argv):
+        out = tmp_path / "artifact"
+        assert cli.main([*argv, "--n", "200", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    quad = ["--a2", "90", "--b1", "135", "--b2", "45"]
+    assert run("chsh", "--a1", "1e308,1e308,0", *quad) == run("chsh", "--a1", "1,1,0", *quad)
+    assert run("gen-db", "--dist", "fixed-axis(1e308,1e308,0)") == run(
+        "gen-db", "--dist", "fixed-axis(1,1,0)"
+    )
+    for argv, needle in [
+        (["chsh", "--a1", "nan,0,1", *quad], "--a1: bad direction 'nan,0,1'"),
+        (["gen-db", "--dist", "fixed-axis(0,-inf,1)"], "bad distribution spec 'fixed-axis(0,-inf,1)'"),
+        (["sweep", "--plane", "1,0,0;0,nan,0"], "--plane: bad direction '0,nan,0'"),
+    ]:
+        proc = run_cli(*argv, "--n", "10", "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert needle in proc.stderr and "non-finite" in proc.stderr
+        assert "(0.0, 0.0, 0.0)" not in proc.stderr
+        assert not (tmp_path / "x").exists()
 
 
 def test_unwritable_output_leaves_no_partial_file(tmp_path):

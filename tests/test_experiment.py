@@ -29,12 +29,12 @@ from bellsim import (
     write_database,
 )
 from bellsim import geometry
-from bellsim.experiment import _DB_ROW, _WRITE_BLOCK_ROWS, _format_rows
+from bellsim.experiment import _DB_ROW, _WRITE_BLOCK_ROWS, _format_rows, _kernel_tables
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import DOMAIN_TRIALS, child_keys, root_key, root_stream
 
 import oracles
-from oracles import random_unit, write_database_per_row
+from oracles import first_line_difference, random_unit, write_database_per_row
 
 
 # -- generation -------------------------------------------------------------
@@ -577,7 +577,11 @@ _any_finite = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(
     rows=st.lists(st.tuples(_any_finite, _any_finite, _any_finite), min_size=1, max_size=40),
-    lo=st.one_of(st.integers(0, 2**64 - 41), st.sampled_from([10**p - 3 for p in range(1, 20)])),
+    lo=st.one_of(
+        st.integers(0, 2**64 - 41),
+        st.sampled_from([10**p - 3 for p in range(1, 20)]),
+        st.sampled_from([10 ** (4 * k) - 2 for k in range(1, 5)]),  # where an index word is added
+    ),
 )
 def test_row_kernel_matches_the_row_format_on_any_finite_floats(rows, lo):
     assert _format_rows(np.array(rows, dtype=np.float64), lo) == _rows_oracle(rows, lo)
@@ -635,3 +639,99 @@ def test_writer_streams_generated_trials_as_it_writes_the_database(dist):
     write_database(trials, streamed)
     write_database_per_row(generate_database(3, trials.distribution, trials.n), stored)
     assert streamed.getvalue() == stored.getvalue()
+
+
+def _table_text(words) -> list[bytes]:
+    return [word.tobytes() for word in np.asarray(words).view(np.uint8).reshape(-1, 4)]
+
+
+def test_kernel_word_tables_hold_every_word_stripped_and_whole():
+    tables = _kernel_tables()
+    whole = [f"{w:04d}".encode() for w in range(10_000)]
+    assert _table_text(tables.index[:10_000]) == [t.lstrip(b"0").rjust(4, b"\0") for t in whole]
+    assert _table_text(tables.trail[:10_000]) == [t.rstrip(b"0").ljust(4, b"\0") for t in whole]
+    assert _table_text(tables.index[10_000:]) == whole == _table_text(tables.trail[10_000:])
+    for neg in (0, 1):
+        for x in range(0, -5, -1):
+            prefix = " " + "-" * neg + ("0." + "0" * (-x - 1) if x else "")
+            for digit in range(10):
+                word = tables.lead[10 * (5 * neg - x) + digit].tobytes()
+                assert word == (prefix + str(digit)).encode().rjust(8, b"\0")
+    assert all(not table.flags.writeable for table in tables)
+
+
+# the kernel's domain (1e-4 <= |v| <= 1, and +-0) sends a row with any other
+# component through the row format
+def _outside_kernel(rows) -> int:
+    mag = np.abs(np.asarray(rows, dtype=np.float64))
+    return int((~((mag == 0.0) | ((mag >= 1e-4) & (mag <= 1.0)))).any(axis=1).sum())
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        "uniform-sphere",
+        "fixed-axis(-0,-1,-0)",
+        "cap(0.6,0,0.8,0.3)",
+        "mixture(0.5:uniform-sphere;0.5:cap(0,0,1,0.8))",
+    ],
+)
+def test_written_database_holds_no_nul_and_counts_its_row_format_rows(dist):
+    trials = GeneratedTrials(4, parse_distribution(dist), 2 * _B + 5)
+    buf = io.StringIO()
+    spliced = write_database(trials, buf)
+    assert "\0" not in buf.getvalue()
+    assert spliced == _outside_kernel(trials.rows(0, trials.n))
+
+
+_TINY = (1e-5, 0.0, math.sqrt(1.0 - 1e-10))  # a unit row outside the kernel's domain
+
+
+@pytest.mark.parametrize("at", [[0], [_B - 1], [_B], [0, 1, 2], [3, _B + 4, 2 * _B]])
+def test_rows_outside_the_kernel_are_spliced_in_without_nul(at):
+    spins = np.tile([0.6, 0.0, -0.8], (2 * _B + 1, 1))
+    spins[at] = _TINY
+    spins[at[-1] - 1] = (5e-324, -1.0, 0.0)
+    db = TrialDatabase(seed=1, distribution=UniformSphere(), n=spins.shape[0], spins=spins)
+    fast, slow = io.StringIO(), io.StringIO()
+    assert write_database(db, fast) == _outside_kernel(spins) == len(set(at) | {at[-1] - 1})
+    write_database_per_row(db, slow)
+    assert first_line_difference(fast.getvalue(), slow.getvalue()) is None
+    assert "\0" not in fast.getvalue()
+
+
+@pytest.mark.parametrize("lo", [0, 1] + [10 ** (4 * k) + d for k in range(1, 5) for d in (-3, 0)])
+def test_row_kernel_text_holds_no_nul_at_any_index_width(lo):
+    rows = np.array([[0.5, -0.25, 1.0], _TINY, [-0.0, 0.0, -1.0], [0.1, 0.2, 0.3]])
+    text = _format_rows(rows, lo)
+    assert text == _rows_oracle(rows, lo)
+    assert "\0" not in text
+
+
+# 17-digit significands with zero words inside or at the end, by the four words
+# after the leading digit, then ones and signed zeros
+_PINNED = [
+    (0.50000000000000011, "0.50000000000000011"),  # 0000 0000 0000 0011
+    (0.1, "0.10000000000000001"),  # 0000 0000 0000 0001
+    (0.50000000100000008, "0.50000000100000008"),  # 0000 0001 0000 0008
+    (0.12340000000000567, "0.12340000000000567"),  # 2340 0000 0000 0567
+    (0.1000000000000001, "0.1000000000000001"),  # one trailing zero
+    (0.001007080078125, "0.001007080078125"),  # 33 / 2**15: 4 trailing zeros
+    (0.1000000000001, "0.1000000000001"),  # 0000 0000 0001 0000
+    (0.103515625, "0.103515625"),  # 53 / 2**9: 8 trailing zeros
+    (0.15625, "0.15625"),  # 5 / 2**5: 12 trailing zeros
+    (0.0625, "0.0625"),
+    (0.5, "0.5"),  # 16 trailing zeros
+    (1.0, "1"),
+    (-1.0, "-1"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+]
+
+
+def test_row_kernel_writes_pinned_significands_with_zero_words():
+    rows = np.array([[v, -v, v] for v, _ in _PINNED])
+    text = _format_rows(rows, 9_998)
+    assert text == _rows_oracle(rows, 9_998)
+    expected = [(t, t[1:] if t[0] == "-" else "-" + t) for _, t in _PINNED]
+    assert text.splitlines() == [f"{k} {t} {neg} {t}" for k, (t, neg) in enumerate(expected, 9_998)]

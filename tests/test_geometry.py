@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim import (
     UniformSphere,
@@ -114,3 +116,61 @@ def test_orthonormal_basis_properties():
     again1, again2 = orthonormal_basis(Z_AXIS.as_array())
     repeat1, repeat2 = orthonormal_basis(Z_AXIS.as_array())
     assert again1.tolist() == repeat1.tolist() and again2.tolist() == repeat2.tolist()
+
+
+def _normalize_before(x: float, y: float, z: float) -> UnitVector:
+    # UnitVector.normalize before it rejected non-finite components and
+    # rescaled vectors whose squares overflow
+    n = math.sqrt(x * x + y * y + z * z)
+    if n < 1e-6:
+        raise ValueError("cannot normalize near-zero vector")
+    return UnitVector(x / n, y / n, z / n)
+
+
+def _bits(v: UnitVector) -> tuple[str, str, str]:
+    return v.x.hex(), v.y.hex(), v.z.hex()
+
+
+_components = st.one_of(
+    st.floats(),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e154, -1e155, 1e308, -1.7e308, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.tuples(_components, _components, _components))
+def test_normalize_keeps_every_vector_it_accepted_before_bit_for_bit(v):
+    try:
+        before = _normalize_before(*v)
+    except ValueError:
+        before = None
+    try:
+        after = UnitVector.normalize(*v)
+    except ValueError as exc:
+        assert before is None
+        if not all(map(math.isfinite, v)):
+            assert "non-finite" in str(exc)
+        return
+    if before is not None:
+        assert _bits(after) == _bits(before)
+    else:  # accepted only now: finite components whose squares overflow
+        assert all(map(math.isfinite, v)) and math.isinf(sum(c * c for c in v))
+
+
+def test_rng_seeded_normalize_matches_the_old_expression():
+    rng = np.random.default_rng(14)
+    scales = 10.0 ** rng.integers(-5, 150, size=(2000, 1))
+    for v in (rng.normal(size=(2000, 3)) * scales).tolist():
+        assert _bits(UnitVector.normalize(*v)) == _bits(_normalize_before(*v))
+
+
+def test_normalize_rescales_overflowing_squares_and_names_non_finite_components():
+    assert UnitVector.normalize(1e308, 1e308, 0.0) == UnitVector.normalize(1.0, 1.0, 0.0)
+    assert UnitVector.normalize(0.0, -1.7e308, 0.0) == UnitVector(0.0, -1.0, 0.0)
+    v = UnitVector.normalize(1e200, 3e199, -4e199)
+    assert abs(v.x**2 + v.y**2 + v.z**2 - 1.0) <= 1e-12
+    for bad in [(math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (1.0, 1.0, -math.inf)]:
+        with pytest.raises(ValueError, match="non-finite") as info:
+            UnitVector.normalize(*bad)
+        assert str(bad) in str(info.value)
