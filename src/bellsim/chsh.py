@@ -35,12 +35,7 @@ import numpy as np
 
 from . import geometry, parallel
 from ._version import __version__
-from .correlation import (
-    _BLOCK_ROWS,
-    CorrelationEstimate,
-    pair_tallies,
-    station_products,
-)
+from .correlation import _BLOCK_ROWS, CorrelationEstimate
 from .experiment import ConfigurationError, GeneratedTrials, InvariantError, TrialDatabase
 from .geometry import (
     _REJECT_NORM,
@@ -116,7 +111,7 @@ class ChshResult:
 
 
 class QuadTallies(NamedTuple):
-    """What reuse mode keeps of a run of trials; runs merge by addition and min/max.
+    """What a statistic keeps of a run of trials; runs merge by addition and min/max.
 
     ``pos`` and ``ties`` are ordered (a1,b1), (a1,b2), (a2,b1), (a2,b2).
     ``term_sum`` and ``term_pm2`` (the count of terms equal to +-2) exist
@@ -149,9 +144,9 @@ def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTall
 
     Ties are the dots' exact zeros, and a pair's ``pos`` is m less the trials
     whose signs differ. On packed bits every term is +-2 by construction, so
-    ``term_pm2`` is m. The +2 terms are counted as in ``_tile_numerators``, so
-    the term sum and the numerator from ``pos`` are computed apart: that pair
-    is what the identity check compares.
+    ``term_pm2`` is m. The +2 terms are counted from ``_plus_bits``, so the
+    term sum and the numerator from ``pos`` are computed apart: that pair is
+    what the identity check compares.
     """
     m = s.shape[1]
     d = dots[:, :, :m]
@@ -161,8 +156,7 @@ def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTall
     i, j = [0, 0, 1, 1], [0, 1, 0, 1]  # the pairs (a1,b1), (a1,b2), (a2,b1), (a2,b2)
     differ = np.bitwise_count(x[i] ^ y[j]).sum(axis=1, dtype=np.int64)
     tied = np.bitwise_count(tie[i] | tie[2:][j]).sum(axis=1, dtype=np.int64)
-    (x1, x2), (y1, y2) = x, y
-    plus = int(np.bitwise_count(x2 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2))).sum(dtype=np.int64))
+    plus = int(np.bitwise_count(_plus_bits(*x, *y)).sum(dtype=np.int64))
     return QuadTallies(
         n=m,
         pos=tuple((m - differ).tolist()),
@@ -174,37 +168,39 @@ def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTall
     )
 
 
-def _range_tallies(source, quad: SettingQuad, lo: int, hi: int) -> QuadTallies:
-    """Tallies of trials [lo, hi) of a TrialDatabase or GeneratedTrials.
+def _range_tallies(sets, quad: SettingQuad, lo: int, hi: int) -> list[QuadTallies]:
+    """Tallies of trials [lo, hi) of each TrialDatabase or GeneratedTrials of ``sets``.
 
     The trials are visited one block of rows at a time as the (3, m)
     columns that ``visit_columns`` gives, in any order, so of generated
     trials no more than one block ever exists and none is put in trial
-    order. The dots scratch serves every visit of the range.
+    order. The dots scratch serves every visit of the range, in every set.
     """
     row = _quad_rows([quad])[0]
     dots = np.empty((2, 4, min(hi - lo, _BLOCK_ROWS, geometry._SUB_BLOCK_ROWS)))
-    parts = []
-    for b in range(lo, hi, _BLOCK_ROWS):
-        source.visit_columns(
-            b, min(b + _BLOCK_ROWS, hi), lambda s, _: parts.append(_quad_tallies(s, row, dots))
-        )
-    return functools.reduce(QuadTallies.merge, parts)
+    tallies = []
+    for source in sets:
+        parts = []
+        for b in range(lo, hi, _BLOCK_ROWS):
+            source.visit_columns(
+                b, min(b + _BLOCK_ROWS, hi), lambda s, _: parts.append(_quad_tallies(s, row, dots))
+            )
+        tallies.append(functools.reduce(QuadTallies.merge, parts))
+    return tallies
 
 
-def streamed_tallies(
-    trials: TrialDatabase | GeneratedTrials, quad: SettingQuad, workers: int = 1
-) -> QuadTallies:
-    """Reuse-mode tallies of all trials, merged over the row ranges of ``parallel.map_ranges``.
+def streamed_tallies(sets, quad: SettingQuad, workers: int = 1) -> list[QuadTallies]:
+    """Tallies of all trials of each set (all of one size), merged over the row ranges
+    of one ``parallel.map_ranges``.
 
     Each range reads its rows block by block, so generated trials are
     tallied as they are generated. With more than one worker the ranges
-    go to one pool whose tasks carry only (trials, quad, lo, hi): of
+    go to one pool whose tasks carry only (sets, quad, lo, hi): of
     ``GeneratedTrials`` no database is built, shipped or returned, in
     this process or any other.
     """
-    partials = parallel.map_ranges(_range_tallies, trials.n, workers, trials, quad)
-    return functools.reduce(QuadTallies.merge, partials)
+    partials = parallel.map_ranges(_range_tallies, sets[0].n, workers, sets, quad)
+    return [functools.reduce(QuadTallies.merge, ranges) for ranges in zip(*partials)]
 
 
 def per_trial_terms(db: TrialDatabase, quad: SettingQuad) -> np.ndarray:
@@ -213,20 +209,15 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad) -> np.ndarray:
     Their mean is exactly the reuse-mode statistic: the sum is an
     integer and the statistic performs the same single division by n.
     """
-    spins = db.rows(0, db.n)
-    x1, y1, _, _ = station_products(spins, quad.a1, quad.b1)
-    x2, y2, _, _ = station_products(spins, quad.a2, quad.b2)
-    return x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
+    s, row = np.ascontiguousarray(db.rows(0, db.n).T), _quad_rows([quad])[0]
+    x = _sign_bits(s, row[:2], np.greater_equal)
+    y = _sign_bits(s, row[2:], np.less_equal)
+    return 4 * np.unpackbits(_plus_bits(*x, *y), count=db.n).astype(np.int64) - 2
 
 
 def _numerator(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> int:
     """n*S = T11 - T12 - T22 - T21, with T_ij = 2*pos_ij - n."""
     return 2 * (pos11 - pos12 - pos22 - pos21) + 2 * n
-
-
-def _reuse_statistic(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> float:
-    # a single division keeps S exactly equal to the per-trial term mean
-    return _numerator(n, pos11, pos12, pos21, pos22) / n
 
 
 def result_from_tallies(tallies: QuadTallies) -> ChshResult:
@@ -236,22 +227,18 @@ def result_from_tallies(tallies: QuadTallies) -> ChshResult:
     the numerator formed from the pair tallies, and |numerator| <= 2n.
     Tallies that break this raise ``InvariantError``.
     """
-    numerator = _numerator(tallies.n, *tallies.pos)
-    all_pm2 = tallies.term_pm2 == tallies.n
-    if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * tallies.n):
+    n = tallies.n
+    numerator = _numerator(n, *tallies.pos)
+    all_pm2 = tallies.term_pm2 == n
+    if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):
         raise InvariantError(
             "per-trial identity violated "
             f"(all terms +-2: {all_pm2}, sum {tallies.term_sum}, tallies {numerator})"
         )
-    n = tallies.n
-    pos11, pos12, pos21, pos22 = tallies.pos
-    tie11, tie12, tie21, tie22 = tallies.ties
     return ChshResult(
-        e11=CorrelationEstimate.from_tallies(n, pos11, tie11),
-        e12=CorrelationEstimate.from_tallies(n, pos12, tie12),
-        e21=CorrelationEstimate.from_tallies(n, pos21, tie21),
-        e22=CorrelationEstimate.from_tallies(n, pos22, tie22),
-        statistic=_reuse_statistic(n, pos11, pos12, pos21, pos22),
+        # e11, e12, e21, e22, the pairs' order in the tallies
+        *(CorrelationEstimate.from_tallies(n, *pt) for pt in zip(tallies.pos, tallies.ties)),
+        statistic=numerator / n,  # one division: exactly the per-trial term mean
         mode="reuse",
         n=n,
         per_trial_min=tallies.term_min,
@@ -276,37 +263,24 @@ def chsh_statistic(
     ``InvariantError``. Fresh mode consumes three seeds from ``stream``
     for three more sets of trials of the same size and distribution,
     one per remaining correlation, which are generated as they are
-    tallied and never stored; all four correlations are tallied in one
-    map over row ranges. It carries no per-trial diagnostics.
+    tallied and never stored. All four sets are tallied and checked as
+    in reuse mode, in one map over row ranges; set i gives the i-th of
+    e11, e12, e21, e22. It carries no per-trial diagnostics.
     """
     if mode == "reuse":
-        return result_from_tallies(streamed_tallies(db, quad, workers))
+        return result_from_tallies(streamed_tallies([db], quad, workers)[0])
     if mode != "fresh":
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
     if stream is None:
         raise ConfigurationError("fresh mode requires a random stream")
 
     # the fresh trials of e12, e21 and e22, seeded in that order
-    t12, t21, t22 = (GeneratedTrials(stream.raw(), db.distribution, db.n) for _ in range(3))
-    jobs = [
-        (db, [(quad.a1, quad.b1)]),
-        (t12, [(quad.a1, quad.b2)]),
-        (t21, [(quad.a2, quad.b1)]),
-        (t22, [(quad.a2, quad.b2)]),
-    ]
-    e11, e12, e21, e22 = (
-        CorrelationEstimate.from_tallies(db.n, pos, ties)
-        for pos, ties in pair_tallies(jobs, db.n, workers)
-    )
-    numerator = (
-        (e11.count_pos - e11.count_neg)
-        - (e12.count_pos - e12.count_neg)
-        - (e22.count_pos - e22.count_neg)
-        - (e21.count_pos - e21.count_neg)
-    )
+    sets = (db, *(GeneratedTrials(stream.raw(), db.distribution, db.n) for _ in range(3)))
+    checked = [result_from_tallies(t) for t in streamed_tallies(sets, quad, workers)]
+    e11, e12, e21, e22 = checked[0].e11, checked[1].e12, checked[2].e21, checked[3].e22
     return ChshResult(
         e11=e11, e12=e12, e21=e21, e22=e22,
-        statistic=numerator / db.n,
+        statistic=_numerator(db.n, *(e.count_pos for e in (e11, e12, e21, e22))) / db.n,
         mode="fresh",
         n=db.n,
     )
@@ -382,6 +356,11 @@ def _sign_bits(s: np.ndarray, directions: np.ndarray, is_plus, dots=None) -> np.
     return np.packbits(is_plus(d, 0.0), axis=1)
 
 
+def _plus_bits(x1, x2, y1, y2):
+    """The +2 terms of packed a1, a2, b1, b2 signs: x2 != y1 where y1 = y2, else x1 = y1."""
+    return x2 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2))
+
+
 def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
     """Exact numerators n*S of candidate rows (k, 4, 3) on the spins (n, 3), and the
     rows each candidate read.
@@ -389,8 +368,8 @@ def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
     The live candidates read the same tiles of rows, the first ``_FIRST_TILE``
     long and each later one twice the last, up to ``_BLOCK_ROWS // 4``. Each
     tile is copied to unit-stride columns once and takes its candidates
-    ``_BLOCK_ROWS`` sign elements at a time. A trial adds +2 where x2 != y1
-    if y1 = y2, and where x1 = y1 if not, and -2 elsewhere. With an
+    ``_BLOCK_ROWS`` sign elements at a time. A trial adds +2 where
+    ``_plus_bits`` is set and -2 elsewhere. With an
     ``incumbent`` (numerator, quad row), a candidate whose first m rows sum
     to P is dropped before the next tile if its best case P + 2(n - m) is
     below the incumbent's numerator, or equal to it with a ``sort_key`` that
@@ -415,8 +394,7 @@ def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
         for ids in (live[lo : lo + step] for lo in range(0, len(live), step)):
             a = _sign_bits(s, quads[ids, :2].reshape(-1, 3), np.greater_equal)
             b = _sign_bits(s, quads[ids, 2:].reshape(-1, 3), np.less_equal)
-            x1, x2, y1, y2 = a[0::2], a[1::2], b[0::2], b[1::2]
-            plus = np.bitwise_count(x2 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2)))
+            plus = np.bitwise_count(_plus_bits(a[0::2], a[1::2], b[0::2], b[1::2]))
             total[ids] += 4 * plus.sum(axis=1, dtype=np.int64) - 2 * t
         read[live] += t
         m, tile = m + t, min(2 * tile, _BLOCK_ROWS // 4)

@@ -78,7 +78,9 @@ def station_products(
     """Per-trial station signs and tie masks for a setting pair.
 
     Returns (x, y, tie_a, tie_b) where x_k = sign(+s_k . a) and
-    y_k = sign(-s_k . b), with sign(0) := +1.
+    y_k = sign(-s_k . b), with sign(0) := +1. Its callers are the sweep
+    and ``estimate_correlation``, through ``_pair_tallies``; every CHSH
+    statistic takes its signs from ``chsh._sign_bits`` instead.
     """
     s0, s1, s2 = spins[:, 0], spins[:, 1], spins[:, 2]
     da = setting_dots(s0, s1, s2, a)
@@ -98,30 +100,26 @@ def _pair_tallies(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int,
 _BLOCK_ROWS = 1 << 16  # rows read at once; bounds what a range task holds
 
 
-def _range_pair_tallies(jobs, lo: int, hi: int) -> np.ndarray:
-    """One (count_pos, tie_count) row per setting pair of each job, over trials [lo, hi).
+def _range_pair_tallies(source, pairs, lo: int, hi: int) -> np.ndarray:
+    """One (count_pos, tie_count) row per setting pair, over trials [lo, hi) of ``source``.
 
-    A job is (source, pairs), the source a ``TrialDatabase`` or
-    ``GeneratedTrials``. Its rows are read one block at a time, and
-    every pair is tallied on a block before the next one is read.
+    The source is a ``TrialDatabase`` or ``GeneratedTrials``. Its rows are
+    read one block at a time, and every pair is tallied on a block before
+    the next one is read.
     """
-    rows = []
-    for source, pairs in jobs:
-        sums = np.zeros((len(pairs), 2), dtype=np.int64)
-        for start in range(lo, hi, _BLOCK_ROWS):
-            spins = source.rows(start, min(start + _BLOCK_ROWS, hi))
-            sums += [_pair_tallies(spins, a, b) for a, b in pairs]
-        rows.append(sums)
-    return np.concatenate(rows)
+    sums = np.zeros((len(pairs), 2), dtype=np.int64)
+    for start in range(lo, hi, _BLOCK_ROWS):
+        spins = source.rows(start, min(start + _BLOCK_ROWS, hi))
+        sums += [_pair_tallies(spins, a, b) for a, b in pairs]
+    return sums
 
 
-def pair_tallies(jobs, n: int, workers: int = 1) -> list[tuple[int, int]]:
-    """(count_pos, tie_count) of every setting pair of every (source, pairs) job.
+def pair_tallies(source, pairs, workers: int = 1) -> list[tuple[int, int]]:
+    """(count_pos, tie_count) of every setting pair over all trials of ``source``.
 
-    Every source holds n trials. Workers split the trial range once for
-    all jobs together, and the ranges' tallies merge by addition.
+    Workers split the trial range, and the ranges' tallies merge by addition.
     """
-    total = sum(parallel.map_ranges(_range_pair_tallies, n, workers, jobs))
+    total = sum(parallel.map_ranges(_range_pair_tallies, source.n, workers, source, pairs))
     return [tuple(row) for row in total.tolist()]
 
 
@@ -136,7 +134,7 @@ def estimate_correlation(
     """
     if db.n < 1:
         raise ConfigurationError("database is empty")
-    ((count_pos, tie_count),) = pair_tallies([(db, [(a, b)])], db.n, workers)
+    ((count_pos, tie_count),) = pair_tallies(db, [(a, b)], workers)
     return CorrelationEstimate.from_tallies(db.n, count_pos, tie_count)
 
 
@@ -242,7 +240,7 @@ def sweep_correlation(
             raise ConfigurationError("sweep plane vectors must be orthonormal")
 
     pairs = [_sweep_directions(theta, plane) for theta in grid]
-    tallies = pair_tallies([(db, pairs)], db.n, workers)
+    tallies = pair_tallies(db, pairs, workers)
 
     points = []
     for theta, (a, b), (count_pos, tie_count) in zip(grid, pairs, tallies):

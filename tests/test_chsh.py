@@ -28,6 +28,7 @@ from bellsim import (
     enumerate_deterministic_strategies,
     estimate_correlation,
     generate_database,
+    parse_distribution,
     per_trial_terms,
     reference_singlet,
     result_summary,
@@ -73,19 +74,31 @@ def _random_distribution(rng):
 # -- per-trial identity -----------------------------------------------------
 
 
+def _check_terms(db, quad):
+    terms = per_trial_terms(db, quad)
+    assert terms.tolist() == brute_force_terms(db, quad)
+    assert set(np.unique(terms).tolist()) <= {-2, 2}
+    result = chsh_statistic(db, quad, "reuse")
+    assert int(terms.sum()) / db.n == result.statistic
+    assert result.per_trial_min == int(terms.min())
+    assert result.per_trial_max == int(terms.max())
+    assert -2.0 <= result.statistic <= 2.0
+
+
 def test_terms_match_oracle_and_mean_equals_statistic():
     rng = np.random.default_rng(50)
     for i in range(30):
         db = generate_database(int(rng.integers(0, 2**32)), _random_distribution(rng), 211)
-        quad = _random_quad(rng)
-        terms = per_trial_terms(db, quad)
-        assert terms.tolist() == brute_force_terms(db, quad)
-        assert set(np.unique(terms).tolist()) <= {-2, 2}
-        result = chsh_statistic(db, quad, "reuse")
-        assert int(terms.sum()) / db.n == result.statistic
-        assert result.per_trial_min == int(terms.min())
-        assert result.per_trial_max == int(terms.max())
-        assert -2.0 <= result.statistic <= 2.0
+        _check_terms(db, _random_quad(rng))
+    # ties: axis spins, signed zeros included, against axis quads give exact zero
+    # dots at both stations; no n is a multiple of 8, so packed bytes carry padding
+    axes = [X_AXIS, Y_AXIS, Z_AXIS, X_AXIS.negated(), Y_AXIS.negated(), Z_AXIS.negated()]
+    tags = ["fixed-axis(-0,-1,-0)", "mixture(0.5:fixed-axis(-0,-1,-0);0.5:fixed-axis(1,0,0))"]
+    for tag in tags:
+        for n in (1, 13, 211):
+            db = generate_database(n, parse_distribution(tag), n)
+            for _ in range(8):
+                _check_terms(db, SettingQuad(*(axes[i] for i in rng.integers(0, 6, 4))))
 
 
 def test_statistic_equals_correlation_combination():
@@ -149,13 +162,24 @@ def _defective_quad_tallies(defect):
 
 
 @pytest.mark.parametrize("defect", list(_DEFECTS))
-@pytest.mark.parametrize("stored", [False, True])
-def test_reuse_statistic_raises_when_the_tallies_break_the_identity(monkeypatch, defect, stored):
+@pytest.mark.parametrize(
+    "mode,stored",
+    [
+        pytest.param("reuse", False, id="False"),
+        pytest.param("reuse", True, id="True"),
+        pytest.param("fresh", False, id="fresh-False"),
+        pytest.param("fresh", True, id="fresh-True"),
+    ],
+)
+def test_reuse_statistic_raises_when_the_tallies_break_the_identity(
+    monkeypatch, defect, mode, stored
+):
+    # fresh mode checks each of its four trial sets as reuse mode checks its one
     trials = GeneratedTrials(3, UniformSphere(), 3000)
     source = generate_database(3, UniformSphere(), 3000) if stored else trials
     monkeypatch.setattr(chsh, "_quad_tallies", _defective_quad_tallies(defect))
     with pytest.raises(InvariantError, match=r"per-trial identity violated \(all terms \+-2: False"):
-        chsh_statistic(source, CANONICAL_QUAD, "reuse")
+        chsh_statistic(source, CANONICAL_QUAD, mode, root_stream(3))
 
 
 # -- strategy enumeration ---------------------------------------------------
@@ -432,7 +456,7 @@ def test_streamed_tallies_match_the_database_path(seed, dist, n, workers, block_
     # trials than n, so the worker ranges run in this process
     trials = GeneratedTrials(seed, dist, n)
     with patch.object(chsh, "_BLOCK_ROWS", block_rows):
-        tallies = streamed_tallies(trials, quad, workers)
+        (tallies,) = streamed_tallies([trials], quad, workers)
         streamed = chsh_statistic(trials, quad, "reuse", workers=workers)
     db = generate_database(seed, dist, n)
     result = result_from_tallies(tallies)
@@ -524,7 +548,7 @@ def test_column_tallies_equal_the_int8_oracle_on_the_same_rows(
     with patch.object(chsh, "_BLOCK_ROWS", block_rows), patch.object(
         geometry, "_SUB_BLOCK_ROWS", sub_block_rows
     ):
-        tallies = _range_tallies(source, quad, lo, hi)
+        (tallies,) = _range_tallies([source], quad, lo, hi)
     expected = oracles.quad_tallies(source.rows(lo, hi), quad)
     for field in QuadTallies._fields:
         assert getattr(tallies, field) == getattr(expected, field), field
@@ -546,18 +570,22 @@ def test_tallies_merge_to_the_whole_range_over_any_cut_points(
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
     ranges = list(zip([0, *cuts], [*cuts, n]))
     source = generate_database(seed, dist, n) if stored else GeneratedTrials(seed, dist, n)
-    jobs = [
+    pair_sources = [
         (source, [(quad.a1, quad.b1), (quad.a2, quad.b2)]),
         (GeneratedTrials(seed ^ 1, dist, n), [(quad.a1, quad.b2)]),
     ]
     with patch.object(chsh, "_BLOCK_ROWS", block_rows), patch.object(
         correlation, "_BLOCK_ROWS", block_rows
     ):
-        parts = [_range_tallies(source, quad, lo, hi) for lo, hi in ranges]
-        assert functools.reduce(QuadTallies.merge, parts) == _range_tallies(source, quad, 0, n)
-        pair_parts = [correlation._range_pair_tallies(jobs, lo, hi) for lo, hi in ranges]
-        whole = correlation._range_pair_tallies(jobs, 0, n)
-        assert sum(pair_parts).tolist() == whole.tolist()
+        parts = [_range_tallies([source], quad, lo, hi)[0] for lo, hi in ranges]
+        (whole,) = _range_tallies([source], quad, 0, n)
+        assert functools.reduce(QuadTallies.merge, parts) == whole
+        for pair_source, pairs in pair_sources:
+            pair_parts = [
+                correlation._range_pair_tallies(pair_source, pairs, lo, hi) for lo, hi in ranges
+            ]
+            whole = correlation._range_pair_tallies(pair_source, pairs, 0, n)
+            assert sum(pair_parts).tolist() == whole.tolist()
 
 
 @settings(max_examples=60, deadline=None)

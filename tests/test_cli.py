@@ -219,11 +219,13 @@ def test_chsh_defect_check_reads_the_counters(tmp_path, monkeypatch, capsys, def
 
     monkeypatch.setattr(chsh, "_quad_tallies", defective)
     out = tmp_path / "chsh.json"
-    assert cli.main(["chsh", "--n", "3000", *_CANONICAL, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "defect: per-trial identity violated" in err
-    assert "all terms +-2: False" in err
-    assert list(tmp_path.iterdir()) == []
+    for mode in ("reuse", "fresh"):
+        argv = ["chsh", "--n", "3000", *_CANONICAL, "--mode", mode, "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "defect: per-trial identity violated" in err
+        assert "all terms +-2: False" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -344,6 +346,31 @@ def test_benchmark_workload_matches_its_recorded_digest(tmp_path, workload, work
     assert _benchmark_digest(tmp_path, workload, workers) == expected
 
 
+_MIXTURE = "mixture(0.5:uniform-sphere;0.5:cap(0,0,1,0.8))"
+# sha256 of fresh-mode artifacts at seed 0, the bytes bellsim wrote when fresh
+# mode still tallied its four trial sets with int8 station signs
+_FRESH_DIGESTS = {
+    "chsh": (
+        ["chsh", "--n", "20011", "--a1", "0", "--a2", "90", "--b1", "135", "--b2", "45"],
+        "2844e0a79d589016c180c9587551b4d9f323d2236434ec944ccd2002e80140da",
+    ),
+    "search": (
+        ["search", "--n", "500", "--budget", "60"],
+        "a216bafc630eba58c9f48e67105ac0f33af657e26d5ee69557bca9501c536c82",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", list(_FRESH_DIGESTS))
+def test_fresh_mode_artifacts_match_their_recorded_digests(tmp_path, command, workers):
+    argv, expected = _FRESH_DIGESTS[command]
+    out = tmp_path / "fresh.json"
+    argv = [*argv, "--mode", "fresh", "--seed", "0", "--dist", _MIXTURE, "--workers", workers]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 @pytest.mark.parametrize(
     "seed,n,budget,capped",
     [(15, 400, 3, False), (0, 100, 60, True)],  # budget * bound about 0.26, and past 1
@@ -374,8 +401,8 @@ def test_sweep_checks_exact_anticorrelation_where_b_equals_a(tmp_path, monkeypat
     assert cli.main([*argv, "--out", str(tmp_path / "clean.csv")]) == 0
     pair_tallies = correlation.pair_tallies
 
-    def defective(jobs, n, workers=1):
-        (count_pos, ties), *rest = pair_tallies(jobs, n, workers)
+    def defective(source, pairs, workers=1):
+        (count_pos, ties), *rest = pair_tallies(source, pairs, workers)
         return [(count_pos - 1, ties), *rest]
 
     monkeypatch.setattr(correlation, "pair_tallies", defective)

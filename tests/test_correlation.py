@@ -200,8 +200,8 @@ def test_sweep_raises_where_b_equals_a_and_count_pos_misses_the_ties(monkeypatch
     pair_tallies = correlation.pair_tallies
 
     def miscount(index):
-        def defective(jobs, n, workers=1):
-            tallies = pair_tallies(jobs, n, workers)
+        def defective(source, pairs, workers=1):
+            tallies = pair_tallies(source, pairs, workers)
             count_pos, ties = tallies[index]
             tallies[index] = (count_pos - 1, ties)
             return tallies
