@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +47,9 @@ from .geometry import (
 from .rng import CounterStream
 from .stats import hoeffding_bound
 
+_MODES = ("reuse", "fresh")  # the modes of chsh_statistic and search_max_chsh, and of --mode
+
+
 @dataclass(frozen=True)
 class SettingQuad:
     """The four reference directions (a1, a2) for station A, (b1, b2) for B."""
@@ -59,21 +62,11 @@ class SettingQuad:
     @classmethod
     def from_plane_angles(cls, t_a1: float, t_a2: float, t_b1: float, t_b2: float) -> "SettingQuad":
         """Quad in the x-z plane, each direction at the given angle from +z."""
-        return cls(
-            a1=direction_at_angle(t_a1),
-            a2=direction_at_angle(t_a2),
-            b1=direction_at_angle(t_b1),
-            b2=direction_at_angle(t_b2),
-        )
+        return cls(*map(direction_at_angle, (t_a1, t_a2, t_b1, t_b2)))
 
     def sort_key(self) -> tuple:
         """Total order over quads; breaks ties when reducing search results."""
-        return (
-            self.a1.x, self.a1.y, self.a1.z,
-            self.a2.x, self.a2.y, self.a2.z,
-            self.b1.x, self.b1.y, self.b1.z,
-            self.b2.x, self.b2.y, self.b2.z,
-        )
+        return tuple(c for v in (self.a1, self.a2, self.b1, self.b2) for c in (v.x, v.y, v.z))
 
 
 # Settings at which the uniform-spin linear law saturates S = 2 while the
@@ -98,12 +91,7 @@ class ChshResult:
     @property
     def combined_se(self) -> float:
         """Quadrature sum of the four standard errors (exact for fresh mode)."""
-        return math.sqrt(
-            self.e11.standard_error**2
-            + self.e12.standard_error**2
-            + self.e21.standard_error**2
-            + self.e22.standard_error**2
-        )
+        return math.sqrt(sum(e.standard_error**2 for e in (self.e11, self.e12, self.e21, self.e22)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +128,7 @@ class QuadTallies(NamedTuple):
 
 def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTallies:
     """Tallies of the spin columns ``s`` (3, m) at the quad rows ``quad`` (4, 3), a1, a2,
-    b1, b2, with ``dots`` (2, 4, >= m) as scratch for ``_sign_bits``, the search's kernel.
+    b1, b2, with ``dots`` (2, 4, >= m) as scratch for ``_station_bits``, the search's kernel.
 
     Ties are the dots' exact zeros, and a pair's ``pos`` is m less the trials
     whose signs differ. On packed bits every term is +-2 by construction, so
@@ -150,8 +138,7 @@ def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTall
     """
     m = s.shape[1]
     d = dots[:, :, :m]
-    x = _sign_bits(s, quad[:2], np.greater_equal, d[:, :2])
-    y = _sign_bits(s, quad[2:], np.less_equal, d[:, 2:])
+    x, y = _station_bits(s, quad[:2], quad[2:], d)
     tie = np.packbits(d[0] == 0.0, axis=1)
     i, j = [0, 0, 1, 1], [0, 1, 0, 1]  # the pairs (a1,b1), (a1,b2), (a2,b1), (a2,b2)
     differ = np.bitwise_count(x[i] ^ y[j]).sum(axis=1, dtype=np.int64)
@@ -210,8 +197,7 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad) -> np.ndarray:
     integer and the statistic performs the same single division by n.
     """
     s, row = np.ascontiguousarray(db.rows(0, db.n).T), _quad_rows([quad])[0]
-    x = _sign_bits(s, row[:2], np.greater_equal)
-    y = _sign_bits(s, row[2:], np.less_equal)
+    x, y = _station_bits(s, row[:2], row[2:])
     return 4 * np.unpackbits(_plus_bits(*x, *y), count=db.n).astype(np.int64) - 2
 
 
@@ -269,7 +255,7 @@ def chsh_statistic(
     """
     if mode == "reuse":
         return result_from_tallies(streamed_tallies([db], quad, workers)[0])
-    if mode != "fresh":
+    if mode not in _MODES:
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
     if stream is None:
         raise ConfigurationError("fresh mode requires a random stream")
@@ -340,20 +326,26 @@ def _quad_of(row: np.ndarray) -> SettingQuad:
     return SettingQuad(*(UnitVector(*v) for v in row.tolist()))
 
 
-def _sign_bits(s: np.ndarray, directions: np.ndarray, is_plus, dots=None) -> np.ndarray:
-    """Packed signs of a tile's spin columns ``s`` (3, t) at each direction (k, 3), 1 for +1.
+def _station_bits(s: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, dots=None):
+    """Packed signs (x, y) of a tile's spin columns ``s`` (3, t), 1 for +1: x = sign(+s . a)
+    at each direction of ``a_dirs`` (ka, 3), y = sign(-s . b) at each of ``b_dirs`` (kb, 3).
 
-    ``is_plus`` is ``np.greater_equal`` at station A and ``np.less_equal`` at B:
-    the comparisons of ``station_products``, sign(0) := +1 included, on the
-    ``setting_dots`` expression, op for op. The last byte's padding bits are 0
-    at both. ``dots``, (2, k, t) scratch if given, keeps the dots in ``dots[0]``.
+    The one place that writes the stations' rule: A reads +1 where s . a >= 0
+    and B where s . b <= 0, so sign(0) := +1 at both, as in ``station_products``.
+    The dots are ``s0*dx + s1*dy + s2*dz``, the ``setting_dots`` expression, op
+    for op. The last byte's padding bits are 0. ``dots``, (2, ka + kb, t)
+    scratch if given, keeps A's dots and then B's in ``dots[0]``.
     """
-    d, term = np.empty((2, len(directions), s.shape[1])) if dots is None else dots
-    np.multiply(s[0], directions[:, 0, None], out=d)
-    for j in (1, 2):
-        np.multiply(s[j], directions[:, j, None], out=term)
-        d += term
-    return np.packbits(is_plus(d, 0.0), axis=1)
+    k, bits = len(a_dirs), []
+    stations = ((a_dirs, slice(None, k), np.greater_equal), (b_dirs, slice(k, None), np.less_equal))
+    for directions, rows, is_plus in stations:
+        d, term = np.empty((2, len(directions), s.shape[1])) if dots is None else dots[:, rows]
+        np.multiply(s[0], directions[:, 0, None], out=d)
+        for j in (1, 2):
+            np.multiply(s[j], directions[:, j, None], out=term)
+            d += term
+        bits.append(np.packbits(is_plus(d, 0.0), axis=1))
+    return tuple(bits)
 
 
 def _plus_bits(x1, x2, y1, y2):
@@ -392,8 +384,7 @@ def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
         t = s.shape[1]
         step = _BLOCK_ROWS // (4 * t)
         for ids in (live[lo : lo + step] for lo in range(0, len(live), step)):
-            a = _sign_bits(s, quads[ids, :2].reshape(-1, 3), np.greater_equal)
-            b = _sign_bits(s, quads[ids, 2:].reshape(-1, 3), np.less_equal)
+            a, b = _station_bits(s, quads[ids, :2].reshape(-1, 3), quads[ids, 2:].reshape(-1, 3))
             plus = np.bitwise_count(_plus_bits(a[0::2], a[1::2], b[0::2], b[1::2]))
             total[ids] += 4 * plus.sum(axis=1, dtype=np.int64) - 2 * t
         read[live] += t
@@ -413,8 +404,7 @@ def _table_numerators(spins: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray,
     disagree = np.zeros((len(a_dirs), len(b_dirs)), dtype=np.int64)
     for m in range(0, n, step):
         s = np.ascontiguousarray(spins[m : m + step].T)
-        a = _sign_bits(s, a_dirs, np.greater_equal)
-        b = _sign_bits(s, b_dirs, np.less_equal)
+        a, b = _station_bits(s, a_dirs, b_dirs)
         disagree += np.bitwise_count(a[:, None] ^ b).sum(axis=2, dtype=np.int64)
     pos = n - disagree
     i1, i2, j1, j2 = np.asarray(index, dtype=np.intp).reshape(-1, 4).T
@@ -536,7 +526,7 @@ def search_max_chsh(
     """
     if budget < 1:
         raise ConfigurationError(f"search budget must be >= 1, got {budget}")
-    if mode not in ("reuse", "fresh"):
+    if mode not in _MODES:
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
 
     base_key = stream.key  # fresh-mode candidates derive substreams from here
@@ -611,10 +601,6 @@ def search_max_chsh(
 # structured summaries (JSON-shaped)
 
 
-def _vector_fields(v: UnitVector) -> dict:
-    return {"x": v.x, "y": v.y, "z": v.z}
-
-
 def _estimate_fields(e: CorrelationEstimate) -> dict:
     return {
         "value": e.value,
@@ -640,16 +626,8 @@ def result_summary(
         "dist": distribution_tag,
         "mode": result.mode,
         "n": result.n,
-        "quad": {
-            "a1": _vector_fields(quad.a1),
-            "a2": _vector_fields(quad.a2),
-            "b1": _vector_fields(quad.b1),
-            "b2": _vector_fields(quad.b2),
-        },
-        "e11": _estimate_fields(result.e11),
-        "e12": _estimate_fields(result.e12),
-        "e21": _estimate_fields(result.e21),
-        "e22": _estimate_fields(result.e22),
+        "quad": {k: asdict(getattr(quad, k)) for k in ("a1", "a2", "b1", "b2")},
+        **{k: _estimate_fields(getattr(result, k)) for k in ("e11", "e12", "e21", "e22")},
         "statistic": result.statistic,
     }
     if result.mode == "reuse":

@@ -16,10 +16,10 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 from ._version import __version__
 from .chsh import (
+    _MODES,
     SettingQuad,
     chsh_statistic,
     enumerate_deterministic_strategies,
@@ -29,11 +29,9 @@ from .chsh import (
 from .correlation import curve_summary, sweep_correlation, write_curve_csv
 from .experiment import (
     ConfigurationError,
-    DistributionSpec,
     GeneratedTrials,
     InvariantError,
     TrialDatabase,
-    UniformSphere,
     check_seed,
     generate_database,
     parse_distribution,
@@ -45,46 +43,21 @@ from .parallel import resolve_workers
 from .rng import DOMAIN_SETTINGS, DOMAIN_SEARCH, root_stream
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the computing commands."""
-
-    seed: int = 0
-    n: int = 10**6
-    distribution: DistributionSpec = field(default_factory=UniformSphere)
-    mode: str = "reuse"
-    policy: str = "fixed"
-    workers: int = 1
-    out: str = ""
-    format: str = "csv"
-
-
-def _config_from_args(args, default_out: str, formats: tuple[str, ...]) -> RunConfig:
-    seed = check_seed(args.seed, "--seed")
+def _config_from_args(args, default_out: str):
+    """Check the common flags that argparse leaves unchecked and resolve them on ``args``,
+    which it returns: ``seed``, ``workers``, ``out`` and ``distribution``, the spec that
+    ``--dist`` names. argparse's ``choices`` check ``--mode``, ``--format`` and ``--policy``.
+    """
+    args.seed = check_seed(args.seed, "--seed")
     if args.n < 1:
         raise ConfigurationError(f"--n must be >= 1, got {args.n}")
-    distribution = parse_distribution(args.dist)
-    mode = getattr(args, "mode", "reuse")
-    if mode not in ("reuse", "fresh"):
-        raise ConfigurationError(f"--mode must be 'reuse' or 'fresh', got {mode!r}")
-    policy = getattr(args, "policy", "fixed")
+    args.distribution = parse_distribution(args.dist)
     try:
-        workers = resolve_workers(args.workers)
+        args.workers = resolve_workers(args.workers)
     except ValueError as exc:
         raise ConfigurationError(f"--workers: {exc}") from exc
-    fmt = getattr(args, "format", formats[0])
-    if fmt not in formats:
-        raise ConfigurationError(f"--format must be one of {formats}, got {fmt!r}")
-    return RunConfig(
-        seed=seed,
-        n=args.n,
-        distribution=distribution,
-        mode=mode,
-        policy=policy,
-        workers=workers,
-        out=args.out if args.out else default_out,
-        format=fmt,
-    )
+    args.out = args.out or default_out
+    return args
 
 
 def _parse_direction(text: str, flag: str) -> UnitVector:
@@ -129,15 +102,15 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def cmd_gen_db(args) -> int:
-    cfg = _config_from_args(args, default_out="db.txt", formats=("text",))
+    _config_from_args(args, default_out="db.txt")
     # rows are generated and formatted one block at a time, in this process
-    trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
-    spliced = _atomic_write(cfg.out, lambda handle: write_database(trials, handle))
+    trials = GeneratedTrials(args.seed, args.distribution, args.n)
+    spliced = _atomic_write(args.out, lambda handle: write_database(trials, handle))
     print(
-        f"gen-db: wrote {cfg.out} (n={cfg.n}, seed={cfg.seed}, "
-        f"dist={cfg.distribution.tag()}, workers={cfg.workers})"
+        f"gen-db: wrote {args.out} (n={args.n}, seed={args.seed}, "
+        f"dist={args.distribution.tag()}, workers={args.workers})"
     )
-    print(f"gen-db: {spliced} of {cfg.n} rows outside the row kernel's domain", file=sys.stderr)
+    print(f"gen-db: {spliced} of {args.n} rows outside the row kernel's domain", file=sys.stderr)
     return 0
 
 
@@ -157,7 +130,7 @@ def _sweep_grid(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args, default_out="sweep.csv", formats=("csv", "json"))
+    _config_from_args(args, default_out="sweep.csv")
     grid = _sweep_grid(args)
     plane = None
     if args.plane:
@@ -167,25 +140,25 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"--plane: expected 'x,y,z;x,y,z', got {args.plane!r}") from exc
         plane = (_parse_direction(p1, "--plane"), _parse_direction(p2, "--plane"))
 
-    trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
-    curve = sweep_correlation(trials, grid, plane=plane, workers=cfg.workers)
+    trials = GeneratedTrials(args.seed, args.distribution, args.n)
+    curve = sweep_correlation(trials, grid, plane=plane, workers=args.workers)
 
     provenance = (
-        f"bellsim v{__version__} command=sweep seed={cfg.seed} n={cfg.n} "
-        f"dist={cfg.distribution.tag()} "
+        f"bellsim v{__version__} command=sweep seed={args.seed} n={args.n} "
+        f"dist={args.distribution.tag()} "
         f"grid_deg={args.theta_start}:{args.theta_stop}:{args.steps}"
     )
-    if cfg.format == "csv":
+    if args.format == "csv":
         _atomic_write(
-            cfg.out, lambda handle: write_curve_csv(curve, handle, provenance=provenance)
+            args.out, lambda handle: write_curve_csv(curve, handle, provenance=provenance)
         )
     else:
-        _write_json(cfg.out, curve_summary(curve, cfg.seed, cfg.distribution.tag()))
+        _write_json(args.out, curve_summary(curve, args.seed, args.distribution.tag()))
 
     dev_linear, dev_singlet = curve.max_deviations()
     print(
-        f"sweep: wrote {cfg.out} ({len(curve.points)} points, n={cfg.n}, "
-        f"seed={cfg.seed}, workers={cfg.workers})"
+        f"sweep: wrote {args.out} ({len(curve.points)} points, n={args.n}, "
+        f"seed={args.seed}, workers={args.workers})"
     )
     print(
         f"sweep: max |E_hat - E_linear| = {dev_linear:.6f}; "
@@ -194,41 +167,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _quad_from_args(args, cfg: RunConfig, trials: GeneratedTrials | TrialDatabase) -> SettingQuad:
-    flags = (args.a1, args.a2, args.b1, args.b2)
-    if cfg.policy == "fixed":
-        missing = [name for name, v in zip(("--a1", "--a2", "--b1", "--b2"), flags) if v is None]
+def _quad_from_args(args, trials: GeneratedTrials | TrialDatabase) -> SettingQuad:
+    flags = {"--a1": args.a1, "--a2": args.a2, "--b1": args.b1, "--b2": args.b2}
+    if args.policy == "fixed":
+        missing = [name for name, v in flags.items() if v is None]
         if missing:
             raise ConfigurationError(f"policy=fixed requires {' '.join(missing)}")
-        return SettingQuad(
-            a1=_parse_direction(args.a1, "--a1"),
-            a2=_parse_direction(args.a2, "--a2"),
-            b1=_parse_direction(args.b1, "--b1"),
-            b2=_parse_direction(args.b2, "--b2"),
-        )
-    if any(v is not None for v in flags):
-        raise ConfigurationError(f"policy={cfg.policy} does not take explicit --a1/--a2/--b1/--b2")
-    stream = root_stream(cfg.seed, DOMAIN_SETTINGS)
-    a1, b1 = select_settings(cfg.policy, trials, stream)
-    a2, b2 = select_settings(cfg.policy, trials, stream)
+        return SettingQuad(*(_parse_direction(v, name) for name, v in flags.items()))
+    if any(v is not None for v in flags.values()):
+        raise ConfigurationError(f"policy={args.policy} does not take explicit --a1/--a2/--b1/--b2")
+    stream = root_stream(args.seed, DOMAIN_SETTINGS)
+    a1, b1 = select_settings(args.policy, trials, stream)
+    a2, b2 = select_settings(args.policy, trials, stream)
     return SettingQuad(a1=a1, a2=a2, b1=b1, b2=b2)
 
 
 def cmd_chsh(args) -> int:
-    cfg = _config_from_args(args, default_out="chsh.json", formats=("json",))
-    if cfg.policy not in ("fixed", "from-database", "uniform"):
-        raise ConfigurationError(f"--policy must be fixed|from-database|uniform, got {cfg.policy!r}")
-
-    trials = GeneratedTrials(cfg.seed, cfg.distribution, cfg.n)
-    quad = _quad_from_args(args, cfg, trials)
+    _config_from_args(args, default_out="chsh.json")
+    trials = GeneratedTrials(args.seed, args.distribution, args.n)
+    quad = _quad_from_args(args, trials)
     # one pass over generated rows (three more sets in fresh mode); no database is held whole
-    stream = root_stream(cfg.seed, DOMAIN_SEARCH) if cfg.mode == "fresh" else None
-    result = chsh_statistic(trials, quad, cfg.mode, stream, workers=cfg.workers)
+    stream = root_stream(args.seed, DOMAIN_SEARCH) if args.mode == "fresh" else None
+    result = chsh_statistic(trials, quad, args.mode, stream, workers=args.workers)
 
-    doc = result_summary(result, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag())
-    _write_json(cfg.out, doc)
-    print(f"chsh: S = {result.statistic:.10g} (mode={cfg.mode}, n={cfg.n}); wrote {cfg.out}")
-    if cfg.mode == "reuse":
+    doc = result_summary(result, quad, seed=args.seed, distribution_tag=args.distribution.tag())
+    _write_json(args.out, doc)
+    print(f"chsh: S = {result.statistic:.10g} (mode={args.mode}, n={args.n}); wrote {args.out}")
+    if args.mode == "reuse":
         print(
             f"chsh: per-trial terms in {{-2,+2}}: OK "
             f"(min={result.per_trial_min}, max={result.per_trial_max})"
@@ -239,37 +204,39 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _config_from_args(args, default_out="search.json", formats=("json",))
+    _config_from_args(args, default_out="search.json")
     if args.budget < 1:
         raise ConfigurationError(f"--budget must be >= 1, got {args.budget}")
 
     # generated in this process: at the sizes a search evaluates, a pool costs more than it saves
-    db = generate_database(cfg.seed, cfg.distribution, cfg.n)
-    stream = root_stream(cfg.seed, DOMAIN_SEARCH)
+    db = generate_database(args.seed, args.distribution, args.n)
+    stream = root_stream(args.seed, DOMAIN_SEARCH)
 
     def pruned(candidates: int, unread: int, full: int, rows: int) -> None:
         print(
             f"search: {unread} of {candidates} random and refinement candidates dropped before "
-            f"reading a row, {full} tallied in full, {rows} of {candidates * cfg.n} rows read "
-            f"({rows / max(1, candidates * cfg.n):.2%})",
+            f"reading a row, {full} tallied in full, {rows} of {candidates * args.n} rows read "
+            f"({rows / max(1, candidates * args.n):.2%})",
             file=sys.stderr,
         )
 
     # a reuse search checks its best quad before returning it, so the bound
     # below is printed only for a quad that passed
     best, quad = search_max_chsh(
-        db, cfg.mode, args.budget, stream, workers=cfg.workers, report=pruned
+        db, args.mode, args.budget, stream, workers=args.workers, report=pruned
     )
     doc = result_summary(
-        best, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag(), budget=args.budget
+        best, quad, seed=args.seed, distribution_tag=args.distribution.tag(), budget=args.budget
     )
-    _write_json(cfg.out, doc)
+    _write_json(args.out, doc)
 
-    print(f"search: wrote {cfg.out} (budget={args.budget}, mode={cfg.mode}, workers={cfg.workers})")
-    if cfg.mode == "reuse":
+    print(
+        f"search: wrote {args.out} (budget={args.budget}, mode={args.mode}, workers={args.workers})"
+    )
+    if args.mode == "reuse":
         print(f"bound respected: S_max = {best.statistic:.10g} ≤ 2")
     else:
-        print(f"search: S_max = {best.statistic:.10g} (fresh mode, n={cfg.n})")
+        print(f"search: S_max = {best.statistic:.10g} (fresh mode, n={args.n})")
         excess = doc["excess_over_2"]
         if excess > 0.0:
             bound = doc["excess_hoeffding_bound"]
@@ -312,7 +279,7 @@ def _add_common(sub, *, mode=False, fmt=None) -> None:
     sub.add_argument("--workers", default="1", help="worker processes, a count or 'auto'")
     sub.add_argument("--out", default=None, help="output file path")
     if mode:
-        sub.add_argument("--mode", choices=("reuse", "fresh"), default="reuse")
+        sub.add_argument("--mode", choices=_MODES, default="reuse")
     if fmt:
         sub.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -372,4 +339,8 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # too large for this machine; a partly written artifact was removed on the way out
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1

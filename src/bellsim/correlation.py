@@ -64,10 +64,13 @@ class CorrelationEstimate:
 def setting_dots(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: UnitVector) -> np.ndarray:
     """Per-trial dot products s_k . d from the three spin columns.
 
-    Every station sign in the package is taken from this expression.
-    It is formed elementwise rather than with BLAS matvec calls, whose
-    kernel choice can depend on operand size; elementwise ufuncs give
-    bit-identical per-trial values under any partitioning of the rows.
+    Every station sign in the package is taken from the expression
+    ``s0*dx + s1*dy + s2*dz``, which two places form: this function, for
+    ``station_products``, and ``chsh._station_bits``, op for op on packed
+    columns, for every CHSH statistic. It is formed elementwise rather
+    than with BLAS matvec calls, whose kernel choice can depend on
+    operand size; elementwise ufuncs give bit-identical per-trial values
+    under any partitioning of the rows.
     """
     return s0 * d.x + s1 * d.y + s2 * d.z
 
@@ -80,7 +83,7 @@ def station_products(
     Returns (x, y, tie_a, tie_b) where x_k = sign(+s_k . a) and
     y_k = sign(-s_k . b), with sign(0) := +1. Its callers are the sweep
     and ``estimate_correlation``, through ``_pair_tallies``; every CHSH
-    statistic takes its signs from ``chsh._sign_bits`` instead.
+    statistic takes its signs from ``chsh._station_bits`` instead.
     """
     s0, s1, s2 = spins[:, 0], spins[:, 1], spins[:, 2]
     da = setting_dots(s0, s1, s2, a)
@@ -264,7 +267,24 @@ def sweep_correlation(
 # ---------------------------------------------------------------------------
 # CSV and JSON serialization
 
-CURVE_CSV_HEADER = "theta_rad,theta_deg,E_hat,SE,count_pos,count_neg,tie_count,E_linear,E_singlet"
+# The sweep's columns in order, each with its value at a grid point: the CSV
+# header and rows and the JSON points are all read from this one table.
+_CURVE_COLUMNS = {
+    "theta_rad": lambda p: p.theta,
+    "theta_deg": lambda p: math.degrees(p.theta),
+    "E_hat": lambda p: p.estimate.value,
+    "SE": lambda p: p.estimate.standard_error,
+    "count_pos": lambda p: p.estimate.count_pos,
+    "count_neg": lambda p: p.estimate.count_neg,
+    "tie_count": lambda p: p.estimate.tie_count,
+    "E_linear": lambda p: p.linear_ref,
+    "E_singlet": lambda p: p.singlet_ref,
+}
+CURVE_CSV_HEADER = ",".join(_CURVE_COLUMNS)
+
+
+def _point_fields(p: CurvePoint) -> dict:
+    return {name: column(p) for name, column in _CURVE_COLUMNS.items()}
 
 
 def write_curve_csv(curve: CorrelationCurve, fileobj, provenance: str | None = None) -> None:
@@ -273,23 +293,8 @@ def write_curve_csv(curve: CorrelationCurve, fileobj, provenance: str | None = N
         fileobj.write(f"# {provenance}\n")
     fileobj.write(CURVE_CSV_HEADER + "\n")
     for p in curve.points:
-        e = p.estimate
-        fileobj.write(
-            ",".join(
-                [
-                    format_g17(p.theta),
-                    format_g17(math.degrees(p.theta)),
-                    format_g17(e.value),
-                    format_g17(e.standard_error),
-                    str(e.count_pos),
-                    str(e.count_neg),
-                    str(e.tie_count),
-                    format_g17(p.linear_ref),
-                    format_g17(p.singlet_ref),
-                ]
-            )
-            + "\n"
-        )
+        row = (format_g17(v) if isinstance(v, float) else str(v) for v in _point_fields(p).values())
+        fileobj.write(",".join(row) + "\n")
 
 
 def curve_summary(curve: CorrelationCurve, seed: int, distribution_tag: str) -> dict:
@@ -301,18 +306,5 @@ def curve_summary(curve: CorrelationCurve, seed: int, distribution_tag: str) -> 
         "seed": seed,
         "n": curve.points[0].estimate.n,
         "dist": distribution_tag,
-        "points": [
-            {
-                "theta_rad": p.theta,
-                "theta_deg": math.degrees(p.theta),
-                "E_hat": p.estimate.value,
-                "SE": p.estimate.standard_error,
-                "count_pos": p.estimate.count_pos,
-                "count_neg": p.estimate.count_neg,
-                "tie_count": p.estimate.tie_count,
-                "E_linear": p.linear_ref,
-                "E_singlet": p.singlet_ref,
-            }
-            for p in curve.points
-        ],
+        "points": [_point_fields(p) for p in curve.points],
     }

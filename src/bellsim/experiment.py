@@ -626,12 +626,14 @@ def read_database(fileobj) -> TrialDatabase:
     n = _header_count(fields[4], "n")
     if n < 1:
         raise ConfigurationError("database must contain at least one trial")
-    spins = np.empty((n, 3))
+    spins = np.empty((min(n, _WRITE_BLOCK_ROWS), 3))  # grown as rows arrive, not sized from n
     for k in range(n):
+        if k == len(spins):
+            spins = np.concatenate([spins, np.empty((min(k, n - k), 3))])
         parts = fileobj.readline().split()
+        if len(parts) != 4 or parts[0] != str(k):  # the index exactly as written
+            raise ConfigurationError(f"bad or out-of-order trial line {k}")
         try:
-            if len(parts) != 4 or parts[0] != str(k):  # the index exactly as written
-                raise ConfigurationError(f"bad or out-of-order trial line {k}")
             spins[k] = [float(parts[1]), float(parts[2]), float(parts[3])]
         except ValueError as exc:
             raise ConfigurationError(f"bad trial line {k}") from exc

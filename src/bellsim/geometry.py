@@ -168,28 +168,28 @@ def _unit_columns(keys: np.ndarray, offset: int, out: np.ndarray) -> np.ndarray:
 
 
 def sample_uniform_direction(stream: CounterStream) -> UnitVector:
-    """One direction distributed uniformly on the sphere.
+    """One direction distributed uniformly on the sphere: ``sample_uniform_directions(stream, 1)``.
 
     Deterministic in the stream state: equal (key, counter) gives an
-    identical vector. Consumes four draws per attempt.
+    identical vector.
     """
-    while True:
-        gx, gy, gz = _gaussian_triples(stream, 1)[:, 0]
-        norm = math.sqrt(gx * gx + gy * gy + gz * gz)
-        if norm >= _REJECT_NORM:
-            return UnitVector(gx / norm, gy / norm, gz / norm)
+    return UnitVector.from_array(sample_uniform_directions(stream, 1)[0])
 
 
 def sample_uniform_directions(stream: CounterStream, count: int) -> np.ndarray:
-    """``count`` uniform directions drawn sequentially from one stream."""
+    """``count`` uniform directions drawn sequentially from one stream, as (count, 3) rows.
+
+    Each consumes four draws per attempt. A gaussian triple shorter than
+    ``_REJECT_NORM`` is redrawn, after the whole batch, from the stream's
+    next four draws, as often as it takes.
+    """
     gx, gy, gz = _gaussian_triples(stream, count)
     norm = np.sqrt(gx * gx + gy * gy + gz * gz)
     out = np.stack([gx, gy, gz], axis=1)
-    bad = np.flatnonzero(norm < _REJECT_NORM)
-    for i in bad:  # essentially never taken
-        v = sample_uniform_direction(stream)
-        out[i] = (v.x, v.y, v.z)
-        norm[i] = 1.0
+    for i in np.flatnonzero(norm < _REJECT_NORM):  # essentially never taken
+        while norm[i] < _REJECT_NORM:
+            x, y, z = out[i] = _gaussian_triples(stream, 1)[:, 0]
+            norm[i] = math.sqrt(x * x + y * y + z * z)
     return out / norm[:, None]
 
 

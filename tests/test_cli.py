@@ -236,9 +236,9 @@ def test_streamed_chsh_matches_the_database_composition(tmp_path, workers, polic
     assert cli.main([*argv, "--workers", workers, "--out", str(out)]) == 0
     # the composition the command ran before it streamed its rows
     args = cli.build_parser().parse_args(argv)
-    cfg = cli._config_from_args(args, default_out="chsh.json", formats=("json",))
+    cfg = cli._config_from_args(args, default_out="chsh.json")
     db = generate_database(cfg.seed, cfg.distribution, cfg.n)
-    quad = cli._quad_from_args(args, cfg, db)
+    quad = cli._quad_from_args(cfg, db)
     result = chsh_statistic(db, quad, "reuse")
     doc = result_summary(result, quad, seed=cfg.seed, distribution_tag=cfg.distribution.tag())
     assert out.read_text() == cli._dump_json(doc)
@@ -369,6 +369,19 @@ def test_fresh_mode_artifacts_match_their_recorded_digests(tmp_path, command, wo
     argv = [*argv, "--mode", "fresh", "--seed", "0", "--dist", _MIXTURE, "--workers", workers]
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+# sha256 of the JSON sweep at seed 0, the bytes bellsim wrote when its CSV writer
+# and its JSON summary each spelled out the nine columns
+_SWEEP_JSON_DIGEST = "721c80c4b6c467385440e51ccdb40bb7827f22c8360cf724b4a8eb48216b56b8"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_json_matches_its_recorded_digest(tmp_path, workers):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--n", "5000", "--steps", "19", "--format", "json", "--seed", "0"]
+    assert cli.main([*argv, "--workers", workers, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SWEEP_JSON_DIGEST
 
 
 @pytest.mark.parametrize(
@@ -595,6 +608,31 @@ def test_gen_db_failing_partway_leaves_no_artifact(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == ([out] if existing else [])
     if existing:
         assert out.read_text() == "an earlier artifact\n"
+
+
+@pytest.mark.parametrize("command", ["search", "gen-db"])
+def test_out_of_memory_is_an_error_line_and_leaves_no_artifact(
+    tmp_path, monkeypatch, capsys, command
+):
+    # stands in for a size too large for the machine, which no test asks for for real
+    error = MemoryError("Unable to allocate 7.28 TiB for an array with shape (333333333333, 3)")
+
+    def exhausted(*args):
+        raise error
+
+    if command == "search":
+        monkeypatch.setattr(cli, "generate_database", exhausted)
+    else:  # the header and one block of rows reach the temp file first
+        write_database = cli.write_database
+
+        def write_then_fail(db, handle):
+            write_database(db, _FailingHandle(handle, 3, error))
+
+        monkeypatch.setattr(cli, "write_database", write_then_fail)
+    argv = [command, "--n", str(2 * _WRITE_BLOCK_ROWS), "--out", str(tmp_path / "artifact")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_name_in_all_resolves_on_the_package():

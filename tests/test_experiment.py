@@ -413,6 +413,15 @@ def test_database_text_round_trip_is_bit_exact():
     assert buf2.getvalue() == text
 
 
+def test_database_text_round_trip_grows_its_array_block_by_block():
+    # more rows than the first block the reader allocates, and not a multiple of it
+    db = generate_database(5, UniformSphere(), 2 * _WRITE_BLOCK_ROWS + 5)
+    buf = io.StringIO()
+    write_database(db, buf)
+    back = read_database(io.StringIO(buf.getvalue()))
+    assert back.spins.shape == db.spins.shape and back.spins.tobytes() == db.spins.tobytes()
+
+
 def test_database_text_rejects_corruption():
     db = generate_database(1, UniformSphere(), 3)
     buf = io.StringIO()
@@ -462,6 +471,15 @@ def test_database_text_rejects_lines_after_last_trial():
         read_database(io.StringIO("\n".join(good + [good[2].replace("1 ", "2 ", 1)]) + "\n"))
     with pytest.raises(ConfigurationError):
         read_database(io.StringIO("\n".join(good + [""]) + "\n"))
+
+
+@pytest.mark.parametrize("n", [10**13, 10**19])
+def test_database_header_count_is_not_trusted_before_its_rows(n):
+    # one row where the header promises n: a bad file, found before any array of n rows
+    header, row = _database_lines(1)
+    text = f"{header.removesuffix('n=1')}n={n}\n{row}\n"
+    with pytest.raises(ConfigurationError, match="^bad or out-of-order trial line 1$"):
+        read_database(io.StringIO(text))
 
 
 @pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bellsim import (
     UniformSphere,
+    geometry,
     UnitVector,
     angle_between,
     direction_at_angle,
@@ -77,6 +78,28 @@ def test_scalar_and_batched_key_sampling_agree():
     for i, k in enumerate(keys):
         v = sample_uniform_direction(CounterStream(int(k)))
         assert rows[i].tolist() == [v.x, v.y, v.z]
+
+
+def test_short_triples_are_redrawn_after_the_batch_in_order(monkeypatch):
+    # a rejection norm of 1 makes about 20% of the triples short, and about 4% short
+    # twice or more in a row
+    monkeypatch.setattr(geometry, "_REJECT_NORM", 1.0)
+    attempts = []
+    for seed in range(10):
+        for count in (1, 64):
+            stream, reference = root_stream(seed, 1), root_stream(seed, 1)
+            rows = sample_uniform_directions(stream, count)
+            expected = []
+            for triple in geometry._gaussian_triples(reference, count).T.tolist():
+                attempts.append(1)
+                while math.sqrt(sum(g * g for g in triple)) < 1.0:
+                    attempts[-1] += 1
+                    triple = geometry._gaussian_triples(reference, 1)[:, 0].tolist()
+                norm = math.sqrt(sum(g * g for g in triple))
+                expected.append([g / norm for g in triple])
+            assert rows.tolist() == expected
+            assert stream == reference
+    assert max(attempts) >= 3
 
 
 def test_every_sample_is_normalized():

@@ -1,6 +1,7 @@
 """Every CHSH statistic takes its station signs from the packed column kernel.
 
-``bellsim.chsh._sign_bits`` packs the signs of unit-stride spin columns;
+``bellsim.chsh._station_bits`` packs the signs of unit-stride spin columns,
+and is the one place in ``chsh.py`` that writes the stations' comparisons;
 reuse and fresh ``chsh_statistic`` (through ``_quad_tallies``), the search
 and ``per_trial_terms`` all read them. The int8 pair path,
 ``station_products`` -> ``_pair_tallies`` -> ``pair_tallies``, is left to
@@ -16,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bellsim"
 PAIR_PATH = {"station_products", "_pair_tallies", "pair_tallies"}
+STATION_RULE = {"greater_equal", "less_equal"}
 
 
 def pair_path_names(source: str) -> list[str]:
@@ -68,3 +70,31 @@ def test_the_scan_passes_the_column_kernel_and_mere_mentions():
         "_range_pair_tallies = station_products_like = None\n"
     )
     assert pair_path_names(source) == []
+
+
+def station_rule_owners(source: str) -> list[str]:
+    """The top-level function or class (else ``<module>``) around each occurrence in
+    ``source`` of a station comparison: as a name, an attribute or an imported name."""
+    owners = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                name = getattr(node, "id", getattr(node, "name", None))
+            owners += [owner] if name in STATION_RULE else []
+    return owners
+
+
+def test_only_station_bits_writes_the_station_comparisons():
+    assert station_rule_owners((SRC / "chsh.py").read_text()) == ["_station_bits"] * 2
+
+
+def test_the_station_rule_scan_finds_each_spelling():
+    source = (
+        "from numpy import less_equal\n"
+        "def f(d):\n    return np.greater_equal(d, 0.0)\n"
+        "class C:\n    is_plus = greater_equal\n"
+    )
+    assert station_rule_owners(source) == ["<module>", "f", "C"]
