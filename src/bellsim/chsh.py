@@ -37,13 +37,7 @@ from . import geometry, parallel
 from ._version import __version__
 from .correlation import _BLOCK_ROWS, CorrelationEstimate
 from .experiment import ConfigurationError, GeneratedTrials, InvariantError, TrialDatabase
-from .geometry import (
-    _REJECT_NORM,
-    UnitVector,
-    _gaussian_triples,
-    direction_at_angle,
-    sample_uniform_directions,
-)
+from .geometry import UnitVector, direction_at_angle, sample_uniform_directions
 from .rng import CounterStream
 from .stats import hoeffding_bound
 
@@ -443,42 +437,25 @@ def _lattice(count_budget: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.indices((g,) * 4).reshape(4, -1).T
 
 
-def _perturbed_quad(quad: SettingQuad, stream: CounterStream, radius: float) -> SettingQuad:
-    dirs = []
-    g = sample_uniform_directions(stream, 4)
-    for base, step in zip((quad.a1, quad.a2, quad.b1, quad.b2), g):
-        dirs.append(
-            UnitVector.normalize(
-                base.x + radius * step[0],
-                base.y + radius * step[1],
-                base.z + radius * step[2],
-            )
-        )
-    return SettingQuad(*dirs)
-
-
 def _perturbed_quads(
     quad: np.ndarray, stream: CounterStream, radius: float, size: int
 ) -> np.ndarray:
-    """``size`` perturbations of the quad rows ``quad`` (4, 3), equal bit for bit to
-    ``size`` calls of ``_perturbed_quad`` in a row, leaving ``stream`` where they leave it.
+    """``size`` perturbations of the quad rows ``quad`` (4, 3): each direction moved by
+    ``radius`` times a uniform direction, renormalized, quad after quad.
 
-    One draw of 16 * size uniforms serves them all, unless some gaussian
-    triple or some moved direction is shorter than ``_REJECT_NORM``; then
-    the stream goes back to where the round started and the sequential
-    path redraws the triple (or rejects the direction) as it always has.
+    One ``sample_uniform_directions`` call draws the round's 4 * size steps.
+    If it redrew a short triple, the stream stands past 16 * size draws;
+    then it goes back to where the round started and draws the round one
+    quad at a time, so each quad's redraws follow its own draws.
     """
     start = stream.counter
-    gx, gy, gz = _gaussian_triples(stream, 4 * size)
-    norm = np.sqrt(gx * gx + gy * gy + gz * gz)
-    moved = np.tile(quad, (size, 1)) + radius * (np.stack([gx, gy, gz], axis=1) / norm[:, None])
-    x, y, z = moved.T
-    length = np.sqrt(x * x + y * y + z * z)
-    if norm.min() < _REJECT_NORM or length.min() < _REJECT_NORM:
+    steps = sample_uniform_directions(stream, 4 * size)
+    if size > 1 and stream.counter != start + 16 * size:
         stream.counter = start
-        base = _quad_of(quad)
-        return _quad_rows([_perturbed_quad(base, stream, radius) for _ in range(size)])
-    return (moved / length[:, None]).reshape(size, 4, 3)
+        return np.concatenate([_perturbed_quads(quad, stream, radius, 1) for _ in range(size)])
+    moved = np.tile(quad, (size, 1)) + radius * steps
+    x, y, z = moved.T
+    return (moved / np.sqrt(x * x + y * y + z * z)[:, None]).reshape(size, 4, 3)
 
 
 def _best(stats: np.ndarray, quads: np.ndarray) -> int:

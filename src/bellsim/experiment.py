@@ -40,6 +40,7 @@ from .rng import (
 )
 
 _WEIGHT_TOLERANCE = 1e-12
+_MAX_NESTING = 32  # mixtures in a spec; far deeper ones would exhaust Python's recursion limit
 _SEED_LIMIT = 1 << 64
 
 
@@ -90,13 +91,13 @@ class DistributionSpec:
     def tag(self) -> str:
         raise NotImplementedError
 
-    def _visit_columns(self, keys: np.ndarray, offset: int, visit, where=None) -> None:
+    def _visit_columns(self, keys: np.ndarray, offset: int, visit) -> None:
         """``visit(cols, positions)`` for the spins of the uint64 stream ``keys``, drawn from
         ``offset`` on, in (3, m) column sub-blocks (``geometry._column_blocks``).
 
         Spin i depends on keys[i] and ``offset`` alone. ``positions`` locate
-        ``cols`` among the keys: a slice, or indices into ``where`` once a
-        mixture has split them. A consumer that ignores them never orders the spins.
+        ``cols`` among the keys: a slice, or an index array where a mixture
+        picked them. A consumer that ignores them never orders the spins.
         """
         raise NotImplementedError
 
@@ -118,9 +119,9 @@ class UniformSphere(DistributionSpec):
     def tag(self) -> str:
         return "uniform-sphere"
 
-    def _visit_columns(self, keys, offset, visit, where=None):
+    def _visit_columns(self, keys, offset, visit):
         _column_blocks(
-            keys.shape[0], lambda lo, hi, out: _unit_columns(keys[lo:hi], offset, out), visit, where
+            keys.shape[0], lambda lo, hi, out: _unit_columns(keys[lo:hi], offset, out), visit
         )
 
 
@@ -134,9 +135,9 @@ class FixedAxis(DistributionSpec):
         a = self.axis
         return f"fixed-axis({','.join(map(format_g17, (a.x, a.y, a.z)))})"
 
-    def _visit_columns(self, keys, offset, visit, where=None):
+    def _visit_columns(self, keys, offset, visit):
         axis = self.axis.as_array()[:, None]
-        _column_blocks(keys.shape[0], lambda lo, hi, out: np.copyto(out, axis), visit, where)
+        _column_blocks(keys.shape[0], lambda lo, hi, out: np.copyto(out, axis), visit)
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ class Cap(DistributionSpec):
         a = self.axis
         return f"cap({','.join(map(format_g17, (a.x, a.y, a.z, self.half_angle)))})"
 
-    def _visit_columns(self, keys, offset, visit, where=None):
+    def _visit_columns(self, keys, offset, visit):
         # cos(alpha) uniform on [cos(half_angle), 1] gives the uniform cap.
         depth = 1.0 - math.cos(self.half_angle)
         axis = self.axis.as_array()
@@ -190,7 +191,7 @@ class Cap(DistributionSpec):
                 out[j] += term
             _normalize_columns(out, norm, term)
 
-        _column_blocks(keys.shape[0], fill, visit, where)
+        _column_blocks(keys.shape[0], fill, visit)
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ class Mixture(DistributionSpec):
         parts = ";".join(f"{format_g17(w)}:{spec.tag()}" for w, spec in self.components)
         return f"mixture({parts})"
 
-    def _visit_columns(self, keys, offset, visit, where=None):
+    def _visit_columns(self, keys, offset, visit):
         # draw at `offset` selects the component; components draw from offset+1.
         # The component is the count of cumulative weights <= u, capped at the
         # last: the count over all but the last weight, which is never larger
@@ -221,10 +222,11 @@ class Mixture(DistributionSpec):
         for bound in np.cumsum([w for w, _ in self.components])[:-1]:
             idx += u >= bound
         for i, (_, spec) in enumerate(self.components):
-            picked = np.flatnonzero(idx == i)  # indices compose as positions in nested mixtures
-            if picked.size:
-                at = picked if where is None else where[picked]
-                spec._visit_columns(keys[picked], offset + 1, visit, at)
+            picked = np.flatnonzero(idx == i)
+            if picked.size:  # the component's positions, taken through the picks
+                spec._visit_columns(
+                    keys[picked], offset + 1, lambda cols, at, p=picked: visit(cols, p[at])
+                )
 
 
 def _unit_from_components(x: float, y: float, z: float) -> UnitVector:
@@ -253,8 +255,14 @@ def parse_distribution(text: str) -> DistributionSpec:
     """Parse a distribution tag, the inverse of ``DistributionSpec.tag()``.
 
     Grammar: ``uniform-sphere`` | ``fixed-axis(x,y,z)`` |
-    ``cap(x,y,z,half_angle_rad)`` | ``mixture(w:spec;w:spec;...)``.
+    ``cap(x,y,z,half_angle_rad)`` | ``mixture(w:spec;w:spec;...)``, with
+    mixtures nested at most ``_MAX_NESTING`` deep.
     """
+    return _parse_spec(text, 0)
+
+
+def _parse_spec(text: str, depth: int) -> DistributionSpec:
+    # ``depth``: the mixtures that enclose ``text``
     text = text.strip()
     if text in ("uniform-sphere", "uniform"):
         return UniformSphere()
@@ -268,10 +276,14 @@ def parse_distribution(text: str) -> DistributionSpec:
                 if name == "cap":
                     x, y, z, half = (float(p) for p in body.split(","))
                     return Cap(_unit_from_components(x, y, z), half)
+                if depth == _MAX_NESTING:
+                    raise ConfigurationError(
+                        f"distribution spec nests mixtures more than {_MAX_NESTING} deep"
+                    )
                 entries = []
                 for part in _split_top_level(body, ";"):
                     w_text, spec_text = part.split(":", 1)
-                    entries.append((float(w_text), parse_distribution(spec_text)))
+                    entries.append((float(w_text), _parse_spec(spec_text, depth + 1)))
                 return Mixture(tuple(entries))
             except ConfigurationError:
                 raise

@@ -116,18 +116,17 @@ def _gaussian_triples(stream: CounterStream, count: int) -> np.ndarray:
     return _gaussian_columns(u, np.empty((3, count)))
 
 
-def _column_blocks(n: int, fill, visit, where=None) -> None:
-    """``fill(lo, hi, cols)``, then ``visit(cols, positions)``, for each sub-block [lo, hi)
-    of at most ``_SUB_BLOCK_ROWS`` of n rows, in order. ``cols`` is a (3, hi - lo) view
-    of one scratch array that every sub-block reuses. ``positions`` is ``slice(lo, hi)``,
-    or ``where[lo:hi]`` given the positions ``where`` of the n rows (a mixture's picks).
+def _column_blocks(n: int, fill, visit) -> None:
+    """``fill(lo, hi, cols)``, then ``visit(cols, slice(lo, hi))``, for each sub-block
+    [lo, hi) of at most ``_SUB_BLOCK_ROWS`` of n rows, in order. ``cols`` is a
+    (3, hi - lo) view of one scratch array that every sub-block reuses.
     """
     columns = np.empty((3, min(n, _SUB_BLOCK_ROWS)))
     for lo in range(0, n, _SUB_BLOCK_ROWS):
         hi = min(lo + _SUB_BLOCK_ROWS, n)
         cols = columns[:, : hi - lo]
         fill(lo, hi, cols)
-        visit(cols, slice(lo, hi) if where is None else where[lo:hi])
+        visit(cols, slice(lo, hi))
 
 
 def _normalize_columns(out: np.ndarray, norm: np.ndarray, square: np.ndarray) -> np.ndarray:

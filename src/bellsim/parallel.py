@@ -32,11 +32,19 @@ MIN_PARALLEL_TRIALS = 4096
 RANGES_PER_WORKER = 4
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on (its affinity mask, as under taskset),
+    # where the platform can tell, else all of the machine's
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _processes(workers: int) -> int:
     # the fork start method starts every process at once; a pool never needs
     # more than the CPUs it can keep busy, and tallies and the keyed max do
     # not depend on the partition, so capping changes no result
-    return max(1, min(workers, os.cpu_count() or 1))
+    return max(1, min(workers, _usable_cpus()))
 
 
 def __getattr__(name: str):
@@ -61,7 +69,7 @@ def map_ranges(fn, n: int, workers: int, *args, minimum: int = MIN_PARALLEL_TRIA
 
     ``ranges`` is [(0, n)] at one worker and ``chunk_ranges(n,
     RANGES_PER_WORKER * processes)`` otherwise, where ``processes`` is
-    ``workers`` capped at the CPU count. The ranges run in one process
+    ``workers`` capped at the CPUs this process may use. The ranges run in one process
     pool when there is more than one worker and ``n`` is at least
     ``minimum``, and in this process otherwise; a pool task pickles
     ``fn``, ``args`` and its range.
@@ -77,7 +85,7 @@ def map_ranges(fn, n: int, workers: int, *args, minimum: int = MIN_PARALLEL_TRIA
 def resolve_workers(workers) -> int:
     """Turn a worker request ('auto', int, or numeric string) into a count."""
     if workers == "auto" or workers is None:
-        return max(1, os.cpu_count() or 1)
+        return _usable_cpus()
     count = int(workers)
     if count < 1:
         raise ValueError("workers must be a positive integer or 'auto'")

@@ -27,6 +27,9 @@ _MIX2 = 0x94D049BB133111EB
 _DERIVE_SALT = 0xD6E8FEB86659FD93  # separates child-key derivation from draws
 
 # Domain tags keep unrelated uses of the same user seed on disjoint streams.
+# No command draws from DOMAIN_FRESH: `chsh --mode fresh` seeds its three
+# fresh sets from DOMAIN_SEARCH, as `search` does, and the recorded fresh-mode
+# digests pin that choice.
 DOMAIN_TRIALS = 1
 DOMAIN_SETTINGS = 2
 DOMAIN_FRESH = 3

@@ -182,6 +182,26 @@ def test_reuse_statistic_raises_when_the_tallies_break_the_identity(
         chsh_statistic(source, CANONICAL_QUAD, mode, root_stream(3))
 
 
+# one trial whose term is +2: T11 = T12 = +1, T21 = T22 = -1
+_ONE_TRIAL = QuadTallies(1, (1, 1, 0, 0), (0, 0, 0, 0), 2, 2, term_sum=2, term_pm2=1)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        _ONE_TRIAL._replace(term_pm2=0),  # the term counted as not +-2
+        _ONE_TRIAL._replace(term_sum=-2),  # a +-2 term whose sum is not the tallies'
+        # tallies and sum agree at 4 > 2n, though the one term counts as +-2
+        _ONE_TRIAL._replace(pos=(1, 0, 0, 0), term_sum=4),
+    ],
+    ids=["not-pm2", "sum-off-the-tallies", "beyond-2n"],
+)
+def test_each_clause_of_the_identity_check_rejects_tallies_on_its_own(broken):
+    assert result_from_tallies(_ONE_TRIAL).statistic == 2.0
+    with pytest.raises(InvariantError, match="per-trial identity violated"):
+        result_from_tallies(broken)
+
+
 # -- strategy enumeration ---------------------------------------------------
 
 
@@ -703,32 +723,75 @@ def test_refinement_keeps_the_incumbent_against_an_equal_candidate(monkeypatch):
         )
 
 
+def _first_redrawn_quad(seed: int, size: int):
+    # the quad of a round's first gaussian triple shorter than the rejection
+    # norm, among its 4 * size triples drawn from root_stream(seed, 4); None if none
+    gx, gy, gz = geometry._gaussian_triples(root_stream(seed, 4), 4 * size)
+    short = np.flatnonzero(np.sqrt(gx * gx + gy * gy + gz * gz) < geometry._REJECT_NORM)
+    return int(short[0]) // 4 if short.size else None
+
+
+@pytest.mark.parametrize(
+    "size,where",
+    [(1, "first"), (2, "first"), (2, "last"), (32, "first"), (32, "middle"), (32, "last")],
+)
+def test_perturbations_match_the_oracle_whichever_quad_redraws_first(monkeypatch, size, where):
+    # about 3 % of gaussian triples are shorter than 0.5; a round that redraws one
+    # draws again quad by quad, so each quad's redraw follows its own draws
+    monkeypatch.setattr(geometry, "_REJECT_NORM", 0.5)
+    placed = {
+        "first": lambda q: q == 0,
+        "middle": lambda q: 0 < q < size - 1,
+        "last": lambda q: q == size - 1,
+    }[where]
+    seeds = [s for s in range(3000) if (q := _first_redrawn_quad(s, size)) is not None and placed(q)]
+    for seed in seeds[:3]:
+        stream, oracle_stream = root_stream(seed, 4), root_stream(seed, 4)
+        rows = _perturbed_quads(_quad_rows([CANONICAL_QUAD])[0], stream, 0.4, size)
+        expected = [oracles.perturbed_quad(CANONICAL_QUAD, oracle_stream, 0.4) for _ in range(size)]
+        assert rows.tobytes() == _quad_rows(expected).tobytes()
+        assert stream == oracle_stream
+        assert stream.counter > 16 * size  # the round did redraw
+    assert len(seeds) >= 3
+
+
 def test_perturbations_fall_back_to_the_sequential_draw_after_a_short_triple(monkeypatch):
-    # about 3 % of gaussian triples are shorter than 0.5, so most rounds of 32
-    # quads hold one; a moved direction is at least 1 - 0.4 long, so none fails
-    for module in (geometry, chsh):
-        monkeypatch.setattr(module, "_REJECT_NORM", 0.5)
-    sequential, calls = chsh._perturbed_quad, []
+    # most rounds of 32 quads hold a triple shorter than 0.5, so most rounds
+    # draw again one quad at a time; both searches still equal the oracle's
+    monkeypatch.setattr(geometry, "_REJECT_NORM", 0.5)
+    sizes, batched = [], chsh._perturbed_quads
 
-    def counted(*args):
-        calls.append(args)
-        return sequential(*args)
+    def counted(quad, stream, radius, size):
+        sizes.append(size)
+        return batched(quad, stream, radius, size)
 
-    monkeypatch.setattr(chsh, "_perturbed_quad", counted)
-    for seed in range(4):
-        for size, radius in ((1, 0.4), (32, 0.4), (7, 0.01)):
-            stream, oracle_stream = root_stream(seed, 4), root_stream(seed, 4)
-            rows = _perturbed_quads(_quad_rows([CANONICAL_QUAD])[0], stream, radius, size)
-            expected = [
-                oracles.perturbed_quad(CANONICAL_QUAD, oracle_stream, radius) for _ in range(size)
-            ]
-            assert rows.tobytes() == _quad_rows(expected).tobytes()
-            assert stream == oracle_stream
-    assert calls
+    monkeypatch.setattr(chsh, "_perturbed_quads", counted)
+    for mode, n in (("reuse", 200), ("fresh", 37)):
+        db = generate_database(9, UniformSphere(), n)
+        stream, oracle_stream = root_stream(9, 4), root_stream(9, 4)
+        got = search_max_chsh(db, mode, 300, stream)
+        assert got == oracles.search_max_chsh(db, mode, 300, oracle_stream)
+        assert stream == oracle_stream
+    assert 32 in sizes and 1 in sizes
+
+
+def test_a_reuse_search_that_redraws_normalizes_no_vector(monkeypatch):
+    # every candidate stays a row of an array; only the winner becomes a SettingQuad,
+    # of unit vectors it does not renormalize
+    monkeypatch.setattr(geometry, "_REJECT_NORM", 0.5)
+    calls, normalize = [], UnitVector.normalize.__func__
+
+    def counted(cls, x, y, z):
+        calls.append((x, y, z))
+        return normalize(cls, x, y, z)
+
     db = generate_database(9, UniformSphere(), 200)
-    assert search_max_chsh(db, "reuse", 300, root_stream(9, 4)) == oracles.search_max_chsh(
-        db, "reuse", 300, root_stream(9, 4)
-    )
+    stream, oracle_stream = root_stream(9, 4), root_stream(9, 4)
+    expected = oracles.search_max_chsh(db, "reuse", 300, oracle_stream)
+    monkeypatch.setattr(UnitVector, "normalize", classmethod(counted))
+    got = search_max_chsh(db, "reuse", 300, stream)
+    assert calls == []
+    assert got == expected and stream == oracle_stream
 
 
 def _inflated_tiles(f):

@@ -482,6 +482,26 @@ def test_invalid_configs_fail_fast(tmp_path, args, needle):
     assert not (tmp_path / "x").exists()
 
 
+def test_a_mixture_nested_too_deep_is_one_error_line(tmp_path):
+    # 340 levels once overflowed Python's recursion limit into a traceback
+    out = tmp_path / "chsh.json"
+    dist = "mixture(1:" * 340 + "uniform-sphere" + ")" * 340
+    proc = run_cli("chsh", "--n", "10", "--dist", dist, *_CANONICAL, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: distribution spec nests mixtures more than 32 deep"]
+    assert not out.exists()
+
+
+def test_auto_workers_count_the_cpus_this_process_may_use(tmp_path, monkeypatch, pool_recorder):
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parallel.resolve_workers("auto") == 1
+    assert parallel._processes(8) == 1
+    pool_recorder.refuse = True
+    argv = ["chsh", "--n", "5000", *_CANONICAL, "--workers", "auto", "--out", str(tmp_path / "a")]
+    assert cli.main(argv) == 0
+    assert pool_recorder.requests == [] and pool_recorder.processes == []
+
+
 # runs each command through cli.main in one fresh process and prints, after each,
 # how many row-kernel table sets that process has built
 _TABLES_PROBE = """

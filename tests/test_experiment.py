@@ -29,7 +29,13 @@ from bellsim import (
     write_database,
 )
 from bellsim import geometry
-from bellsim.experiment import _DB_ROW, _WRITE_BLOCK_ROWS, _format_rows, _kernel_tables
+from bellsim.experiment import (
+    _DB_ROW,
+    _MAX_NESTING,
+    _WRITE_BLOCK_ROWS,
+    _format_rows,
+    _kernel_tables,
+)
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import DOMAIN_TRIALS, child_keys, root_key, root_stream
 
@@ -157,6 +163,24 @@ def test_mixture_rejects_nan_weights():
         Mixture(((0.5, UniformSphere()), (nan, UniformSphere())))
     with pytest.raises(ConfigurationError):
         parse_distribution("mixture(nan:uniform-sphere)")
+
+
+def _nested(depth: int) -> str:
+    return "mixture(1:" * depth + "uniform-sphere" + ")" * depth
+
+
+def test_mixtures_nest_at_most_the_limit_in_a_spec_and_a_database_header():
+    at_limit = parse_distribution(_nested(_MAX_NESTING))
+    assert at_limit.tag() == _nested(_MAX_NESTING)
+    keys = child_keys(root_key(3, DOMAIN_TRIALS), 0, 50)
+    assert at_limit._sample_rows(keys, 0).tobytes() == oracles.sample_rows(at_limit, keys, 0).tobytes()
+    for depth in (_MAX_NESTING + 1, 340):
+        with pytest.raises(ConfigurationError, match=f"nests mixtures more than {_MAX_NESTING} deep"):
+            parse_distribution(_nested(depth))
+        header = f"bellsim-db v1 seed=0 dist={_nested(depth)} n=1\n0 0 0 1\n"
+        with pytest.raises(ConfigurationError, match="bad database header") as caught:
+            read_database(io.StringIO(header))
+        assert f"more than {_MAX_NESTING} deep" in str(caught.value.__cause__)
 
 
 def test_distribution_tags_round_trip():

@@ -1,6 +1,5 @@
 """Process-pool plumbing: the process cap and the row-range map."""
 
-import os
 import subprocess
 import sys
 
@@ -9,15 +8,27 @@ import pytest
 from bellsim import parallel
 
 
+def _usable_cpus(monkeypatch, cpus):
+    # ``cpus`` CPUs in this process's affinity mask; None: a platform with no
+    # affinity call that cannot count its CPUs either
+    if cpus is None:
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(
+            parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+
+
 @pytest.mark.parametrize(
     "cpus,workers,expected",
-    [(3, 10_000, 3), (None, 10_000, 1), (64, 2, 2), ("host", 10_000, os.cpu_count() or 1)],
+    [(3, 10_000, 3), (None, 10_000, 1), (64, 2, 2), ("host", 10_000, parallel._usable_cpus())],
 )
 def test_pools_start_at_most_cpu_count_processes(pool_recorder, monkeypatch, cpus, workers, expected):
     # records the pool request instead of starting any process
     pool_recorder.refuse = True
     if cpus != "host":
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        _usable_cpus(monkeypatch, cpus)
     with pytest.raises(AssertionError, match="pool refused"):
         parallel.plain_pool(workers)
     assert pool_recorder.processes == [expected]
@@ -34,7 +45,7 @@ def _span(job, lo, hi):
 def test_map_ranges_returns_the_ranges_in_order(
     pool_recorder, monkeypatch, n, workers, minimum, pools
 ):
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     partials = parallel.map_ranges(_span, n, workers, "job", minimum=minimum)
     # the ranges come from the process count, capped at the two CPUs
     parts = 1 if workers == 1 else parallel.RANGES_PER_WORKER * 2
@@ -47,7 +58,7 @@ def test_map_ranges_cuts_absurd_worker_counts_to_the_capped_process_count(
 ):
     # n is below the minimum, so the ranges run in this process and nothing starts
     pool_recorder.refuse = True
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     partials = parallel.map_ranges(_span, 20_000, 10_000, "job", minimum=20_001)
     assert len(partials) == 2 * parallel.RANGES_PER_WORKER
     assert [(lo, hi) for _, lo, hi in partials] == parallel.chunk_ranges(20_000, len(partials))
