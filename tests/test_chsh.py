@@ -732,10 +732,20 @@ def _first_redrawn_quad(seed: int, size: int):
 
 
 @pytest.mark.parametrize(
-    "size,where",
-    [(1, "first"), (2, "first"), (2, "last"), (32, "first"), (32, "middle"), (32, "last")],
+    "size,where,radius",
+    [
+        (1, "first", 0.4),
+        (2, "first", 0.4),
+        (2, "last", 0.4),
+        (7, "middle", 0.01),  # an odd round of small steps
+        (32, "first", 0.4),
+        (32, "middle", 0.4),
+        (32, "last", 0.4),
+    ],
 )
-def test_perturbations_match_the_oracle_whichever_quad_redraws_first(monkeypatch, size, where):
+def test_perturbations_match_the_oracle_whichever_quad_redraws_first(
+    monkeypatch, size, where, radius
+):
     # about 3 % of gaussian triples are shorter than 0.5; a round that redraws one
     # draws again quad by quad, so each quad's redraw follows its own draws
     monkeypatch.setattr(geometry, "_REJECT_NORM", 0.5)
@@ -747,8 +757,10 @@ def test_perturbations_match_the_oracle_whichever_quad_redraws_first(monkeypatch
     seeds = [s for s in range(3000) if (q := _first_redrawn_quad(s, size)) is not None and placed(q)]
     for seed in seeds[:3]:
         stream, oracle_stream = root_stream(seed, 4), root_stream(seed, 4)
-        rows = _perturbed_quads(_quad_rows([CANONICAL_QUAD])[0], stream, 0.4, size)
-        expected = [oracles.perturbed_quad(CANONICAL_QUAD, oracle_stream, 0.4) for _ in range(size)]
+        rows = _perturbed_quads(_quad_rows([CANONICAL_QUAD])[0], stream, radius, size)
+        expected = [
+            oracles.perturbed_quad(CANONICAL_QUAD, oracle_stream, radius) for _ in range(size)
+        ]
         assert rows.tobytes() == _quad_rows(expected).tobytes()
         assert stream == oracle_stream
         assert stream.counter > 16 * size  # the round did redraw

@@ -5,20 +5,19 @@ For each, the checkout is copied to a temporary directory, the edit is
 applied there, and tier-1 runs on the copy with ``-x`` under a time limit.
 A mutant is killed when a test fails (the first failing test is named) or
 the run exceeds the limit, and survives when every test passes. A survivor
-either shows a missing test or is equivalent: it changes no behaviour that
-a test could observe, and the list says so. The checkout itself is only
-read; every file the runs write stays in the temporary copies.
+shows a missing test, unless it changes no behaviour a test could observe;
+such an equivalent mutant is taken off the list. The checkout itself is
+only read; every file the runs write stays in the temporary copies.
 
 Standard library only. Not part of tier-1: a killed mutant takes seconds,
-a survivor a whole tier-1 run.
+a survivor a whole tier-1 run. Exits 1 if any mutant survives or no longer
+applies.
 
-    python3 tools/mutants.py                  # every mutant
-    python3 tools/mutants.py redraw-test ...  # the named ones
+    python3 tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -32,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 _IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"
 )
+_TIMEOUT = 300.0  # seconds per tier-1 run
 
 
 class Mutant(NamedTuple):
@@ -39,7 +39,6 @@ class Mutant(NamedTuple):
     path: str  # relative to the checkout
     old: str  # must occur exactly once in the file
     new: str
-    equivalent: str | None = None  # why no test can tell it apart, if none can
 
 
 MUTANTS = [
@@ -49,13 +48,6 @@ MUTANTS = [
         "src/bellsim/chsh.py",
         "if size > 1 and stream.counter != start + 16 * size:",
         "if size > 1 and stream.counter == start + 16 * size:",
-    ),
-    Mutant(
-        "redraw-test-past",
-        "src/bellsim/chsh.py",
-        "if size > 1 and stream.counter != start + 16 * size:",
-        "if size > 1 and stream.counter > start + 16 * size:",
-        equivalent="the sampler draws at least 16 * size, so the stream never stands short of it",
     ),
     Mutant(
         "redraw-one-quad-guard",
@@ -149,7 +141,7 @@ def _first_failure(output: str) -> str:
     return "(no test named; see pytest's output)"
 
 
-def run_mutant(mutant: Mutant, timeout: float) -> tuple[str, str, float]:
+def run_mutant(mutant: Mutant) -> tuple[str, str, float]:
     """(outcome, detail, seconds) of tier-1 on a mutated copy of the checkout."""
     with tempfile.TemporaryDirectory(prefix="bellsim-mutant-") as tmp:
         copy = Path(tmp) / "repo"
@@ -164,31 +156,22 @@ def run_mutant(mutant: Mutant, timeout: float) -> tuple[str, str, float]:
         start = time.perf_counter()
         try:
             proc = subprocess.run(
-                argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout
+                argv, cwd=copy, env=env, capture_output=True, text=True, timeout=_TIMEOUT
             )
         except subprocess.TimeoutExpired:
-            return "killed", f"timed out after {timeout:g} s", time.perf_counter() - start
+            return "killed", f"timed out after {_TIMEOUT:g} s", time.perf_counter() - start
         seconds = time.perf_counter() - start
         if proc.returncode == 0:
-            return "survived", mutant.equivalent and f"equivalent: {mutant.equivalent}", seconds
+            return "survived", "", seconds
         return "killed", _first_failure(proc.stdout), seconds
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per tier-1 run")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] if args.names else MUTANTS
+def main() -> int:
     missed = 0
-    for mutant in chosen:
-        outcome, detail, seconds = run_mutant(mutant, args.timeout)
-        print(f"{mutant.name:<30} {outcome:<8} {seconds:6.1f} s  {detail or ''}", flush=True)
-        missed += outcome == "stale" or (outcome == "survived" and not mutant.equivalent)
+    for mutant in MUTANTS:
+        outcome, detail, seconds = run_mutant(mutant)
+        print(f"{mutant.name:<30} {outcome:<8} {seconds:6.1f} s  {detail}", flush=True)
+        missed += outcome != "killed"
     return 1 if missed else 0
 
 
