@@ -33,7 +33,6 @@ _EXPORTS = {
     ),
     "correlation": (
         "CorrelationCurve",
-        "CorrelationEstimate",
         "CurvePoint",
         "estimate_correlation",
         "reference_linear",
@@ -67,7 +66,14 @@ _EXPORTS = {
         "sample_uniform_directions",
     ),
     "rng": ("CounterStream", "root_stream"),
-    "stats": ("DeviationBound", "WithinReport", "check_within", "hoeffding_bound", "standard_error"),
+    "stats": (
+        "CorrelationEstimate",
+        "DeviationBound",
+        "WithinReport",
+        "check_within",
+        "hoeffding_bound",
+        "standard_error",
+    ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

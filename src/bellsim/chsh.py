@@ -35,13 +35,11 @@ import numpy as np
 
 from . import geometry, parallel
 from ._version import __version__
-from .correlation import _BLOCK_ROWS, CorrelationEstimate
-from .experiment import ConfigurationError, GeneratedTrials, InvariantError, TrialDatabase
+from .experiment import MODES, ConfigurationError, GeneratedTrials, InvariantError, TrialDatabase
 from .geometry import UnitVector, direction_at_angle, sample_uniform_directions
+from .parallel import _BLOCK_ROWS
 from .rng import CounterStream
-from .stats import hoeffding_bound
-
-_MODES = ("reuse", "fresh")  # the modes of chsh_statistic and search_max_chsh, and of --mode
+from .stats import CorrelationEstimate, hoeffding_bound
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ def chsh_statistic(
     """
     if mode == "reuse":
         return result_from_tallies(streamed_tallies([db], quad, workers)[0])
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
     if stream is None:
         raise ConfigurationError("fresh mode requires a random stream")
@@ -503,7 +501,7 @@ def search_max_chsh(
     """
     if budget < 1:
         raise ConfigurationError(f"search budget must be >= 1, got {budget}")
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ConfigurationError(f"mode must be 'reuse' or 'fresh', got {mode!r}")
 
     base_key = stream.key  # fresh-mode candidates derive substreams from here

@@ -6,28 +6,22 @@ temporary name and atomically renamed, so a failed run never leaves a
 truncated artifact behind. Worker count influences wall time only;
 output files are byte-identical at any setting, so the resolved
 parallelism is echoed on stdout rather than recorded in the files.
+
+Each command imports the layers it runs when it starts, so that no run
+compiles and imports modules it never calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import tempfile
 
 from ._version import __version__
-from .chsh import (
-    _MODES,
-    SettingQuad,
-    chsh_statistic,
-    enumerate_deterministic_strategies,
-    result_summary,
-    search_max_chsh,
-)
-from .correlation import curve_summary, sweep_correlation, write_curve_csv
 from .experiment import (
+    MODES,
     ConfigurationError,
     GeneratedTrials,
     InvariantError,
@@ -89,6 +83,8 @@ def _atomic_write(path: str, write):
 
 
 def _dump_json(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -130,6 +126,8 @@ def _sweep_grid(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from .correlation import curve_summary, sweep_correlation, write_curve_csv
+
     _config_from_args(args, default_out="sweep.csv")
     grid = _sweep_grid(args)
     plane = None
@@ -168,6 +166,8 @@ def cmd_sweep(args) -> int:
 
 
 def _quad_from_args(args, trials: GeneratedTrials | TrialDatabase) -> SettingQuad:
+    from .chsh import SettingQuad
+
     flags = {"--a1": args.a1, "--a2": args.a2, "--b1": args.b1, "--b2": args.b2}
     if args.policy == "fixed":
         missing = [name for name, v in flags.items() if v is None]
@@ -183,6 +183,8 @@ def _quad_from_args(args, trials: GeneratedTrials | TrialDatabase) -> SettingQua
 
 
 def cmd_chsh(args) -> int:
+    from .chsh import chsh_statistic, result_summary
+
     _config_from_args(args, default_out="chsh.json")
     trials = GeneratedTrials(args.seed, args.distribution, args.n)
     quad = _quad_from_args(args, trials)
@@ -204,6 +206,8 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .chsh import result_summary, search_max_chsh
+
     _config_from_args(args, default_out="search.json")
     if args.budget < 1:
         raise ConfigurationError(f"--budget must be >= 1, got {args.budget}")
@@ -255,6 +259,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .chsh import enumerate_deterministic_strategies
+
     enum = enumerate_deterministic_strategies()
     print(" x1  x2  y1  y2  term")
     for x1, x2, y1, y2, term in enum.table:
@@ -279,7 +285,7 @@ def _add_common(sub, *, mode=False, fmt=None) -> None:
     sub.add_argument("--workers", default="1", help="worker processes, a count or 'auto'")
     sub.add_argument("--out", default=None, help="output file path")
     if mode:
-        sub.add_argument("--mode", choices=_MODES, default="reuse")
+        sub.add_argument("--mode", choices=MODES, default="reuse")
     if fmt:
         sub.add_argument("--format", choices=fmt, default=fmt[0])
 

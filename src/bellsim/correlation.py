@@ -31,34 +31,10 @@ from .experiment import (
     format_g17,
 )
 from .geometry import UnitVector, direction_at_angle
-from .stats import standard_error
+from .parallel import _BLOCK_ROWS
+from .stats import CorrelationEstimate
 
 _ANGLE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """E(a, b) with its exact tallies and a large-sample standard error."""
-
-    value: float
-    n: int
-    count_pos: int
-    count_neg: int
-    tie_count: int
-    standard_error: float
-
-    @classmethod
-    def from_tallies(cls, n: int, count_pos: int, tie_count: int) -> "CorrelationEstimate":
-        count_neg = n - count_pos
-        value = (count_pos - count_neg) / n
-        return cls(
-            value=value,
-            n=n,
-            count_pos=count_pos,
-            count_neg=count_neg,
-            tie_count=tie_count,
-            standard_error=standard_error(value, n),
-        )
 
 
 def setting_dots(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: UnitVector) -> np.ndarray:
@@ -98,9 +74,6 @@ def _pair_tallies(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int,
     count_pos = int(np.count_nonzero(x == y))  # product is +1 iff signs agree
     tie_count = int(np.count_nonzero(tie_a | tie_b))
     return count_pos, tie_count
-
-
-_BLOCK_ROWS = 1 << 16  # rows read at once; bounds what a range task holds
 
 
 def _range_pair_tallies(source, pairs, lo: int, hi: int) -> np.ndarray:

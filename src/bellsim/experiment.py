@@ -42,6 +42,7 @@ from .rng import (
 _WEIGHT_TOLERANCE = 1e-12
 _MAX_NESTING = 32  # mixtures in a spec; far deeper ones would exhaust Python's recursion limit
 _SEED_LIMIT = 1 << 64
+MODES = ("reuse", "fresh")  # the CHSH modes: of chsh_statistic, search_max_chsh and --mode
 
 
 class ConfigurationError(ValueError):

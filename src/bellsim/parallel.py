@@ -30,6 +30,8 @@ MIN_PARALLEL_TRIALS = 4096
 # ranges per worker when there are several: a worker slowed by other load
 # takes fewer of them, and each task reads fewer rows at once
 RANGES_PER_WORKER = 4
+# rows a range task reads at once; bounds what it holds
+_BLOCK_ROWS = 1 << 16
 
 
 def _usable_cpus() -> int:

@@ -20,6 +20,31 @@ def standard_error(value: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
+class CorrelationEstimate:
+    """E(a, b) with its exact tallies and a large-sample standard error."""
+
+    value: float
+    n: int
+    count_pos: int
+    count_neg: int
+    tie_count: int
+    standard_error: float
+
+    @classmethod
+    def from_tallies(cls, n: int, count_pos: int, tie_count: int) -> "CorrelationEstimate":
+        count_neg = n - count_pos
+        value = (count_pos - count_neg) / n
+        return cls(
+            value=value,
+            n=n,
+            count_pos=count_pos,
+            count_neg=count_neg,
+            tie_count=tie_count,
+            standard_error=standard_error(value, n),
+        )
+
+
+@dataclass(frozen=True)
 class DeviationBound:
     """P(|mean - expectation| >= t) <= bound, for n samples in {-1, +1}."""
 

@@ -401,7 +401,7 @@ def _tile_ends(n: int, first_tile: int) -> list[int]:
     ends, tile = [0], first_tile
     while ends[-1] < n:
         ends.append(min(n, ends[-1] + tile))
-        tile = min(2 * tile, correlation._BLOCK_ROWS // 4)
+        tile = min(2 * tile, parallel._BLOCK_ROWS // 4)
     return ends
 
 
@@ -544,7 +544,7 @@ _SIGNED_ZERO_AXIS = FixedAxis(UnitVector(-0.0, 0.0, -1.0))
     start=st.integers(0, 299),
     length=st.integers(1, 300),
     quad=_quads,
-    block_rows=st.one_of(st.integers(1, 16), st.just(correlation._BLOCK_ROWS)),
+    block_rows=st.one_of(st.integers(1, 16), st.just(parallel._BLOCK_ROWS)),
     sub_block_rows=st.one_of(st.integers(1, 16), st.just(geometry._SUB_BLOCK_ROWS)),
     stored=st.booleans(),
 )
@@ -558,7 +558,7 @@ _SIGNED_ZERO_AXIS = FixedAxis(UnitVector(-0.0, 0.0, -1.0))
          block_rows=16, sub_block_rows=7, stored=True)
 @example(seed=7, dist=Mixture(((0.5, _SIGNED_ZERO_AXIS), (0.5, FixedAxis(Y_AXIS.negated())))),
          n=299, start=0, length=300, quad=SettingQuad(Z_AXIS, Y_AXIS, X_AXIS, Y_AXIS.negated()),
-         block_rows=correlation._BLOCK_ROWS, sub_block_rows=geometry._SUB_BLOCK_ROWS, stored=False)
+         block_rows=parallel._BLOCK_ROWS, sub_block_rows=geometry._SUB_BLOCK_ROWS, stored=False)
 def test_column_tallies_equal_the_int8_oracle_on_the_same_rows(
     seed, dist, n, start, length, quad, block_rows, sub_block_rows, stored
 ):
@@ -645,14 +645,14 @@ def test_array_search_matches_the_sequential_oracle(seed, dist, n, budget, initi
     budget=st.integers(1, 200),  # below 49 no lattice, below 3 no random quads
     initial=st.none() | st.builds(SettingQuad, _units, _units, _units, _units),
     first_tile=st.integers(1, 64),
-    block_rows=st.sampled_from([256, 4096, correlation._BLOCK_ROWS]),
+    block_rows=st.sampled_from([256, 4096, parallel._BLOCK_ROWS]),
 )
 # the initial quad's S is 1.013 < 2, and 8 of the 14 later candidates are
 # dropped after reading some of their rows
 @example(
     seed=0, dist=UniformSphere(), n=300, budget=15,
     initial=SettingQuad(X_AXIS, Y_AXIS, Z_AXIS, X_AXIS),
-    first_tile=64, block_rows=correlation._BLOCK_ROWS,
+    first_tile=64, block_rows=parallel._BLOCK_ROWS,
 )
 @example(  # many quads tie at S = 2, so only the key rule picks the winner
     seed=0, dist=FixedAxis(Z_AXIS), n=13, budget=200, initial=None, first_tile=1, block_rows=256

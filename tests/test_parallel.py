@@ -65,6 +65,19 @@ def test_map_ranges_cuts_absurd_worker_counts_to_the_capped_process_count(
     assert pool_recorder.requests == [] and pool_recorder.processes == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 30, 4099])
+@pytest.mark.parametrize("parts", [1, 2, 3, 8, 10_000])
+def test_chunk_ranges_tile_the_trials_in_near_equal_ranges(n, parts):
+    ranges = parallel.chunk_ranges(n, parts)
+    assert len(ranges) == min(n, parts)
+    assert [lo for lo, _ in ranges] == [0, *(hi for _, hi in ranges[:-1])]
+    assert ranges[-1][1] == n
+    # the first n % len(ranges) ranges take one trial more than the rest
+    sizes = [hi - lo for lo, hi in ranges]
+    step, extra = divmod(n, len(ranges))
+    assert sizes == [step + 1] * extra + [step] * (len(ranges) - extra)
+
+
 def test_the_cli_imports_no_pool_machinery_until_a_pool_starts():
     code = "import sys, bellsim.cli; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

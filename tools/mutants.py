@@ -93,6 +93,31 @@ MUTANTS = [
         "live = live[(bound > bar) | ((bound == bar) & greater[live])]",
         "live = live[(bound >= bar) | ((bound == bar) & greater[live])]",
     ),
+    Mutant(
+        "best-keeps-last-of-equals",
+        "src/bellsim/chsh.py",
+        "return int(best[0])",
+        "return int(best[-1])",
+    ),
+    Mutant(
+        "chunk-ranges-extra",
+        "src/bellsim/parallel.py",
+        "1 if i < extra else 0",
+        "1 if i <= extra else 0",
+    ),
+    # the import graph: each command loads only the layers it runs
+    Mutant(
+        "cli-imports-every-layer",
+        "src/bellsim/cli.py",
+        "from .parallel import resolve_workers\n",
+        "from .parallel import resolve_workers\nfrom . import chsh, correlation\n",
+    ),
+    Mutant(
+        "chsh-imports-correlation",
+        "src/bellsim/chsh.py",
+        "from .rng import CounterStream\n",
+        "from .rng import CounterStream\nfrom . import correlation\n",
+    ),
     # the run-time checks
     Mutant(
         "identity-check-off",
