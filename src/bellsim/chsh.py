@@ -441,16 +441,10 @@ def _perturbed_quads(
     """``size`` perturbations of the quad rows ``quad`` (4, 3): each direction moved by
     ``radius`` times a uniform direction, renormalized, quad after quad.
 
-    One ``sample_uniform_directions`` call draws the round's 4 * size steps.
-    If it redrew a short triple, the stream stands past 16 * size draws;
-    then it goes back to where the round started and draws the round one
-    quad at a time, so each quad's redraws follow its own draws.
+    One ``sample_uniform_directions`` call draws the round's 4 * size steps,
+    so a redraw of a short triple, if any, follows the whole round's draws.
     """
-    start = stream.counter
     steps = sample_uniform_directions(stream, 4 * size)
-    if size > 1 and stream.counter != start + 16 * size:
-        stream.counter = start
-        return np.concatenate([_perturbed_quads(quad, stream, radius, 1) for _ in range(size)])
     moved = np.tile(quad, (size, 1)) + radius * steps
     x, y, z = moved.T
     return (moved / np.sqrt(x * x + y * y + z * z)[:, None]).reshape(size, 4, 3)

@@ -165,7 +165,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _quad_from_args(args, trials: GeneratedTrials | TrialDatabase) -> SettingQuad:
+def _quad_from_args(args, trials: GeneratedTrials | TrialDatabase):
     from .chsh import SettingQuad
 
     flags = {"--a1": args.a1, "--a2": args.a2, "--b1": args.b1, "--b2": args.b2}

@@ -307,6 +307,7 @@ class TrialDatabase:
     spins: np.ndarray = field(repr=False)  # (n, 3) float64, write-protected
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n < 1 or self.spins.shape != (self.n, 3):
             raise ConfigurationError(
                 f"database needs spins shaped ({self.n}, 3), got {self.spins.shape}"
@@ -531,13 +532,9 @@ def _scaled(mant: np.ndarray, exp2: np.ndarray, x: np.ndarray) -> tuple[np.ndarr
     return floor, floor + ((rem > half) | ((rem == half) & ((floor & _U1) == _U1)))
 
 
-def _format_rows(rows: np.ndarray, lo: int) -> str:
-    """``_DB_ROW`` of trials lo, lo + 1, ... with spin rows ``rows``, equal to it bit for bit."""
-    return _format_block(rows, lo)[0]
-
-
 def _format_block(rows: np.ndarray, lo: int) -> tuple[str, int]:
-    """``_format_rows``, and how many of its rows went through ``_DB_ROW`` itself.
+    """``_DB_ROW`` of trials lo, lo + 1, ... with spin rows ``rows``, equal to it bit for
+    bit, and how many of its rows went through ``_DB_ROW`` itself.
 
     A component v with 1e-4 <= |v| <= 1, whose ``%.17g`` text is in fixed
     notation "0.<zeros><17 digits>" with trailing zeros cut (or "1"), is

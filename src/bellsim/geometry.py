@@ -16,7 +16,10 @@ import numpy as np
 from .rng import CounterStream, _uniform_column_into
 
 NORM_TOLERANCE = 1e-12
-_REJECT_NORM = 1e-6  # raw gaussian triple shorter than this is redrawn
+# A raw gaussian triple shorter than this is redrawn. Uniforms lie in (0, 1],
+# and u1 = u3 = 1 gives the zero triple, which would normalize to NaN; so
+# the redraws in _unit_columns and sample_uniform_directions stay.
+_REJECT_NORM = 1e-6
 _DRAWS_PER_ATTEMPT = 4  # two Box-Muller pairs; the fourth deviate is unused
 _SUB_BLOCK_ROWS = 16_384  # keys per generation kernel pass; its scratch stays in cache
 
@@ -86,7 +89,7 @@ def direction_at_angle(theta: float) -> UnitVector:
 
 
 def _gaussian_columns(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Box-Muller: three N(0,1) deviates from each column of four (0,1) uniforms.
+    """Box-Muller: three N(0,1) deviates from each column of four (0, 1] uniforms.
 
     ``u`` is (4, m), rows u1..u4, and serves as scratch, so it is
     overwritten; gx, gy, gz are written to the rows of ``out`` (3, m).

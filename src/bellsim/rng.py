@@ -64,7 +64,9 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
 
 
 def _to_open_unit(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa, shifted off zero so log() is always safe: (0, 1).
+    # 53-bit mantissa, shifted off zero so log() is always finite: (0, 1].
+    # The top 2**11 raw values give exactly 1.0, since (2**53 - 1) + 0.5
+    # rounds to 2**53 in float64 (probability 2**-53 per draw).
     # Written into the float64 ``out``, in place; ``raw`` is overwritten.
     raw >>= np.uint64(11)
     out[...] = raw
@@ -91,7 +93,7 @@ def child_keys(key: int, start: int, stop: int) -> np.ndarray:
 
 
 def key_uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
-    """Draw number ``position`` from each stream in ``keys``, as floats in (0,1).
+    """Draw number ``position`` from each stream in ``keys``, as floats in (0, 1].
 
     Equals ``CounterStream(k, counter=position).uniform()`` for every key k.
     Every step runs in place, in one uint64 buffer and the result; the
@@ -131,11 +133,11 @@ class CounterStream:
         return mix64((self.key + self.counter * _GOLDEN) & _MASK)
 
     def uniform(self) -> float:
-        """Next float in the open interval (0, 1)."""
+        """Next float in (0, 1]; 1.0 has probability 2**-53 (see ``_to_open_unit``)."""
         return ((self.raw() >> 11) + 0.5) * 2.0**-53
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` floats in (0, 1), consumed in order."""
+        """Next ``count`` floats in (0, 1], consumed in order."""
         pos = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += count
         raw = _mix64_inplace(np.uint64(self.key) + pos * np.uint64(_GOLDEN))

@@ -181,17 +181,22 @@ def _evaluate(db, quads, mode, base_key, offset):
     ]
 
 
-def perturbed_quad(quad, stream, radius):
-    """Each direction of the quad moved by ``radius`` times a uniform direction, renormalized."""
-    steps = sample_uniform_directions(stream, 4)
-    return SettingQuad(
-        *(
-            UnitVector.normalize(
-                base.x + radius * step[0], base.y + radius * step[1], base.z + radius * step[2]
+def perturbed_round(quad, stream, radius, size):
+    """``size`` copies of the quad, each direction moved by ``radius`` times a uniform
+    direction and renormalized; the round's 4 * size steps are one sampler call."""
+    steps = sample_uniform_directions(stream, 4 * size).reshape(size, 4, 3)
+    bases = (quad.a1, quad.a2, quad.b1, quad.b2)
+    return [
+        SettingQuad(
+            *(
+                UnitVector.normalize(
+                    base.x + radius * step[0], base.y + radius * step[1], base.z + radius * step[2]
+                )
+                for base, step in zip(bases, quad_steps)
             )
-            for base, step in zip((quad.a1, quad.a2, quad.b1, quad.b2), steps)
         )
-    )
+        for quad_steps in steps
+    ]
 
 
 def search_max_chsh(db, mode, budget, stream, initial=None):
@@ -232,7 +237,7 @@ def search_max_chsh(db, mode, budget, stream, initial=None):
     while remaining > 0:
         size = min(32, remaining)
         radius = 0.4 * (0.8**round_no)
-        batch = [perturbed_quad(best_quad, stream, radius) for _ in range(size)]
+        batch = perturbed_round(best_quad, stream, radius, size)
         for i, (s, q) in enumerate(zip(_evaluate(db, batch, mode, base_key, offset), batch)):
             if (s, q.sort_key()) > (best_stat, best_quad.sort_key()):
                 best_stat, best_quad, best_index = s, q, offset + i
@@ -252,7 +257,7 @@ def search_max_chsh(db, mode, budget, stream, initial=None):
 
 
 def uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
-    """Draw ``position`` of each key's stream, as a float in (0, 1)."""
+    """Draw ``position`` of each key's stream, as a float in (0, 1]."""
     raw = mix64_array(keys + np.uint64(((position + 1) * _GOLDEN) & _MASK))
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 

@@ -715,7 +715,9 @@ def test_refinement_keeps_the_incumbent_against_an_equal_candidate(monkeypatch):
     monkeypatch.setattr(
         chsh, "_perturbed_quads", lambda quad, stream, radius, size: np.repeat(quad[None], size, 0)
     )
-    monkeypatch.setattr(oracles, "perturbed_quad", lambda quad, stream, radius: quad)
+    monkeypatch.setattr(
+        oracles, "perturbed_round", lambda quad, stream, radius, size: [quad] * size
+    )
     for seed in range(10):
         db = generate_database(seed, UniformSphere(), 3)
         assert search_max_chsh(db, "fresh", 40, root_stream(seed, 4)) == oracles.search_max_chsh(
@@ -723,68 +725,49 @@ def test_refinement_keeps_the_incumbent_against_an_equal_candidate(monkeypatch):
         )
 
 
-def _first_redrawn_quad(seed: int, size: int):
-    # the quad of a round's first gaussian triple shorter than the rejection
-    # norm, among its 4 * size triples drawn from root_stream(seed, 4); None if none
-    gx, gy, gz = geometry._gaussian_triples(root_stream(seed, 4), 4 * size)
-    short = np.flatnonzero(np.sqrt(gx * gx + gy * gy + gz * gz) < geometry._REJECT_NORM)
-    return int(short[0]) // 4 if short.size else None
+def _redrawing_seeds(size: int) -> list:
+    # the first three seeds whose round of 4 * size gaussian triples, drawn
+    # from root_stream(seed, 4), holds one shorter than the rejection norm
+    seeds = []
+    for seed in range(3000):
+        gx, gy, gz = geometry._gaussian_triples(root_stream(seed, 4), 4 * size)
+        if (np.sqrt(gx * gx + gy * gy + gz * gz) < geometry._REJECT_NORM).any():
+            seeds.append(seed)
+            if len(seeds) == 3:
+                return seeds
+    raise AssertionError(f"fewer than 3 seeds redraw a round of {size}")
 
 
-@pytest.mark.parametrize(
-    "size,where,radius",
-    [
-        (1, "first", 0.4),
-        (2, "first", 0.4),
-        (2, "last", 0.4),
-        (7, "middle", 0.01),  # an odd round of small steps
-        (32, "first", 0.4),
-        (32, "middle", 0.4),
-        (32, "last", 0.4),
-    ],
-)
-def test_perturbations_match_the_oracle_whichever_quad_redraws_first(
-    monkeypatch, size, where, radius
-):
-    # about 3 % of gaussian triples are shorter than 0.5; a round that redraws one
-    # draws again quad by quad, so each quad's redraw follows its own draws
+@pytest.mark.parametrize("size,radius", [(1, 0.4), (2, 0.4), (32, 0.4), (7, 0.01)])
+def test_a_round_that_redraws_matches_the_oracle_round(monkeypatch, size, radius):
+    # about 3 % of gaussian triples are shorter than 0.5; a round is one sampler
+    # call, so its redraws follow the whole round's draws
     monkeypatch.setattr(geometry, "_REJECT_NORM", 0.5)
-    placed = {
-        "first": lambda q: q == 0,
-        "middle": lambda q: 0 < q < size - 1,
-        "last": lambda q: q == size - 1,
-    }[where]
-    seeds = [s for s in range(3000) if (q := _first_redrawn_quad(s, size)) is not None and placed(q)]
-    for seed in seeds[:3]:
+    for seed in _redrawing_seeds(size):
         stream, oracle_stream = root_stream(seed, 4), root_stream(seed, 4)
         rows = _perturbed_quads(_quad_rows([CANONICAL_QUAD])[0], stream, radius, size)
-        expected = [
-            oracles.perturbed_quad(CANONICAL_QUAD, oracle_stream, radius) for _ in range(size)
-        ]
+        expected = oracles.perturbed_round(CANONICAL_QUAD, oracle_stream, radius, size)
+        assert stream.counter > 16 * size  # the round did redraw
         assert rows.tobytes() == _quad_rows(expected).tobytes()
         assert stream == oracle_stream
-        assert stream.counter > 16 * size  # the round did redraw
-    assert len(seeds) >= 3
 
 
-def test_perturbations_fall_back_to_the_sequential_draw_after_a_short_triple(monkeypatch):
-    # most rounds of 32 quads hold a triple shorter than 0.5, so most rounds
-    # draw again one quad at a time; both searches still equal the oracle's
+@pytest.mark.parametrize("size", [1, 7, 32])
+def test_a_round_at_the_shipped_norm_takes_16_draws_per_quad(size):
+    stream = root_stream(0, 4)
+    _perturbed_quads(_quad_rows([CANONICAL_QUAD])[0], stream, 0.4, size)
+    assert stream.counter == 16 * size
+
+
+def test_searches_that_redraw_match_the_oracle(monkeypatch):
+    # most rounds of 32 quads hold a triple shorter than 0.5
     monkeypatch.setattr(geometry, "_REJECT_NORM", 0.5)
-    sizes, batched = [], chsh._perturbed_quads
-
-    def counted(quad, stream, radius, size):
-        sizes.append(size)
-        return batched(quad, stream, radius, size)
-
-    monkeypatch.setattr(chsh, "_perturbed_quads", counted)
     for mode, n in (("reuse", 200), ("fresh", 37)):
         db = generate_database(9, UniformSphere(), n)
         stream, oracle_stream = root_stream(9, 4), root_stream(9, 4)
         got = search_max_chsh(db, mode, 300, stream)
         assert got == oracles.search_max_chsh(db, mode, 300, oracle_stream)
         assert stream == oracle_stream
-    assert 32 in sizes and 1 in sizes
 
 
 def test_a_reuse_search_that_redraws_normalizes_no_vector(monkeypatch):

@@ -33,7 +33,7 @@ from bellsim.experiment import (
     _DB_ROW,
     _MAX_NESTING,
     _WRITE_BLOCK_ROWS,
-    _format_rows,
+    _format_block,
     _kernel_tables,
 )
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
@@ -515,6 +515,18 @@ def test_database_header_rejects_seed_out_of_range(seed):
         read_database(io.StringIO("\n".join([header] + good[1:]) + "\n"))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, True])
+def test_database_rejects_a_seed_its_reader_would_refuse(seed):
+    # a database is built only with a seed its header can carry back
+    spins = np.array([(0.0, 0.0, 1.0)])
+    with pytest.raises(ConfigurationError, match="seed"):
+        TrialDatabase(seed=seed, distribution=UniformSphere(), n=1, spins=spins)
+    db = TrialDatabase(seed=2**64 - 1, distribution=UniformSphere(), n=1, spins=spins)
+    buf = io.StringIO()
+    write_database(db, buf)
+    assert read_database(io.StringIO(buf.getvalue())).seed == 2**64 - 1
+
+
 _SPELLINGS = {  # value-preserving spellings that Python's int() accepts
     "sign": lambda t: "+" + t,
     "leading-zero": lambda t: "0" + t,
@@ -626,14 +638,14 @@ _any_finite = st.one_of(
     ),
 )
 def test_row_kernel_matches_the_row_format_on_any_finite_floats(rows, lo):
-    assert _format_rows(np.array(rows, dtype=np.float64), lo) == _rows_oracle(rows, lo)
+    assert _format_block(np.array(rows, dtype=np.float64), lo)[0] == _rows_oracle(rows, lo)
 
 
 def test_row_kernel_rounds_ties_to_even():
     # each is a tie at 17 digits; the even neighbour wins
     row = np.array([[0.5 + 2**-18, 0.5 + 3 * 2**-18, -(0.5 + 2**-18)]])
     text = "0 0.50000381469726562 0.50001144409179688 -0.50000381469726562\n"
-    assert _format_rows(row, 0) == text
+    assert _format_block(row, 0)[0] == text
 
 
 def test_row_kernel_corrects_the_log10_exponent_near_powers_of_ten():
@@ -642,7 +654,7 @@ def test_row_kernel_corrects_the_log10_exponent_near_powers_of_ten():
     below = [np.nextafter(10.0**-p, 0.0) for p in range(4)]
     above = [np.nextafter(10.0**-p, 1.0) for p in range(1, 5)]
     rows = np.array([below[:3], [below[3], *above[:2]], [*above[2:], 1e-4]])
-    text = _format_rows(rows, 0)
+    text = _format_block(rows, 0)[0]
     assert text == _rows_oracle(rows, 0)
     assert text.startswith("0 0.99999999999999989 0.099999999999999992 0.0099999999999999985\n")
 
@@ -650,7 +662,7 @@ def test_row_kernel_corrects_the_log10_exponent_near_powers_of_ten():
 @pytest.mark.parametrize("lo", [10**p - 2 for p in range(1, 20)] + [2**64 - 4])
 def test_row_kernel_writes_every_index_width(lo):
     rows = np.tile([0.25, -0.5, 1.0], (4, 1))
-    text = _format_rows(rows, lo)
+    text = _format_block(rows, lo)[0]
     assert text == _rows_oracle(rows, lo)
     assert text.splitlines()[-1].startswith(f"{lo + 3} ")
 
@@ -661,7 +673,7 @@ def test_row_kernel_sends_rows_outside_its_domain_to_the_row_format():
     # no numpy warning or error: out-of-domain values never reach the integer path
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = _format_rows(rows, 7)
+        text = _format_block(rows, 7)[0]
     assert text == _rows_oracle(rows, 7)
     assert "1.0000000000000001e-05" in text and " -2 " in text and " nan " in text
 
@@ -745,7 +757,7 @@ def test_rows_outside_the_kernel_are_spliced_in_without_nul(at):
 @pytest.mark.parametrize("lo", [0, 1] + [10 ** (4 * k) + d for k in range(1, 5) for d in (-3, 0)])
 def test_row_kernel_text_holds_no_nul_at_any_index_width(lo):
     rows = np.array([[0.5, -0.25, 1.0], _TINY, [-0.0, 0.0, -1.0], [0.1, 0.2, 0.3]])
-    text = _format_rows(rows, lo)
+    text = _format_block(rows, lo)[0]
     assert text == _rows_oracle(rows, lo)
     assert "\0" not in text
 
@@ -773,7 +785,7 @@ _PINNED = [
 
 def test_row_kernel_writes_pinned_significands_with_zero_words():
     rows = np.array([[v, -v, v] for v, _ in _PINNED])
-    text = _format_rows(rows, 9_998)
+    text = _format_block(rows, 9_998)[0]
     assert text == _rows_oracle(rows, 9_998)
     expected = [(t, t[1:] if t[0] == "-" else "-" + t) for _, t in _PINNED]
     assert text.splitlines() == [f"{k} {t} {neg} {t}" for k, (t, neg) in enumerate(expected, 9_998)]

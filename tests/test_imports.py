@@ -10,10 +10,14 @@ benchmark's ``setup_s`` times ``enumerate`` as the start-up that every
 command pays.
 """
 
+import inspect
 import subprocess
 import sys
+import typing
 
 import pytest
+
+from bellsim import cli
 
 _TINY = ["--seed", "3", "--n", "64"]
 _COMMANDS = {
@@ -56,3 +60,11 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, command):
     assert numpy
     assert {"bellsim.cli", "bellsim.experiment"} <= modules  # the report sees the package
     assert modules & _NOT_LOADED[command] == set()
+
+
+def test_the_cli_annotations_name_only_what_it_imports():
+    # a name that moved into a command's own imports must leave the
+    # annotations too, or resolving them raises NameError
+    for _, f in inspect.getmembers(cli, inspect.isfunction):
+        if f.__module__ == cli.__name__:
+            typing.get_type_hints(f)

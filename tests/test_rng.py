@@ -2,8 +2,12 @@
 
 import numpy as np
 
-from bellsim import UniformSphere
+from bellsim import UniformSphere, geometry
 from bellsim.rng import (
+    _GOLDEN,
+    _MASK,
+    _MIX1,
+    _MIX2,
     CounterStream,
     child_key,
     child_keys,
@@ -81,6 +85,36 @@ def test_uniforms_in_open_interval():
     counts, _ = np.histogram(u, bins=10, range=(0.0, 1.0))
     sigma = (200_000 * 0.1 * 0.9) ** 0.5
     assert (np.abs(counts - 20_000) < 5 * sigma).all()
+
+
+def _unmix64(z: int) -> int:
+    # the inverse of the SplitMix64 finalizer, a bijection of 64-bit integers
+    def unshift(y, s):  # inverts y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = (z * pow(_MIX2, -1, 1 << 64)) & _MASK
+    z = unshift(z, 27)
+    z = (z * pow(_MIX1, -1, 1 << 64)) & _MASK
+    return unshift(z, 30)
+
+
+def test_the_top_raw_draws_give_a_uniform_of_exactly_one():
+    # (2**53 - 1) + 0.5 rounds to 2**53, so uniforms lie in (0, 1], not (0, 1)
+    assert all(_unmix64(mix64(z)) == z for z in (0, 1, _GOLDEN, _MASK, 0x123456789ABCDEF))
+    key = (_unmix64(_MASK) - _GOLDEN) & _MASK  # its first draw is raw 2**64 - 1
+    assert CounterStream(key).raw() == _MASK
+    assert CounterStream(key).uniform() == 1.0
+    assert CounterStream(key).uniforms(1).tolist() == [1.0]
+    assert key_uniform_column(np.array([key], dtype=np.uint64), 0).tolist() == [1.0]
+    # Box-Muller of u1 = u3 = 1 is the zero triple, which the samplers must redraw
+    out = np.empty((3, 1))
+    geometry._gaussian_columns(np.array([[1.0], [0.3], [1.0], [0.7]]), out)
+    assert out.ravel().tolist() == [0.0, 0.0, 0.0]
+    assert np.sqrt((out * out).sum()) < geometry._REJECT_NORM
 
 
 def test_domains_and_seeds_separate_streams():

@@ -42,18 +42,18 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the search's perturbations (chsh._perturbed_quads)
+    # the generation kernel and the sampler's redraw (geometry)
     Mutant(
-        "redraw-test",
-        "src/bellsim/chsh.py",
-        "if size > 1 and stream.counter != start + 16 * size:",
-        "if size > 1 and stream.counter == start + 16 * size:",
+        "box-muller-gz",
+        "src/bellsim/geometry.py",
+        "np.cos(u4, out=gz)",
+        "np.sin(u4, out=gz)",
     ),
     Mutant(
-        "redraw-one-quad-guard",
-        "src/bellsim/chsh.py",
-        "if size > 1 and stream.counter != start + 16 * size:",
-        "if stream.counter != start + 16 * size:",
+        "sampler-redraw-once",
+        "src/bellsim/geometry.py",
+        "while norm[i] < _REJECT_NORM:",
+        "for _ in range(1):",
     ),
     # a mixture's positions, composed through its picks (experiment.Mixture._visit_columns)
     Mutant(
@@ -61,6 +61,18 @@ MUTANTS = [
         "src/bellsim/experiment.py",
         "lambda cols, at, p=picked: visit(cols, p[at])",
         "lambda cols, at, p=picked: visit(cols, at)",
+    ),
+    Mutant(
+        "mixture-component-offset",
+        "src/bellsim/experiment.py",
+        "offset + 1, lambda cols, at, p=picked",
+        "offset, lambda cols, at, p=picked",
+    ),
+    Mutant(
+        "row-kernel-trailing-zeros",
+        "src/bellsim/experiment.py",
+        "later |= words[j] != 0",
+        "later |= words[j] == 0",
     ),
     Mutant(
         "nesting-limit",
@@ -88,6 +100,18 @@ MUTANTS = [
         "return x1 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2))",
     ),
     Mutant(
+        "b-tie-mask",
+        "src/bellsim/chsh.py",
+        "tied = np.bitwise_count(tie[i] | tie[2:][j])",
+        "tied = np.bitwise_count(tie[i] | tie[i])",
+    ),
+    Mutant(
+        "pair-table-transposed",
+        "src/bellsim/chsh.py",
+        "pos = n - disagree",
+        "pos = (n - disagree).T",
+    ),
+    Mutant(
         "prune-bound",
         "src/bellsim/chsh.py",
         "live = live[(bound > bar) | ((bound == bar) & greater[live])]",
@@ -104,6 +128,12 @@ MUTANTS = [
         "src/bellsim/parallel.py",
         "1 if i < extra else 0",
         "1 if i <= extra else 0",
+    ),
+    Mutant(
+        "ranges-uncapped",
+        "src/bellsim/parallel.py",
+        "RANGES_PER_WORKER * _processes(workers)",
+        "RANGES_PER_WORKER * workers",
     ),
     # the import graph: each command loads only the layers it runs
     Mutant(
