@@ -322,8 +322,8 @@ def _station_bits(s: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, dots=No
     """Packed signs (x, y) of a tile's spin columns ``s`` (3, t), 1 for +1: x = sign(+s . a)
     at each direction of ``a_dirs`` (ka, 3), y = sign(-s . b) at each of ``b_dirs`` (kb, 3).
 
-    The one place that writes the stations' rule: A reads +1 where s . a >= 0
-    and B where s . b <= 0, so sign(0) := +1 at both, as in ``station_products``.
+    The one place here that writes the stations' rule: A reads +1 where s . a >= 0
+    and B where s . b <= 0, so sign(0) := +1 at both, as ``correlation._pair_tallies`` does.
     The dots are ``s0*dx + s1*dy + s2*dz``, the ``setting_dots`` expression, op
     for op. The last byte's padding bits are 0. ``dots``, (2, ka + kb, t)
     scratch if given, keeps A's dots and then B's in ``dots[0]``.

@@ -42,7 +42,7 @@ def setting_dots(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: UnitVector) 
 
     Every station sign in the package is taken from the expression
     ``s0*dx + s1*dy + s2*dz``, which two places form: this function, for
-    ``station_products``, and ``chsh._station_bits``, op for op on packed
+    ``_pair_tallies``, and ``chsh._station_bits``, op for op on packed
     columns, for every CHSH statistic. It is formed elementwise rather
     than with BLAS matvec calls, whose kernel choice can depend on
     operand size; elementwise ufuncs give bit-identical per-trial values
@@ -51,28 +51,20 @@ def setting_dots(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: UnitVector) 
     return s0 * d.x + s1 * d.y + s2 * d.z
 
 
-def station_products(
-    spins: np.ndarray, a: UnitVector, b: UnitVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial station signs and tie masks for a setting pair.
+def _pair_tallies(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int, int]:
+    """(count_pos, tie_count) of one setting pair over the spin rows (m, 3).
 
-    Returns (x, y, tie_a, tie_b) where x_k = sign(+s_k . a) and
-    y_k = sign(-s_k . b), with sign(0) := +1. Its callers are the sweep
-    and ``estimate_correlation``, through ``_pair_tallies``; every CHSH
-    statistic takes its signs from ``chsh._station_bits`` instead.
+    Station A reads +1 where s . a >= 0 and station B where s . b <= 0, so
+    sign(0) := +1 at both; the product of the readings is +1 exactly where
+    the two masks agree, so the signs themselves are never formed. The sweep
+    and ``estimate_correlation`` tally through here; every CHSH statistic
+    takes its signs from ``chsh._station_bits`` instead.
     """
     s0, s1, s2 = spins[:, 0], spins[:, 1], spins[:, 2]
     da = setting_dots(s0, s1, s2, a)
     db = setting_dots(s0, s1, s2, b)
-    x = np.where(da >= 0.0, 1, -1).astype(np.int8)
-    y = np.where(db <= 0.0, 1, -1).astype(np.int8)
-    return x, y, da == 0.0, db == 0.0
-
-
-def _pair_tallies(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int, int]:
-    x, y, tie_a, tie_b = station_products(spins, a, b)
-    count_pos = int(np.count_nonzero(x == y))  # product is +1 iff signs agree
-    tie_count = int(np.count_nonzero(tie_a | tie_b))
+    count_pos = int(np.count_nonzero((da >= 0.0) == (db <= 0.0)))
+    tie_count = int(np.count_nonzero((da == 0.0) | (db == 0.0)))
     return count_pos, tie_count
 
 

@@ -20,10 +20,6 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 # below this many trials, a process pool costs more than the work it spreads
 MIN_PARALLEL_TRIALS = 4096
@@ -60,8 +56,9 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-def plain_pool(workers: int) -> ProcessPoolExecutor:
-    # looked up as a module attribute, so that a test can replace it
+def plain_pool(workers: int):
+    # a ProcessPoolExecutor, looked up as a module attribute so that a test can
+    # replace it; unannotated, since the class is bound only on first lookup
     executor = sys.modules[__name__].ProcessPoolExecutor
     return executor(max_workers=_processes(workers))
 

@@ -28,7 +28,7 @@ from bellsim import (
     sample_uniform_directions,
 )
 from bellsim.chsh import QuadTallies
-from bellsim.correlation import setting_dots, station_products
+from bellsim.correlation import setting_dots
 from bellsim.geometry import orthonormal_basis
 from bellsim.rng import _GOLDEN, _MASK, CounterStream, mix64_array
 
@@ -91,6 +91,26 @@ def brute_force_terms(db, quad) -> list:
         y2 = measure_sign(-1, s, quad.b2).value
         terms.append(x1 * (y1 - y2) - x2 * (y2 + y1))
     return terms
+
+
+def station_products(spins: np.ndarray, a: UnitVector, b: UnitVector):
+    """Per-trial int8 station signs and tie masks (x, y, tie_a, tie_b) of the spin
+    rows (n, 3) for a setting pair: x_k = sign(+s_k . a) and y_k = sign(-s_k . b),
+    with sign(0) := +1, from the same ``setting_dots`` the package uses."""
+    s0, s1, s2 = spins[:, 0], spins[:, 1], spins[:, 2]
+    da = setting_dots(s0, s1, s2, a)
+    db = setting_dots(s0, s1, s2, b)
+    x = np.where(da >= 0.0, 1, -1).astype(np.int8)
+    y = np.where(db <= 0.0, 1, -1).astype(np.int8)
+    return x, y, da == 0.0, db == 0.0
+
+
+def pair_count(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int, int]:
+    """(count_pos, tie_count) of a setting pair over the whole spin array, from the
+    int8 signs: a product is +1 where x_k * y_k == 1, a tie where either dot is 0."""
+    x, y, tie_a, tie_b = station_products(spins, a, b)
+    products = x.astype(np.int64) * y
+    return int(np.count_nonzero(products == 1)), int(np.count_nonzero(tie_a | tie_b))
 
 
 def quad_tallies(rows: np.ndarray, quad) -> QuadTallies:

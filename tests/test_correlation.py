@@ -28,10 +28,11 @@ from bellsim import (
     write_curve_csv,
 )
 from bellsim import correlation
-from bellsim.correlation import CURVE_CSV_HEADER, station_products
+from bellsim.correlation import CURVE_CSV_HEADER
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS, orthonormal_basis
+from bellsim.parallel import MIN_PARALLEL_TRIALS
 
-from oracles import brute_force_estimate, random_unit, sign_product_mean_quadrature
+from oracles import brute_force_estimate, pair_count, random_unit, sign_product_mean_quadrature
 
 
 # -- the estimator ----------------------------------------------------------
@@ -291,11 +292,66 @@ def test_streamed_sweep_matches_the_whole_array_count(seed, dist, n, workers, bl
     spins = generate_database(seed, dist, n).spins
     assert [p.theta for p in curve.points] == grid
     for theta, point, estimate in zip(grid, curve.points, estimates):
-        x, y, tie_a, tie_b = station_products(spins, *_sweep_setting_pair(theta, plane))
-        count_pos = int(np.count_nonzero(x == y))
-        tie_count = int(np.count_nonzero(tie_a | tie_b))
+        count_pos, tie_count = pair_count(spins, *_sweep_setting_pair(theta, plane))
         expected = CorrelationEstimate.from_tallies(n, count_pos, tie_count)
         assert point.estimate == estimate == expected
+
+
+# The pair kernel counts agreeing boolean station masks; the oracle forms the int8
+# signs and their products. Exact zero dots of either sign are where they could part.
+_IN_PLANE = [0.0, 0.5, math.pi / 2, 2.0, math.pi]
+_NEGATIVE_ZERO_PLANE = (UnitVector(1.0, -0.0, 0.0), UnitVector(0.0, -0.0, 1.0))
+_NEGATIVE_ZERO_THETAS = [0.0, 0.4, 1.2, math.pi / 2]  # cos >= 0 keeps each b's y at -0.0
+# name: (distribution, setting pairs, whether every trial ties at every pair)
+_KERNEL_CASES = {
+    # s = +y against settings in the x-z plane: every dot is +0.0
+    "y-axis-in-plane": (FixedAxis(Y_AXIS), [_sweep_setting_pair(t, None) for t in _IN_PLANE], True),
+    # s = +x against a = +z: every dot at A is +0.0; B's dots are sin(theta)
+    "x-axis-against-z": (FixedAxis(X_AXIS), [(Z_AXIS, direction_at_angle(t)) for t in _IN_PLANE], True),
+    # s = (-0, 1, -0) against settings whose y is -0.0: every dot is -0.0
+    "negative-zero": (
+        FixedAxis(UnitVector(-0.0, 1.0, -0.0)),
+        [_sweep_setting_pair(t, _NEGATIVE_ZERO_PLANE) for t in _NEGATIVE_ZERO_THETAS],
+        True,
+    ),
+    # b equal to a, on ties mixed with uniform spins
+    "b-equals-a": (
+        Mixture(((0.5, UniformSphere()), (0.5, FixedAxis(Y_AXIS)))),
+        [(Z_AXIS, Z_AXIS), (X_AXIS, X_AXIS), (Y_AXIS, Y_AXIS)]
+        + [_sweep_setting_pair(t, None) for t in _IN_PLANE],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, workers", [(50, 1), (50, 3), (MIN_PARALLEL_TRIALS + 904, 2)])
+@pytest.mark.parametrize("block_rows", [3, 256])
+@pytest.mark.parametrize("make_source", [generate_database, GeneratedTrials], ids=["database", "generated"])
+@pytest.mark.parametrize("case", list(_KERNEL_CASES))
+def test_pair_tallies_match_the_int8_oracle_bit_for_bit(case, make_source, block_rows, n, workers):
+    # 3 rows split every range; at 5000 trials and 2 workers the ranges run in a pool
+    dist, pairs, all_tie = _KERNEL_CASES[case]
+    source = make_source(7, dist, n)
+    with patch.object(correlation, "_BLOCK_ROWS", block_rows):
+        tallies = correlation.pair_tallies(source, pairs, workers)
+    spins = generate_database(7, dist, n).spins
+    assert tallies == [pair_count(spins, a, b) for a, b in pairs]
+    for (a, b), (count_pos, tie_count) in zip(pairs, tallies):
+        assert tie_count == n if all_tie else tie_count < n
+        if a == b:  # opposite readings on every trial but a tie
+            assert count_pos == tie_count
+
+
+def test_the_negative_zero_case_forms_dots_of_exactly_minus_zero():
+    dist, pairs, _ = _KERNEL_CASES["negative-zero"]
+    spins = generate_database(7, dist, 50).spins
+    for d in [d for pair in pairs for d in pair]:
+        assert d.y == 0.0 and math.copysign(1.0, d.y) == -1.0
+        dots = correlation.setting_dots(spins[:, 0], spins[:, 1], spins[:, 2], d)
+        assert not dots.any() and np.signbit(dots).all()
+    # the sweep reaches the same settings through its plane: both read +1 on every trial
+    curve = sweep_correlation(GeneratedTrials(7, dist, 50), _NEGATIVE_ZERO_THETAS, plane=_NEGATIVE_ZERO_PLANE)
+    assert [(p.estimate.count_pos, p.estimate.tie_count) for p in curve.points] == [(50, 50)] * 4
 
 
 def test_estimator_tracks_linear_law_across_seeds():

@@ -10,14 +10,11 @@ benchmark's ``setup_s`` times ``enumerate`` as the start-up that every
 command pays.
 """
 
-import inspect
 import subprocess
 import sys
-import typing
 
 import pytest
 
-from bellsim import cli
 
 _TINY = ["--seed", "3", "--n", "64"]
 _COMMANDS = {
@@ -62,9 +59,32 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path, command):
     assert modules & _NOT_LOADED[command] == set()
 
 
-def test_the_cli_annotations_name_only_what_it_imports():
-    # a name that moved into a command's own imports must leave the
-    # annotations too, or resolving them raises NameError
-    for _, f in inspect.getmembers(cli, inspect.isfunction):
-        if f.__module__ == cli.__name__:
-            typing.get_type_hints(f)
+# Resolves the annotations of every function, class and method that each module of
+# the package defines, and prints one line per failure.
+_HINTS = (
+    "import importlib, inspect, pkgutil, typing\n"
+    "import bellsim\n"
+    "for info in pkgutil.iter_modules(bellsim.__path__):\n"
+    "    module = importlib.import_module('bellsim.' + info.name)\n"
+    "    for _, obj in inspect.getmembers(module):\n"
+    "        if getattr(obj, '__module__', None) != module.__name__:\n"
+    "            continue\n"
+    "        found = [obj] if inspect.isfunction(obj) else []\n"
+    "        if inspect.isclass(obj):\n"
+    "            found = [obj] + [f for _, f in inspect.getmembers(obj, inspect.isfunction)]\n"
+    "        for f in found:\n"
+    "            try:\n"
+    "                typing.get_type_hints(f)\n"
+    "            except NameError as e:\n"
+    "                print(module.__name__, f.__qualname__, e)\n"
+)
+
+
+def test_every_annotation_names_only_what_its_module_binds():
+    # a name that moved into a function's own imports, or that a module binds
+    # only on first use, must leave the annotations too, or resolving them
+    # raises NameError; a fresh interpreter, since a test that started a pool
+    # binds parallel's lazily imported executor class in this one
+    proc = subprocess.run([sys.executable, "-c", _HINTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

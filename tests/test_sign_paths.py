@@ -3,11 +3,13 @@
 ``bellsim.chsh._station_bits`` packs the signs of unit-stride spin columns,
 and is the one place in ``chsh.py`` that writes the stations' comparisons;
 reuse and fresh ``chsh_statistic`` (through ``_quad_tallies``), the search
-and ``per_trial_terms`` all read them. The int8 pair path,
-``station_products`` -> ``_pair_tallies`` -> ``pair_tallies``, is left to
-``bellsim.correlation``, whose sweep and ``estimate_correlation`` still
-use it. The scan below keeps every other module of the package off it,
-so that no statistic drifts back onto a second sign path.
+and ``per_trial_terms`` all read them. The pair path,
+``_pair_tallies`` -> ``pair_tallies``, counts agreeing boolean station
+masks for ``bellsim.correlation``'s sweep and ``estimate_correlation``;
+the int8 ``station_products`` it replaced lives on only as an oracle in
+``tests/oracles.py``. The scan below keeps every other module of the
+package off the pair path and that name, so that no statistic drifts
+back onto a second sign path.
 """
 
 import ast

@@ -9,6 +9,11 @@ shows a missing test, unless it changes no behaviour a test could observe;
 such an equivalent mutant is taken off the list. The checkout itself is
 only read; every file the runs write stays in the temporary copies.
 
+Each mutant also names the test that killed it last. That test runs alone
+first: if it fails, the mutant is killed, as tier-1, which holds the test,
+would find. If it passes, no longer exists or cannot run, tier-1 runs with
+``-x`` as above, so no verdict depends on the recorded test.
+
 Standard library only. Not part of tier-1: a killed mutant takes seconds,
 a survivor a whole tier-1 run. Exits 1 if any mutant survives or no longer
 applies.
@@ -39,6 +44,7 @@ class Mutant(NamedTuple):
     path: str  # relative to the checkout
     old: str  # must occur exactly once in the file
     new: str
+    killer: str | None = None  # pytest node id of the test that killed it last
 
 
 MUTANTS = [
@@ -48,12 +54,14 @@ MUTANTS = [
         "src/bellsim/geometry.py",
         "np.cos(u4, out=gz)",
         "np.sin(u4, out=gz)",
+        "tests/test_cli.py::test_benchmark_workload_matches_its_recorded_digest[sweep-1]",
     ),
     Mutant(
         "sampler-redraw-once",
         "src/bellsim/geometry.py",
         "while norm[i] < _REJECT_NORM:",
         "for _ in range(1):",
+        "tests/test_geometry.py::test_short_triples_are_redrawn_after_the_batch_in_order",
     ),
     # a mixture's positions, composed through its picks (experiment.Mixture._visit_columns)
     Mutant(
@@ -61,30 +69,35 @@ MUTANTS = [
         "src/bellsim/experiment.py",
         "lambda cols, at, p=picked: visit(cols, p[at])",
         "lambda cols, at, p=picked: visit(cols, at)",
+        "tests/test_acceptance.py::test_criterion_2_per_trial_identity",
     ),
     Mutant(
         "mixture-component-offset",
         "src/bellsim/experiment.py",
         "offset + 1, lambda cols, at, p=picked",
         "offset, lambda cols, at, p=picked",
+        "tests/test_cli.py::test_benchmark_workload_matches_its_recorded_digest[chsh-1]",
     ),
     Mutant(
         "row-kernel-trailing-zeros",
         "src/bellsim/experiment.py",
         "later |= words[j] != 0",
         "later |= words[j] == 0",
+        "tests/test_cli.py::test_gen_db_writes_loadable_database",
     ),
     Mutant(
         "nesting-limit",
         "src/bellsim/experiment.py",
         "if depth == _MAX_NESTING:",
         "if depth == _MAX_NESTING + 1:",
+        "tests/test_experiment.py::test_mixtures_nest_at_most_the_limit_in_a_spec_and_a_database_header",
     ),
     Mutant(
         "usable-cpus",
         "src/bellsim/parallel.py",
         'if hasattr(os, "sched_getaffinity"):',
         "if False:",
+        "tests/test_cli.py::test_auto_workers_count_the_cpus_this_process_may_use",
     ),
     # the packed sign kernel and the reuse search's bound
     Mutant(
@@ -92,48 +105,56 @@ MUTANTS = [
         "src/bellsim/chsh.py",
         "(a_dirs, slice(None, k), np.greater_equal)",
         "(a_dirs, slice(None, k), np.greater)",
+        "tests/test_chsh.py::test_terms_match_oracle_and_mean_equals_statistic",
     ),
     Mutant(
         "plus-bits-x1",
         "src/bellsim/chsh.py",
         "return x2 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2))",
         "return x1 ^ y1 ^ ((y1 ^ y2) & ~(x1 ^ x2))",
+        "tests/test_acceptance.py::test_criterion_2_per_trial_identity",
     ),
     Mutant(
         "b-tie-mask",
         "src/bellsim/chsh.py",
         "tied = np.bitwise_count(tie[i] | tie[2:][j])",
         "tied = np.bitwise_count(tie[i] | tie[i])",
+        "tests/test_chsh.py::test_fresh_statistic_matches_the_database_composition[5-dist1]",
     ),
     Mutant(
         "pair-table-transposed",
         "src/bellsim/chsh.py",
         "pos = n - disagree",
         "pos = (n - disagree).T",
+        "tests/test_chsh.py::test_one_tile_pass_serves_many_candidates_bit_for_bit",
     ),
     Mutant(
         "prune-bound",
         "src/bellsim/chsh.py",
         "live = live[(bound > bar) | ((bound == bar) & greater[live])]",
         "live = live[(bound >= bar) | ((bound == bar) & greater[live])]",
+        "tests/test_chsh.py::test_tile_evaluator_drops_a_candidate_at_its_first_losing_bound",
     ),
     Mutant(
         "best-keeps-last-of-equals",
         "src/bellsim/chsh.py",
         "return int(best[0])",
         "return int(best[-1])",
+        "tests/test_chsh.py::test_best_candidate_is_the_greatest_statistic_then_sort_key_then_earliest",
     ),
     Mutant(
         "chunk-ranges-extra",
         "src/bellsim/parallel.py",
         "1 if i < extra else 0",
         "1 if i <= extra else 0",
+        "tests/test_acceptance.py::test_criterion_2_per_trial_identity",
     ),
     Mutant(
         "ranges-uncapped",
         "src/bellsim/parallel.py",
         "RANGES_PER_WORKER * _processes(workers)",
         "RANGES_PER_WORKER * workers",
+        "tests/test_parallel.py::test_map_ranges_returns_the_ranges_in_order[30-3-31-pools1]",
     ),
     # the import graph: each command loads only the layers it runs
     Mutant(
@@ -141,12 +162,14 @@ MUTANTS = [
         "src/bellsim/cli.py",
         "from .parallel import resolve_workers\n",
         "from .parallel import resolve_workers\nfrom . import chsh, correlation\n",
+        "tests/test_imports.py::test_each_command_loads_only_the_layers_it_runs[gen-db]",
     ),
     Mutant(
         "chsh-imports-correlation",
         "src/bellsim/chsh.py",
         "from .rng import CounterStream\n",
         "from .rng import CounterStream\nfrom . import correlation\n",
+        "tests/test_imports.py::test_each_command_loads_only_the_layers_it_runs[chsh]",
     ),
     # the run-time checks
     Mutant(
@@ -154,36 +177,57 @@ MUTANTS = [
         "src/bellsim/chsh.py",
         "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
         "if False:",
+        "tests/test_chsh.py::test_reuse_statistic_raises_when_the_tallies_break_the_identity[False-zero-term]",
     ),
     Mutant(
         "identity-check-no-pm2-count",
         "src/bellsim/chsh.py",
         "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
         "if not (tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
+        "tests/test_chsh.py::test_reuse_statistic_raises_when_the_tallies_break_the_identity[False-count-only]",
     ),
     Mutant(
         "identity-check-no-sum",
         "src/bellsim/chsh.py",
         "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
         "if not (all_pm2 and abs(numerator) <= 2 * n):",
+        "tests/test_chsh.py::test_each_clause_of_the_identity_check_rejects_tallies_on_its_own[sum-off-the-tallies]",
     ),
     Mutant(
         "identity-check-no-range",
         "src/bellsim/chsh.py",
         "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
         "if not (all_pm2 and tallies.term_sum == numerator):",
+        "tests/test_chsh.py::test_each_clause_of_the_identity_check_rejects_tallies_on_its_own[beyond-2n]",
+    ),
+    # the sweep's pair kernel: both stations read an exact zero dot as +1
+    Mutant(
+        "sweep-a-tie",
+        "src/bellsim/correlation.py",
+        "da >= 0.0",
+        "da > 0.0",
+        "tests/test_chsh.py::test_fresh_statistic_matches_the_database_composition[5-dist1]",
+    ),
+    Mutant(
+        "sweep-b-tie",
+        "src/bellsim/correlation.py",
+        "db <= 0.0",
+        "db < 0.0",
+        "tests/test_chsh.py::test_fresh_statistic_matches_the_database_composition[5-dist1]",
     ),
     Mutant(
         "sweep-equal-settings-check",
         "src/bellsim/correlation.py",
         "if a == b and count_pos != tie_count:",
         "if False:",
+        "tests/test_cli.py::test_sweep_checks_exact_anticorrelation_where_b_equals_a",
     ),
     Mutant(
         "search-winner-check",
         "src/bellsim/chsh.py",
         "if numerator / db.n != best_result.statistic:",
         "if False:",
+        "tests/test_chsh.py::test_reuse_search_raises_when_its_best_quad_fails_a_check[_tile_numerators]",
     ),
 ]
 
@@ -196,8 +240,18 @@ def _first_failure(output: str) -> str:
     return "(no test named; see pytest's output)"
 
 
+def _pytest(copy: Path, env: dict, *args: str) -> subprocess.CompletedProcess | None:
+    # None when the run exceeds the time limit
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *args]
+    try:
+        return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None
+
+
 def run_mutant(mutant: Mutant) -> tuple[str, str, float]:
-    """(outcome, detail, seconds) of tier-1 on a mutated copy of the checkout."""
+    """(outcome, detail, seconds) of the last killer, then if need be tier-1, on a
+    mutated copy of the checkout."""
     with tempfile.TemporaryDirectory(prefix="bellsim-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_IGNORED)
@@ -207,15 +261,17 @@ def run_mutant(mutant: Mutant) -> tuple[str, str, float]:
             return "stale", f"{mutant.old!r} occurs {text.count(mutant.old)} times", 0.0
         target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider"]
         start = time.perf_counter()
-        try:
-            proc = subprocess.run(
-                argv, cwd=copy, env=env, capture_output=True, text=True, timeout=_TIMEOUT
-            )
-        except subprocess.TimeoutExpired:
-            return "killed", f"timed out after {_TIMEOUT:g} s", time.perf_counter() - start
+        if mutant.killer:
+            first = _pytest(copy, env, mutant.killer)
+            # pytest exits 1 only when a test ran and failed; a missing id exits 4
+            if first is None or first.returncode == 1:
+                detail = f"timed out after {_TIMEOUT:g} s" if first is None else _first_failure(first.stdout)
+                return "killed", f"{detail} (last killer)", time.perf_counter() - start
+        proc = _pytest(copy, env)
         seconds = time.perf_counter() - start
+        if proc is None:
+            return "killed", f"timed out after {_TIMEOUT:g} s", seconds
         if proc.returncode == 0:
             return "survived", "", seconds
         return "killed", _first_failure(proc.stdout), seconds
@@ -223,10 +279,12 @@ def run_mutant(mutant: Mutant) -> tuple[str, str, float]:
 
 def main() -> int:
     missed = 0
+    start = time.perf_counter()
     for mutant in MUTANTS:
         outcome, detail, seconds = run_mutant(mutant)
         print(f"{mutant.name:<30} {outcome:<8} {seconds:6.1f} s  {detail}", flush=True)
         missed += outcome != "killed"
+    print(f"{len(MUTANTS)} mutants, {missed} not killed, {time.perf_counter() - start:.0f} s")
     return 1 if missed else 0
 
 
