@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry, parallel
+from . import experiment, geometry, parallel
 from ._version import __version__
 from .experiment import MODES, ConfigurationError, GeneratedTrials, InvariantError, TrialDatabase
 from .geometry import UnitVector, direction_at_angle, sample_uniform_directions
@@ -319,25 +319,10 @@ def _quad_of(row: np.ndarray) -> SettingQuad:
 
 
 def _station_bits(s: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, dots=None):
-    """Packed signs (x, y) of a tile's spin columns ``s`` (3, t), 1 for +1: x = sign(+s . a)
-    at each direction of ``a_dirs`` (ka, 3), y = sign(-s . b) at each of ``b_dirs`` (kb, 3).
-
-    The one place here that writes the stations' rule: A reads +1 where s . a >= 0
-    and B where s . b <= 0, so sign(0) := +1 at both, as ``correlation._pair_tallies`` does.
-    The dots are ``s0*dx + s1*dy + s2*dz``, the ``setting_dots`` expression, op
-    for op. The last byte's padding bits are 0. ``dots``, (2, ka + kb, t)
-    scratch if given, keeps A's dots and then B's in ``dots[0]``.
-    """
-    k, bits = len(a_dirs), []
-    stations = ((a_dirs, slice(None, k), np.greater_equal), (b_dirs, slice(k, None), np.less_equal))
-    for directions, rows, is_plus in stations:
-        d, term = np.empty((2, len(directions), s.shape[1])) if dots is None else dots[:, rows]
-        np.multiply(s[0], directions[:, 0, None], out=d)
-        for j in (1, 2):
-            np.multiply(s[j], directions[:, j, None], out=term)
-            d += term
-        bits.append(np.packbits(is_plus(d, 0.0), axis=1))
-    return tuple(bits)
+    """The readings x (ka, t) and y (kb, t) of ``experiment.station_readings``, each row
+    packed into bits, 1 for +1; the last byte's padding bits are 0."""
+    x, y, _, _ = experiment.station_readings(s, a_dirs, b_dirs, dots)
+    return np.packbits(x, axis=1), np.packbits(y, axis=1)
 
 
 def _plus_bits(x1, x2, y1, y2):

@@ -29,6 +29,7 @@ from .experiment import (
     InvariantError,
     TrialDatabase,
     format_g17,
+    station_readings,
 )
 from .geometry import UnitVector, direction_at_angle
 from .parallel import _BLOCK_ROWS
@@ -37,33 +38,12 @@ from .stats import CorrelationEstimate
 _ANGLE_SLACK = 1e-9
 
 
-def setting_dots(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: UnitVector) -> np.ndarray:
-    """Per-trial dot products s_k . d from the three spin columns.
-
-    Every station sign in the package is taken from the expression
-    ``s0*dx + s1*dy + s2*dz``, which two places form: this function, for
-    ``_pair_tallies``, and ``chsh._station_bits``, op for op on packed
-    columns, for every CHSH statistic. It is formed elementwise rather
-    than with BLAS matvec calls, whose kernel choice can depend on
-    operand size; elementwise ufuncs give bit-identical per-trial values
-    under any partitioning of the rows.
-    """
-    return s0 * d.x + s1 * d.y + s2 * d.z
-
-
-def _pair_tallies(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int, int]:
-    """(count_pos, tie_count) of one setting pair over the spin rows (m, 3).
-
-    Station A reads +1 where s . a >= 0 and station B where s . b <= 0, so
-    sign(0) := +1 at both; the product of the readings is +1 exactly where
-    the two masks agree, so the signs themselves are never formed. The sweep
-    and ``estimate_correlation`` tally through here; every CHSH statistic
-    takes its signs from ``chsh._station_bits`` instead.
-    """
-    s0, s1, s2 = spins[:, 0], spins[:, 1], spins[:, 2]
-    da = setting_dots(s0, s1, s2, a)
-    db = setting_dots(s0, s1, s2, b)
-    count_pos = int(np.count_nonzero((da >= 0.0) == (db <= 0.0)))
+def _pair_tallies(spins: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """(count_pos, tie_count) of one setting pair, direction rows ``a`` and ``b`` (1, 3),
+    over the spin rows (m, 3): a product of readings is +1 where the two
+    ``station_readings`` masks agree, so the signs themselves are never formed."""
+    x, y, da, db = station_readings(spins.T, a, b)
+    count_pos = int(np.count_nonzero(x == y))
     tie_count = int(np.count_nonzero((da == 0.0) | (db == 0.0)))
     return count_pos, tie_count
 
@@ -75,10 +55,11 @@ def _range_pair_tallies(source, pairs, lo: int, hi: int) -> np.ndarray:
     read one block at a time, and every pair is tallied on a block before
     the next one is read.
     """
+    directions = [(a.as_array()[None], b.as_array()[None]) for a, b in pairs]
     sums = np.zeros((len(pairs), 2), dtype=np.int64)
     for start in range(lo, hi, _BLOCK_ROWS):
         spins = source.rows(start, min(start + _BLOCK_ROWS, hi))
-        sums += [_pair_tallies(spins, a, b) for a, b in pairs]
+        sums += [_pair_tallies(spins, a, b) for a, b in directions]
     return sums
 
 

@@ -308,6 +308,13 @@ class TrialDatabase:
 
     def __post_init__(self):
         check_seed(self.seed)
+        spins = self.spins
+        if spins.flags.writeable or not spins.flags.owndata or spins.dtype != np.float64:
+            # a copy of its own, so that no later write by the caller reaches a checked
+            # row; generate_database and read_database pass arrays that need none
+            spins = np.array(spins, dtype=np.float64)
+            spins.setflags(write=False)
+            object.__setattr__(self, "spins", spins)
         if self.n < 1 or self.spins.shape != (self.n, 3):
             raise ConfigurationError(
                 f"database needs spins shaped ({self.n}, 3), got {self.spins.shape}"
@@ -427,6 +434,26 @@ def measure_sign(spin_sign: int, s: UnitVector, setting: UnitVector) -> Outcome:
         return Outcome(value=1, was_tie=True)
     signed = spin_sign * d
     return Outcome(value=1 if signed > 0.0 else -1, was_tie=False)
+
+
+def station_readings(s: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, dots=None):
+    """(x, y, da, db) of the spin columns ``s`` (3, t), unit-stride or a ``rows.T`` view, at
+    ``a_dirs`` (ka, 3) and ``b_dirs`` (kb, 3): the dots da = s . a and db = s . b, and
+    the masks x and y of the readings +1. ``measure_sign`` on arrays, and the one writer
+    of the stations' rule: A reads +1 where s . a >= 0 and B, holding -s, where
+    s . b <= 0, so sign(0) := +1 at both. The dots are elementwise, never BLAS, whose
+    kernel can depend on operand size, so a trial's dot has the same bits in any block.
+    ``dots``, (2, ka + kb, t) scratch if given, keeps da and then db in ``dots[0]``.
+    """
+    k, readings = len(a_dirs), []
+    for directions, rows in ((a_dirs, slice(None, k)), (b_dirs, slice(k, None))):
+        d, term = (None, None) if dots is None else dots[:, rows]
+        d = np.multiply(s[0], directions[:, 0, None], out=d)
+        d += np.multiply(s[1], directions[:, 1, None], out=term)
+        d += np.multiply(s[2], directions[:, 2, None], out=term)
+        readings.append(d)
+    da, db = readings
+    return np.greater_equal(da, 0.0), np.less_equal(db, 0.0), da, db
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from bellsim import (
     sample_uniform_directions,
 )
 from bellsim.chsh import QuadTallies
-from bellsim.correlation import setting_dots
 from bellsim.geometry import orthonormal_basis
 from bellsim.rng import _GOLDEN, _MASK, CounterStream, mix64_array
 
@@ -93,13 +92,19 @@ def brute_force_terms(db, quad) -> list:
     return terms
 
 
+def dots(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: UnitVector) -> np.ndarray:
+    """Per-trial dot products s_k . d of the three spin columns, as one whole-array
+    expression in the package's order of operations, so that the dots agree bit for bit."""
+    return s0 * d.x + s1 * d.y + s2 * d.z
+
+
 def station_products(spins: np.ndarray, a: UnitVector, b: UnitVector):
     """Per-trial int8 station signs and tie masks (x, y, tie_a, tie_b) of the spin
     rows (n, 3) for a setting pair: x_k = sign(+s_k . a) and y_k = sign(-s_k . b),
-    with sign(0) := +1, from the same ``setting_dots`` the package uses."""
+    with sign(0) := +1."""
     s0, s1, s2 = spins[:, 0], spins[:, 1], spins[:, 2]
-    da = setting_dots(s0, s1, s2, a)
-    db = setting_dots(s0, s1, s2, b)
+    da = dots(s0, s1, s2, a)
+    db = dots(s0, s1, s2, b)
     x = np.where(da >= 0.0, 1, -1).astype(np.int8)
     y = np.where(db <= 0.0, 1, -1).astype(np.int8)
     return x, y, da == 0.0, db == 0.0
@@ -164,10 +169,10 @@ def write_database_per_row(db, fileobj) -> None:
 
 
 def _packed_signs(columns: np.ndarray, directions, is_plus) -> np.ndarray:
-    """One row of packed station signs per direction, one ``setting_dots`` pass each."""
+    """One row of packed station signs per direction, one ``dots`` pass each."""
     bits = np.empty((len(directions), (columns.shape[1] + 7) // 8), dtype=np.uint8)
     for row, d in zip(bits, directions):
-        row[:] = np.packbits(is_plus(setting_dots(*columns, d), 0.0))
+        row[:] = np.packbits(is_plus(dots(*columns, d), 0.0))
     return bits
 
 

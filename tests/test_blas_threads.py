@@ -5,8 +5,8 @@ command's entry function (``bellsim.__main__.main``) sets
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 first, unless the
 environment already sets them. That is only free because no module of
 the package makes a BLAS call: every station sign comes from the
-elementwise dot expression of ``bellsim.correlation.setting_dots``, and
-the scan below keeps it that way.
+elementwise dot expression of ``bellsim.experiment.station_readings``,
+and the scan below keeps it that way.
 """
 
 import ast
@@ -60,9 +60,9 @@ def blas_calls(source: str) -> list[str]:
 
 
 def test_the_package_calls_no_blas():
-    # station signs come from the elementwise setting_dots expression, on purpose
+    # station signs come from station_readings' elementwise dots, on purpose
     files = sorted(SRC.glob("*.py"))
-    assert SRC / "correlation.py" in files
+    assert SRC / "experiment.py" in files
     found = {f.name: blas_calls(f.read_text()) for f in files}
     assert {name: calls for name, calls in found.items() if calls} == {}
 

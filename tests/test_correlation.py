@@ -29,6 +29,7 @@ from bellsim import (
 )
 from bellsim import correlation
 from bellsim.correlation import CURVE_CSV_HEADER
+from bellsim.experiment import station_readings
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS, orthonormal_basis
 from bellsim.parallel import MIN_PARALLEL_TRIALS
 
@@ -345,10 +346,12 @@ def test_pair_tallies_match_the_int8_oracle_bit_for_bit(case, make_source, block
 def test_the_negative_zero_case_forms_dots_of_exactly_minus_zero():
     dist, pairs, _ = _KERNEL_CASES["negative-zero"]
     spins = generate_database(7, dist, 50).spins
-    for d in [d for pair in pairs for d in pair]:
-        assert d.y == 0.0 and math.copysign(1.0, d.y) == -1.0
-        dots = correlation.setting_dots(spins[:, 0], spins[:, 1], spins[:, 2], d)
-        assert not dots.any() and np.signbit(dots).all()
+    for a, b in pairs:
+        assert all(d.y == 0.0 and math.copysign(1.0, d.y) == -1.0 for d in (a, b))
+        x, y, da, db = station_readings(spins.T, a.as_array()[None], b.as_array()[None])
+        for dots in (da, db):
+            assert dots.shape == (1, 50) and not dots.any() and np.signbit(dots).all()
+        assert x.all() and y.all()
     # the sweep reaches the same settings through its plane: both read +1 on every trial
     curve = sweep_correlation(GeneratedTrials(7, dist, 50), _NEGATIVE_ZERO_THETAS, plane=_NEGATIVE_ZERO_PLANE)
     assert [(p.estimate.count_pos, p.estimate.tie_count) for p in curve.points] == [(50, 50)] * 4

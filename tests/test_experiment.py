@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim import (
+    CANONICAL_QUAD,
     Cap,
     ConfigurationError,
     FixedAxis,
@@ -21,6 +22,8 @@ from bellsim import (
     UniformSphere,
     UnitVector,
     angle_between,
+    chsh_statistic,
+    estimate_correlation,
     generate_database,
     measure_sign,
     parse_distribution,
@@ -525,6 +528,49 @@ def test_database_rejects_a_seed_its_reader_would_refuse(seed):
     buf = io.StringIO()
     write_database(db, buf)
     assert read_database(io.StringIO(buf.getvalue())).seed == 2**64 - 1
+
+
+def _writable_rows(rows):
+    return rows, rows
+
+
+def _read_only_view(rows):
+    view = rows[:]
+    view.setflags(write=False)
+    return view, rows
+
+
+@pytest.mark.parametrize("given", [_writable_rows, _read_only_view])
+def test_a_database_keeps_its_own_read_only_copy_of_the_callers_rows(given):
+    # a later write to the caller's array reaches no row the database validated
+    spins, caller = given(np.tile([0.0, 0.0, 1.0], (5, 1)))
+    db = TrialDatabase(seed=0, distribution=UniformSphere(), n=5, spins=spins)
+    assert db.spins is not spins and not db.spins.flags.writeable
+    before = chsh_statistic(db, CANONICAL_QUAD), estimate_correlation(db, Z_AXIS, Z_AXIS)
+    caller[:] = np.nan
+    assert (chsh_statistic(db, CANONICAL_QUAD), estimate_correlation(db, Z_AXIS, Z_AXIS)) == before
+    assert before[0].statistic == 2.0 and before[1].count_pos == 0
+    assert np.array_equal(db.spins, np.tile([0.0, 0.0, 1.0], (5, 1)))
+
+
+def test_a_database_keeps_an_owned_read_only_float64_array_as_it_is():
+    built = []
+    rows = GeneratedTrials.rows
+
+    def keep(self, lo, hi):
+        built.append(rows(self, lo, hi))
+        return built[-1]
+
+    with mock.patch.object(GeneratedTrials, "rows", keep):
+        db = generate_database(3, UniformSphere(), 10)
+    assert len(built) == 1 and db.spins is built[0]
+    spins = np.array([[0.0, 1.0, 0.0]] * 4)
+    spins.setflags(write=False)
+    assert TrialDatabase(seed=0, distribution=UniformSphere(), n=4, spins=spins).spins is spins
+    buf = io.StringIO()
+    write_database(db, buf)
+    back = read_database(io.StringIO(buf.getvalue()))
+    assert back.spins.flags.owndata and not back.spins.flags.writeable
 
 
 _SPELLINGS = {  # value-preserving spellings that Python's int() accepts

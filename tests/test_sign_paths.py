@@ -1,15 +1,15 @@
-"""Every CHSH statistic takes its station signs from the packed column kernel.
+"""Every station sign comes from one function: ``bellsim.experiment.station_readings``.
 
-``bellsim.chsh._station_bits`` packs the signs of unit-stride spin columns,
-and is the one place in ``chsh.py`` that writes the stations' comparisons;
-reuse and fresh ``chsh_statistic`` (through ``_quad_tallies``), the search
-and ``per_trial_terms`` all read them. The pair path,
-``_pair_tallies`` -> ``pair_tallies``, counts agreeing boolean station
-masks for ``bellsim.correlation``'s sweep and ``estimate_correlation``;
-the int8 ``station_products`` it replaced lives on only as an oracle in
-``tests/oracles.py``. The scan below keeps every other module of the
-package off the pair path and that name, so that no statistic drifts
-back onto a second sign path.
+It forms the spin-setting dots and applies the stations' rule (A reads +1
+where s . a >= 0, B where s . b <= 0, so sign(0) := +1 at both) for every
+array path: ``chsh._station_bits`` packs its readings for reuse and fresh
+``chsh_statistic`` (through ``_quad_tallies``), the search and
+``per_trial_terms``, and ``correlation._pair_tallies`` counts its agreeing
+masks for the sweep and ``estimate_correlation``. The scalar
+``measure_sign`` is the per-trial oracle, and the int8 ``station_products``
+lives on only in ``tests/oracles.py``. The scans below keep the rule's
+comparisons inside ``station_readings`` in every module of the package, and
+keep every module but ``correlation`` off the pair path's names.
 """
 
 import ast
@@ -74,9 +74,26 @@ def test_the_scan_passes_the_column_kernel_and_mere_mentions():
     assert pair_path_names(source) == []
 
 
+def _is_float_zero(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value == 0.0
+
+
+def _compares_to_zero(node) -> bool:
+    # d >= 0.0 or d <= 0.0, or 0.0 <= d outside a chained range check such as 0.0 <= t <= 180.0
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(
+        isinstance(op, (ast.GtE, ast.LtE))
+        and (_is_float_zero(right) or (_is_float_zero(left) and len(node.ops) == 1))
+        for op, left, right in zip(node.ops, operands, operands[1:])
+    )
+
+
 def station_rule_owners(source: str) -> list[str]:
     """The top-level function or class (else ``<module>``) around each occurrence in
-    ``source`` of a station comparison: as a name, an attribute or an imported name."""
+    ``source`` of a station comparison: ``greater_equal`` or ``less_equal`` as a name,
+    an attribute or an imported name, or a ``>=`` or ``<=`` against a 0.0 constant."""
     owners = []
     for top in ast.parse(source).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
@@ -85,12 +102,17 @@ def station_rule_owners(source: str) -> list[str]:
                 name = node.attr
             else:
                 name = getattr(node, "id", getattr(node, "name", None))
-            owners += [owner] if name in STATION_RULE else []
+            owners += [owner] if name in STATION_RULE or _compares_to_zero(node) else []
     return owners
 
 
-def test_only_station_bits_writes_the_station_comparisons():
-    assert station_rule_owners((SRC / "chsh.py").read_text()) == ["_station_bits"] * 2
+def test_only_station_readings_writes_the_station_comparisons():
+    files = sorted(SRC.glob("*.py"))
+    assert SRC / "correlation.py" in files
+    found = {f.name: station_rule_owners(f.read_text()) for f in files}
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "experiment.py": ["station_readings"] * 2
+    }
 
 
 def test_the_station_rule_scan_finds_each_spelling():
@@ -98,5 +120,15 @@ def test_the_station_rule_scan_finds_each_spelling():
         "from numpy import less_equal\n"
         "def f(d):\n    return np.greater_equal(d, 0.0)\n"
         "class C:\n    is_plus = greater_equal\n"
+        "def g(da, db):\n    return (da >= 0.0) == (db <= 0.0)\n"
+        "def h(d):\n    return 0.0 <= d\n"
     )
-    assert station_rule_owners(source) == ["<module>", "f", "C"]
+    assert station_rule_owners(source) == ["<module>", "f", "C", "g", "g", "h"]
+
+
+def test_the_station_rule_scan_passes_range_checks_and_other_comparisons():
+    source = (
+        "def f(t, d, k, n):\n"
+        "    return 0.0 <= t <= 180.0, d == 0.0, d > 0.0, d >= 1.0, 0 <= k < n, k >= 0\n"
+    )
+    assert station_rule_owners(source) == []

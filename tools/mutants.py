@@ -86,6 +86,13 @@ MUTANTS = [
         "tests/test_cli.py::test_gen_db_writes_loadable_database",
     ),
     Mutant(
+        "round-half-even",
+        "src/bellsim/experiment.py",
+        "((floor & _U1) == _U1)",
+        "((floor & _U1) == 0)",
+        "tests/test_experiment.py::test_row_kernel_rounds_ties_to_even",
+    ),
+    Mutant(
         "nesting-limit",
         "src/bellsim/experiment.py",
         "if depth == _MAX_NESTING:",
@@ -99,14 +106,22 @@ MUTANTS = [
         "if False:",
         "tests/test_cli.py::test_auto_workers_count_the_cpus_this_process_may_use",
     ),
-    # the packed sign kernel and the reuse search's bound
+    # the stations' rule, which every sign reads: an exact zero dot reads +1
     Mutant(
         "station-a-tie",
-        "src/bellsim/chsh.py",
-        "(a_dirs, slice(None, k), np.greater_equal)",
-        "(a_dirs, slice(None, k), np.greater)",
+        "src/bellsim/experiment.py",
+        "np.greater_equal(da, 0.0)",
+        "np.greater(da, 0.0)",
         "tests/test_chsh.py::test_terms_match_oracle_and_mean_equals_statistic",
     ),
+    Mutant(
+        "station-b-tie",
+        "src/bellsim/experiment.py",
+        "np.less_equal(db, 0.0)",
+        "np.less(db, 0.0)",
+        "tests/test_chsh.py::test_terms_match_oracle_and_mean_equals_statistic",
+    ),
+    # the packed sign kernel and the reuse search's bound
     Mutant(
         "plus-bits-x1",
         "src/bellsim/chsh.py",
@@ -156,6 +171,13 @@ MUTANTS = [
         "RANGES_PER_WORKER * workers",
         "tests/test_parallel.py::test_map_ranges_returns_the_ranges_in_order[30-3-31-pools1]",
     ),
+    Mutant(
+        "serial-fallback",
+        "src/bellsim/parallel.py",
+        "if workers <= 1 or n < minimum:",
+        "if workers <= 1 or n <= minimum:",
+        "tests/test_cli.py::test_each_command_opens_one_pool_at_two_workers_and_none_at_one[sweep]",
+    ),
     # the import graph: each command loads only the layers it runs
     Mutant(
         "cli-imports-every-layer",
@@ -199,21 +221,6 @@ MUTANTS = [
         "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
         "if not (all_pm2 and tallies.term_sum == numerator):",
         "tests/test_chsh.py::test_each_clause_of_the_identity_check_rejects_tallies_on_its_own[beyond-2n]",
-    ),
-    # the sweep's pair kernel: both stations read an exact zero dot as +1
-    Mutant(
-        "sweep-a-tie",
-        "src/bellsim/correlation.py",
-        "da >= 0.0",
-        "da > 0.0",
-        "tests/test_chsh.py::test_fresh_statistic_matches_the_database_composition[5-dist1]",
-    ),
-    Mutant(
-        "sweep-b-tie",
-        "src/bellsim/correlation.py",
-        "db <= 0.0",
-        "db < 0.0",
-        "tests/test_chsh.py::test_fresh_statistic_matches_the_database_composition[5-dist1]",
     ),
     Mutant(
         "sweep-equal-settings-check",
