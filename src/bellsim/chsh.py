@@ -174,7 +174,7 @@ def streamed_tallies(sets, quad: SettingQuad, workers: int = 1) -> list[QuadTall
 
     Each range reads its rows block by block, so generated trials are
     tallied as they are generated. With more than one worker the ranges
-    go to one pool whose tasks carry only (sets, quad, lo, hi): of
+    go to forked workers that return only their tallies: of
     ``GeneratedTrials`` no database is built, shipped or returned, in
     this process or any other.
     """
@@ -389,7 +389,7 @@ def _table_numerators(spins: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray,
 
 
 def _fresh_candidates(db, quads, base_key, offset, workers) -> np.ndarray:
-    """Fresh-mode statistics of candidate rows (k, 4, 3), each on its own stream, over a pool."""
+    """Fresh-mode statistics of candidate rows (k, 4, 3), each on its own stream, in workers."""
     chunks = parallel.map_ranges(
         _fresh_statistics, len(quads), workers, db, quads, base_key, offset, minimum=2
     )

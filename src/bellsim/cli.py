@@ -212,7 +212,7 @@ def cmd_search(args) -> int:
     if args.budget < 1:
         raise ConfigurationError(f"--budget must be >= 1, got {args.budget}")
 
-    # generated in this process: at the sizes a search evaluates, a pool costs more than it saves
+    # generated in this process: at the sizes a search evaluates, forking costs more than it saves
     db = generate_database(args.seed, args.distribution, args.n)
     stream = root_stream(args.seed, DOMAIN_SEARCH)
 

@@ -307,14 +307,27 @@ class TrialDatabase:
     spins: np.ndarray = field(repr=False)  # (n, 3) float64, write-protected
 
     def __post_init__(self):
+        # a copy of its own, so that no later write by the caller reaches a checked row:
+        # the owner of an array can make it writable again
+        spins = np.array(self.spins, dtype=np.float64)
+        spins.setflags(write=False)
+        object.__setattr__(self, "spins", spins)
+        self._check()
+
+    @classmethod
+    def _adopt(
+        cls, seed: int, distribution: DistributionSpec, n: int, spins: np.ndarray
+    ) -> TrialDatabase:
+        """The database of ``spins`` itself, not a copy: only for an array made for it
+        that no caller holds, as ``generate_database`` and ``read_database`` make."""
+        spins.setflags(write=False)
+        db = cls.__new__(cls)
+        db.__dict__.update(seed=seed, distribution=distribution, n=n, spins=spins)
+        db._check()
+        return db
+
+    def _check(self) -> None:
         check_seed(self.seed)
-        spins = self.spins
-        if spins.flags.writeable or not spins.flags.owndata or spins.dtype != np.float64:
-            # a copy of its own, so that no later write by the caller reaches a checked
-            # row; generate_database and read_database pass arrays that need none
-            spins = np.array(spins, dtype=np.float64)
-            spins.setflags(write=False)
-            object.__setattr__(self, "spins", spins)
         if self.n < 1 or self.spins.shape != (self.n, 3):
             raise ConfigurationError(
                 f"database needs spins shaped ({self.n}, 3), got {self.spins.shape}"
@@ -356,8 +369,8 @@ class GeneratedTrials:
 
     Trial k depends only on (seed, k), so ``rows(lo, hi)`` equals
     ``generate_database(seed, distribution, n).spins[lo:hi]`` bit for bit,
-    and ``spin(k)`` generates trial k alone. The object is a few hundred
-    bytes when pickled, so worker processes can take it in place of a database.
+    and ``spin(k)`` generates trial k alone. The object holds no rows, so a
+    worker process regenerates just the rows of its own ranges.
     """
 
     seed: int
@@ -396,8 +409,7 @@ def generate_database(seed: int, distribution: DistributionSpec, n: int) -> Tria
     identical under any index partitioning.
     """
     spins = GeneratedTrials(seed, distribution, n).rows(0, n)
-    spins.setflags(write=False)
-    return TrialDatabase(seed=seed, distribution=distribution, n=n, spins=spins)
+    return TrialDatabase._adopt(seed, distribution, n, spins)
 
 
 # ---------------------------------------------------------------------------
@@ -676,5 +688,4 @@ def read_database(fileobj) -> TrialDatabase:
             raise ConfigurationError(f"bad trial line {k}") from exc
     if fileobj.readline():
         raise ConfigurationError(f"unexpected content after trial {n - 1}")
-    spins.setflags(write=False)
-    return TrialDatabase(seed=seed, distribution=dist, n=n, spins=spins)
+    return TrialDatabase._adopt(seed, dist, n, spins)

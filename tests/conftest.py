@@ -1,6 +1,6 @@
 """Shared fixtures."""
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 
 import pytest
 from hypothesis import Phase, settings
@@ -15,33 +15,35 @@ settings.register_profile("bellsim", phases=[p for p in Phase if p is not Phase.
 settings.load_profile("bellsim")
 
 
-class PoolRecorder:
-    """Records each ``parallel.plain_pool`` request, then opens the pool or refuses it.
+@pytest.fixture(autouse=True)
+def _no_child_outlives_the_test():
+    yield
+    # every process a test started was reaped: none is left running, none is a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    ``requests`` holds the ``workers`` argument of each request and
-    ``processes`` the process count that request asked of
-    ``ProcessPoolExecutor``. With ``refuse`` set, a request raises an
-    ``AssertionError`` (message "pool refused") before any process starts.
+
+class ForkRecorder:
+    """Records each call of ``parallel._fork_workers``, then forks or refuses.
+
+    ``processes`` holds the process count of each call, that is, of each
+    parallel ``map_ranges``. With ``refuse`` set, a call raises an
+    ``AssertionError`` (message "fork refused") before any process starts.
     """
 
     def __init__(self, monkeypatch):
-        self.requests, self.processes, self.refuse = [], [], False
-        plain_pool = parallel.plain_pool
+        self.processes, self.refuse = [], False
+        fork_workers = parallel._fork_workers
 
-        def record_pool(workers):
-            self.requests.append(workers)
-            return plain_pool(workers)
-
-        def record_executor(max_workers, **kwargs):
-            self.processes.append(max_workers)
+        def record(processes, work):
+            self.processes.append(processes)
             if self.refuse:
-                raise AssertionError(f"pool refused: {max_workers} processes requested")
-            return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
+                raise AssertionError(f"fork refused: {processes} processes requested")
+            return fork_workers(processes, work)
 
-        monkeypatch.setattr(parallel, "plain_pool", record_pool)
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", record_executor)
+        monkeypatch.setattr(parallel, "_fork_workers", record)
 
 
 @pytest.fixture
-def pool_recorder(monkeypatch):
-    return PoolRecorder(monkeypatch)
+def fork_recorder(monkeypatch):
+    return ForkRecorder(monkeypatch)

@@ -328,8 +328,8 @@ def test_search_is_deterministic_and_worker_invariant():
     assert parallel_run == first
 
 
-def test_reuse_search_opens_no_process_pool(tmp_path, pool_recorder):
-    pool_recorder.refuse = True
+def test_reuse_search_opens_no_process_pool(tmp_path, fork_recorder):
+    fork_recorder.refuse = True
     db = generate_database(75, UniformSphere(), 5000)
     best, quad = search_max_chsh(db, "reuse", 200, root_stream(75, 4), workers=2)
     assert best == chsh_statistic(db, quad, "reuse")
@@ -337,7 +337,7 @@ def test_reuse_search_opens_no_process_pool(tmp_path, pool_recorder):
     n = str(parallel.MIN_PARALLEL_TRIALS)
     argv = ["search", "--n", n, "--budget", "50", "--workers", "2", "--out", str(tmp_path / "s")]
     assert cli.main(argv) == 0
-    assert pool_recorder.requests == [] and pool_recorder.processes == []
+    assert fork_recorder.processes == []
 
 
 # coordinate axes give exact zero dot products against axis-aligned spins

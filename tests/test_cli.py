@@ -1,9 +1,12 @@
 """End-to-end command tests through the installed entry point."""
 
+import functools
 import hashlib
 import io
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +26,7 @@ from bellsim import (
     read_database,
     result_summary,
 )
-from bellsim.experiment import _WRITE_BLOCK_ROWS
+from bellsim.experiment import _WRITE_BLOCK_ROWS, InvariantError
 
 from oracles import first_line_difference, write_database_per_row
 
@@ -153,21 +156,21 @@ _CANONICAL = ["--a1", "0", "--a2", "90", "--b1", "135", "--b2", "45"]
 _POLICIES = [_CANONICAL, ["--policy", "from-database"], ["--policy", "uniform"]]
 
 
-def test_reuse_chsh_at_one_worker_opens_no_pool(tmp_path, pool_recorder):
-    pool_recorder.refuse = True
+def test_reuse_chsh_at_one_worker_opens_no_pool(tmp_path, fork_recorder):
+    fork_recorder.refuse = True
     for policy in _POLICIES:
         out = tmp_path / "chsh.json"
         assert cli.main(["chsh", "--n", "5000", *policy, "--workers", "1", "--out", str(out)]) == 0
 
 
-def test_reuse_chsh_at_two_workers_opens_one_plain_pool(tmp_path, pool_recorder):
+def test_reuse_chsh_at_two_workers_opens_one_pool(tmp_path, fork_recorder):
     outputs = []
     for workers in ("2", "1"):
         out = tmp_path / f"chsh-w{workers}.json"
         argv = ["chsh", "--n", "5000", *_CANONICAL, "--workers", workers, "--out", str(out)]
         assert cli.main(argv) == 0
         outputs.append(out.read_bytes())
-    assert pool_recorder.requests == [2] and len(pool_recorder.processes) == 1
+    assert fork_recorder.processes == [parallel._processes(2)]
     assert outputs[0] == outputs[1]
 
 
@@ -180,25 +183,25 @@ _ONE_POOL_COMMANDS = {
 
 @pytest.mark.parametrize("command", list(_ONE_POOL_COMMANDS))
 def test_each_command_opens_one_pool_at_two_workers_and_none_at_one(
-    tmp_path, pool_recorder, command
+    tmp_path, fork_recorder, command
 ):
     argv = [*_ONE_POOL_COMMANDS[command], "--n", str(parallel.MIN_PARALLEL_TRIALS)]
-    pool_recorder.refuse = True
+    fork_recorder.refuse = True
     assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
-    assert pool_recorder.processes == []
-    pool_recorder.refuse = False
+    assert fork_recorder.processes == []
+    fork_recorder.refuse = False
     assert cli.main([*argv, "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
-    assert pool_recorder.requests == [2] and len(pool_recorder.processes) == 1
+    assert fork_recorder.processes == [parallel._processes(2)]
     assert (tmp_path / "w1").read_bytes() == (tmp_path / "w2").read_bytes()
 
 
-def test_gen_db_opens_no_pool_at_one_or_two_workers(tmp_path, pool_recorder):
+def test_gen_db_opens_no_pool_at_one_or_two_workers(tmp_path, fork_recorder):
     # generated rows stream through the writer in this process at any --workers
-    pool_recorder.refuse = True
+    fork_recorder.refuse = True
     argv = ["gen-db", "--seed", "5", "--n", str(3 * parallel.MIN_PARALLEL_TRIALS)]
     for workers in ("1", "2"):
         assert cli.main([*argv, "--workers", workers, "--out", str(tmp_path / workers)]) == 0
-    assert pool_recorder.requests == [] and pool_recorder.processes == []
+    assert fork_recorder.processes == []
     assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
 
 
@@ -226,6 +229,37 @@ def test_chsh_defect_check_reads_the_counters(tmp_path, monkeypatch, capsys, def
         assert "defect: per-trial identity violated" in err
         assert "all terms +-2: False" in err
         assert list(tmp_path.iterdir()) == []
+
+
+def _defect_in_range(sets, quad, lo, hi):
+    raise InvariantError(f"per-trial identity violated in trials [{lo}, {hi})")
+
+
+def _killed_in_range(parent, sets, quad, lo, hi):
+    if os.getpid() != parent:  # never the test's own process
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("failure", ["defect", "killed"])
+def test_a_failure_in_a_worker_ends_the_command_with_one_line(
+    tmp_path, monkeypatch, capsys, fork_recorder, failure
+):
+    n = parallel.MIN_PARALLEL_TRIALS
+    processes = parallel._processes(2)
+    if failure == "defect":
+        lo, hi = parallel.chunk_ranges(n, parallel.RANGES_PER_WORKER * processes)[0]
+        expected = f"defect: per-trial identity violated in trials [{lo}, {hi})"
+        monkeypatch.setattr(chsh, "_range_tallies", _defect_in_range)
+    else:
+        expected = f"error: worker 0 of {processes} was killed by SIGKILL before sending its"
+        expected += " results"
+        killed = functools.partial(_killed_in_range, os.getpid())
+        monkeypatch.setattr(chsh, "_range_tallies", killed)
+    out = tmp_path / "chsh.json"
+    argv = ["chsh", "--n", str(n), *_CANONICAL, "--workers", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [expected]
+    assert fork_recorder.processes == [processes] and not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -492,14 +526,14 @@ def test_a_mixture_nested_too_deep_is_one_error_line(tmp_path):
     assert not out.exists()
 
 
-def test_auto_workers_count_the_cpus_this_process_may_use(tmp_path, monkeypatch, pool_recorder):
+def test_auto_workers_count_the_cpus_this_process_may_use(tmp_path, monkeypatch, fork_recorder):
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parallel.resolve_workers("auto") == 1
     assert parallel._processes(8) == 1
-    pool_recorder.refuse = True
+    fork_recorder.refuse = True
     argv = ["chsh", "--n", "5000", *_CANONICAL, "--workers", "auto", "--out", str(tmp_path / "a")]
     assert cli.main(argv) == 0
-    assert pool_recorder.requests == [] and pool_recorder.processes == []
+    assert fork_recorder.processes == []
 
 
 # runs each command through cli.main in one fresh process and prints, after each,

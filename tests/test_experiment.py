@@ -540,20 +540,28 @@ def _read_only_view(rows):
     return view, rows
 
 
-@pytest.mark.parametrize("given", [_writable_rows, _read_only_view])
+def _owned_read_only(rows):
+    # an array that owns its data, read-only until its owner makes it writable again
+    rows = rows.copy()
+    rows.setflags(write=False)
+    return rows, rows
+
+
+@pytest.mark.parametrize("given", [_writable_rows, _read_only_view, _owned_read_only])
 def test_a_database_keeps_its_own_read_only_copy_of_the_callers_rows(given):
     # a later write to the caller's array reaches no row the database validated
     spins, caller = given(np.tile([0.0, 0.0, 1.0], (5, 1)))
     db = TrialDatabase(seed=0, distribution=UniformSphere(), n=5, spins=spins)
     assert db.spins is not spins and not db.spins.flags.writeable
     before = chsh_statistic(db, CANONICAL_QUAD), estimate_correlation(db, Z_AXIS, Z_AXIS)
+    caller.setflags(write=True)
     caller[:] = np.nan
     assert (chsh_statistic(db, CANONICAL_QUAD), estimate_correlation(db, Z_AXIS, Z_AXIS)) == before
     assert before[0].statistic == 2.0 and before[1].count_pos == 0
     assert np.array_equal(db.spins, np.tile([0.0, 0.0, 1.0], (5, 1)))
 
 
-def test_a_database_keeps_an_owned_read_only_float64_array_as_it_is():
+def test_only_generation_and_reading_hand_their_own_arrays_to_a_database():
     built = []
     rows = GeneratedTrials.rows
 
@@ -566,7 +574,7 @@ def test_a_database_keeps_an_owned_read_only_float64_array_as_it_is():
     assert len(built) == 1 and db.spins is built[0]
     spins = np.array([[0.0, 1.0, 0.0]] * 4)
     spins.setflags(write=False)
-    assert TrialDatabase(seed=0, distribution=UniformSphere(), n=4, spins=spins).spins is spins
+    assert TrialDatabase(seed=0, distribution=UniformSphere(), n=4, spins=spins).spins is not spins
     buf = io.StringIO()
     write_database(db, buf)
     back = read_database(io.StringIO(buf.getvalue()))

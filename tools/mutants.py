@@ -167,16 +167,31 @@ MUTANTS = [
     Mutant(
         "ranges-uncapped",
         "src/bellsim/parallel.py",
-        "RANGES_PER_WORKER * _processes(workers)",
-        "RANGES_PER_WORKER * workers",
+        "RANGES_PER_WORKER * processes)",
+        "RANGES_PER_WORKER * workers)",
         "tests/test_parallel.py::test_map_ranges_returns_the_ranges_in_order[30-3-31-pools1]",
     ),
     Mutant(
         "serial-fallback",
         "src/bellsim/parallel.py",
-        "if workers <= 1 or n < minimum:",
-        "if workers <= 1 or n <= minimum:",
+        "if workers <= 1 or n < minimum",
+        "if workers <= 1 or n <= minimum",
         "tests/test_cli.py::test_each_command_opens_one_pool_at_two_workers_and_none_at_one[sweep]",
+    ),
+    # the forked map: results back in range order, and a child's exception kept
+    Mutant(
+        "fork-results-out-of-order",
+        "src/bellsim/parallel.py",
+        "results[w::processes] = done",
+        "results[w::processes] = done[::-1]",
+        "tests/test_parallel.py::test_map_ranges_returns_the_ranges_in_order[30-3-30-pools2]",
+    ),
+    Mutant(
+        "fork-exception-dropped",
+        "src/bellsim/parallel.py",
+        "        failed = exc\n",
+        "        return pickle.dumps((done, None), pickle.HIGHEST_PROTOCOL)\n",
+        "tests/test_parallel.py::test_an_exception_in_a_child_reaches_the_caller_with_its_type[first]",
     ),
     # the import graph: each command loads only the layers it runs
     Mutant(
