@@ -188,7 +188,7 @@ def per_trial_terms(db: TrialDatabase, quad: SettingQuad) -> np.ndarray:
     Their mean is exactly the reuse-mode statistic: the sum is an
     integer and the statistic performs the same single division by n.
     """
-    s, row = np.ascontiguousarray(db.rows(0, db.n).T), _quad_rows([quad])[0]
+    s, row = db.rows(0, db.n).T, _quad_rows([quad])[0]
     x, y = _station_bits(s, row[:2], row[2:])
     return 4 * np.unpackbits(_plus_bits(*x, *y), count=db.n).astype(np.int64) - 2
 
@@ -331,14 +331,14 @@ def _plus_bits(x1, x2, y1, y2):
 
 
 def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
-    """Exact numerators n*S of candidate rows (k, 4, 3) on the spins (n, 3), and the
-    rows each candidate read.
+    """Exact numerators n*S of candidate rows (k, 4, 3) on the spins (n, 3), a database's
+    column-ordered ``spins``, and the rows each candidate read.
 
     The live candidates read the same tiles of rows, the first ``_FIRST_TILE``
     long and each later one twice the last, up to ``_BLOCK_ROWS // 4``. Each
-    tile is copied to unit-stride columns once and takes its candidates
-    ``_BLOCK_ROWS`` sign elements at a time. A trial adds +2 where
-    ``_plus_bits`` is set and -2 elsewhere. With an
+    tile is a (3, t) view of the unit-stride columns, never a copy, and takes
+    its candidates ``_BLOCK_ROWS`` sign elements at a time. A trial adds +2
+    where ``_plus_bits`` is set and -2 elsewhere. With an
     ``incumbent`` (numerator, quad row), a candidate whose first m rows sum
     to P is dropped before the next tile if its best case P + 2(n - m) is
     below the incumbent's numerator, or equal to it with a ``sort_key`` that
@@ -357,7 +357,7 @@ def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
         if incumbent is not None:
             bound = total[live] + 2 * (n - m)
             live = live[(bound > bar) | ((bound == bar) & greater[live])]
-        s = np.ascontiguousarray(spins[m : m + tile].T)
+        s = spins[m : m + tile].T
         t = s.shape[1]
         step = _BLOCK_ROWS // (4 * t)
         for ids in (live[lo : lo + step] for lo in range(0, len(live), step)):
@@ -380,7 +380,7 @@ def _table_numerators(spins: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray,
     step = _BLOCK_ROWS // max(1, len(a_dirs), len(b_dirs))
     disagree = np.zeros((len(a_dirs), len(b_dirs)), dtype=np.int64)
     for m in range(0, n, step):
-        s = np.ascontiguousarray(spins[m : m + step].T)
+        s = spins[m : m + step].T
         a, b = _station_bits(s, a_dirs, b_dirs)
         disagree += np.bitwise_count(a[:, None] ^ b).sum(axis=2, dtype=np.int64)
     pos = n - disagree

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     NORM_TOLERANCE,
     UnitVector,
@@ -104,15 +105,20 @@ class DistributionSpec:
 
     def _sample_rows(self, keys: np.ndarray, offset: int) -> np.ndarray:
         """One spin row per stream key (an integer array, read as uint64), consuming draws
-        from ``offset``: the one consumer that puts the column visits in order."""
+        from ``offset``: the one consumer that puts the column visits in order.
+
+        The rows are the (m, 3) view of C-contiguous (3, m) columns: each
+        visited sub-block is written once at its positions, never transposed,
+        so ``rows.T`` reads unit-stride columns.
+        """
         keys = np.asarray(keys, dtype=np.uint64)
-        rows = np.empty((keys.shape[0], 3))
+        columns = np.empty((3, keys.shape[0]))
 
         def put(cols, where):
-            rows[where] = cols.T
+            columns[:, where] = cols
 
         self._visit_columns(keys, offset, put)
-        return rows
+        return columns.T
 
 
 @dataclass(frozen=True)
@@ -297,19 +303,33 @@ def _parse_spec(text: str, depth: int) -> DistributionSpec:
 # trial database
 
 
+def _check_trials(seed, distribution, n) -> None:
+    """The checks of every set of trials, stored or generated: a positive integer n
+    (not a ``bool``), an unsigned 64-bit seed and a distribution spec."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigurationError(f"n must be a positive integer, got {n!r}")
+    check_seed(seed)
+    if not isinstance(distribution, DistributionSpec):
+        raise ConfigurationError(f"not a distribution spec: {distribution!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class TrialDatabase:
-    """The stored record of n spin directions, immutable once generated."""
+    """The stored record of n spin directions, immutable once generated.
+
+    ``spins`` is the (n, 3) float64 view of C-contiguous (3, n) columns,
+    write-protected: ``spins.T`` and its slices are unit-stride columns.
+    """
 
     seed: int
     distribution: DistributionSpec
     n: int
-    spins: np.ndarray = field(repr=False)  # (n, 3) float64, write-protected
+    spins: np.ndarray = field(repr=False)  # (n, 3) float64 in column order, write-protected
 
     def __post_init__(self):
         # a copy of its own, so that no later write by the caller reaches a checked row:
         # the owner of an array can make it writable again
-        spins = np.array(self.spins, dtype=np.float64)
+        spins = np.array(self.spins, dtype=np.float64, order="F")
         spins.setflags(write=False)
         object.__setattr__(self, "spins", spins)
         self._check()
@@ -318,8 +338,9 @@ class TrialDatabase:
     def _adopt(
         cls, seed: int, distribution: DistributionSpec, n: int, spins: np.ndarray
     ) -> TrialDatabase:
-        """The database of ``spins`` itself, not a copy: only for an array made for it
-        that no caller holds, as ``generate_database`` and ``read_database`` make."""
+        """The database of ``spins`` itself, not a copy: only for an array made for it, in
+        column order, that no caller holds, as ``generate_database`` and ``read_database``
+        make."""
         spins.setflags(write=False)
         db = cls.__new__(cls)
         db.__dict__.update(seed=seed, distribution=distribution, n=n, spins=spins)
@@ -327,8 +348,8 @@ class TrialDatabase:
         return db
 
     def _check(self) -> None:
-        check_seed(self.seed)
-        if self.n < 1 or self.spins.shape != (self.n, 3):
+        _check_trials(self.seed, self.distribution, self.n)
+        if self.spins.shape != (self.n, 3):
             raise ConfigurationError(
                 f"database needs spins shaped ({self.n}, 3), got {self.spins.shape}"
             )
@@ -348,9 +369,11 @@ class TrialDatabase:
 
     def visit_columns(self, lo: int, hi: int, visit) -> None:
         """Calls ``visit(cols, positions)`` over trials [lo, hi) as ``GeneratedTrials`` does,
-        each sub-block of rows copied to the (3, m) columns once."""
-        rows = self.rows(lo, hi)
-        _column_blocks(hi - lo, lambda a, b, out: np.copyto(out, rows[a:b].T), visit)
+        in order: each ``cols`` is a read-only (3, m) view of the stored columns, m at
+        most ``geometry._SUB_BLOCK_ROWS``, and nothing is copied."""
+        columns, step = self.rows(lo, hi).T, geometry._SUB_BLOCK_ROWS
+        for a in range(0, hi - lo, step):
+            visit(columns[:, a : a + step], slice(a, min(a + step, hi - lo)))
 
 
 def _check_range(lo: int, hi: int, n: int) -> None:
@@ -378,11 +401,7 @@ class GeneratedTrials:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ConfigurationError(f"n must be a positive integer, got {self.n!r}")
-        check_seed(self.seed)
-        if not isinstance(self.distribution, DistributionSpec):
-            raise ConfigurationError(f"not a distribution spec: {self.distribution!r}")
+        _check_trials(self.seed, self.distribution, self.n)
 
     def spin(self, k: int) -> UnitVector:
         if not 0 <= k < self.n:
@@ -390,7 +409,8 @@ class GeneratedTrials:
         return UnitVector.from_array(self.rows(k, k + 1)[0])
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The spin rows of trials [lo, hi)."""
+        """The spin rows of trials [lo, hi): the (m, 3) view of new C-contiguous (3, m)
+        columns (``DistributionSpec._sample_rows``)."""
         _check_range(lo, hi, self.n)
         return self.distribution._sample_rows(_trial_keys(self.seed, lo, hi), 0)
 
@@ -406,7 +426,8 @@ def generate_database(seed: int, distribution: DistributionSpec, n: int) -> Tria
     """Generate the trial database deterministically from (seed, distribution, n).
 
     Trial k's direction depends only on (seed, k), so the result is
-    identical under any index partitioning.
+    identical under any index partitioning. Its spins are the (n, 3) view
+    of the C-contiguous (3, n) columns the generator wrote, not a copy.
     """
     spins = GeneratedTrials(seed, distribution, n).rows(0, n)
     return TrialDatabase._adopt(seed, distribution, n, spins)
@@ -449,7 +470,7 @@ def measure_sign(spin_sign: int, s: UnitVector, setting: UnitVector) -> Outcome:
 
 
 def station_readings(s: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, dots=None):
-    """(x, y, da, db) of the spin columns ``s`` (3, t), unit-stride or a ``rows.T`` view, at
+    """(x, y, da, db) of the spin columns ``s`` (3, t), visited or a source's ``rows.T``, at
     ``a_dirs`` (ka, 3) and ``b_dirs`` (kb, 3): the dots da = s . a and db = s . b, and
     the masks x and y of the readings +1. ``measure_sign`` on arrays, and the one writer
     of the stations' rule: A reads +1 where s . a >= 0 and B, holding -s, where
@@ -675,10 +696,11 @@ def read_database(fileobj) -> TrialDatabase:
     n = _header_count(fields[4], "n")
     if n < 1:
         raise ConfigurationError("database must contain at least one trial")
-    spins = np.empty((min(n, _WRITE_BLOCK_ROWS), 3))  # grown as rows arrive, not sized from n
+    # grown as rows arrive, not sized from n, in the column order of every database
+    spins = np.empty((min(n, _WRITE_BLOCK_ROWS), 3), order="F")
     for k in range(n):
-        if k == len(spins):
-            spins = np.concatenate([spins, np.empty((min(k, n - k), 3))])
+        if k == len(spins):  # concatenate keeps the column order of its inputs
+            spins = np.concatenate([spins, np.empty((min(k, n - k), 3), order="F")])
         parts = fileobj.readline().split()
         if len(parts) != 4 or parts[0] != str(k):  # the index exactly as written
             raise ConfigurationError(f"bad or out-of-order trial line {k}")

@@ -272,7 +272,7 @@ def test_generation_kernel_matches_the_row_wise_oracle(spec, seed, count, offset
     with mock.patch.object(geometry, "_REJECT_NORM", reject):
         rows = spec._sample_rows(keys, offset)
         expected = oracles.sample_rows(spec, keys, offset)
-    assert rows.shape == (count, 3) and rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert rows.shape == (count, 3) and rows.dtype == np.float64 and rows.T.flags.c_contiguous
     assert rows.tobytes() == expected.tobytes()
 
 
@@ -528,6 +528,64 @@ def test_database_rejects_a_seed_its_reader_would_refuse(seed):
     buf = io.StringIO()
     write_database(db, buf)
     assert read_database(io.StringIO(buf.getvalue())).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "n,spec,message",
+    [
+        (True, UniformSphere(), "^n must be a positive integer, got True$"),
+        (0, UniformSphere(), "^n must be a positive integer, got 0$"),
+        (1, "uniform-sphere", "^not a distribution spec: 'uniform-sphere'$"),
+    ],
+)
+def test_a_database_rejects_what_generated_trials_reject(n, spec, message):
+    # one row that would fit n = True; a spec given by its tag is not a spec
+    spins = np.array([[0.0, 0.0, 1.0]])
+    for build in (GeneratedTrials, lambda seed, d, k: TrialDatabase(seed, d, k, spins)):
+        with pytest.raises(ConfigurationError, match=message):
+            build(0, spec, n)
+
+
+_LAYOUT_SPEC = parse_distribution("mixture(0.5:uniform-sphere;0.3:cap(0,1,0,0.7);0.2:fixed-axis(1,0,0))")
+
+
+def _generated(seed, n):
+    return generate_database(seed, _LAYOUT_SPEC, n)
+
+
+def _read_back(seed, n):
+    buf = io.StringIO()
+    write_database(GeneratedTrials(seed, _LAYOUT_SPEC, n), buf)
+    return read_database(io.StringIO(buf.getvalue()))
+
+
+def _from_c_ordered_rows(seed, n):
+    rows = np.ascontiguousarray(GeneratedTrials(seed, _LAYOUT_SPEC, n).rows(0, n))
+    assert rows.flags.c_contiguous
+    return TrialDatabase(seed, _LAYOUT_SPEC, n, rows)
+
+
+@pytest.mark.parametrize("build", [_generated, _read_back, _from_c_ordered_rows])
+def test_every_database_holds_read_only_unit_stride_columns(build):
+    # n past two growths of the reader's array; visits of 3000 columns, the last one short
+    n, seed = 2 * _WRITE_BLOCK_ROWS + 5, 11
+    db = build(seed, n)
+    assert db.spins.T.flags.c_contiguous and not db.spins.flags.writeable
+    expected = oracles.sample_rows(_LAYOUT_SPEC, child_keys(root_key(seed, DOMAIN_TRIALS), 0, n))
+    assert db.spins.tobytes() == expected.tobytes()
+    for lo, hi in ((0, n), (123, n - 7)):
+        seen = []
+
+        def visit(cols, where):
+            assert cols.strides[1] == 8 and not cols.flags.writeable
+            assert np.shares_memory(cols, db.spins)
+            assert np.ascontiguousarray(cols.T).tobytes() == expected[lo:hi][where].tobytes()
+            seen.append((where.start, where.stop))
+
+        with mock.patch.object(geometry, "_SUB_BLOCK_ROWS", 3000):
+            db.visit_columns(lo, hi, visit)
+        bounds = list(range(0, hi - lo, 3000))
+        assert seen == [(a, min(a + 3000, hi - lo)) for a in bounds]
 
 
 def _writable_rows(rows):

@@ -63,6 +63,28 @@ MUTANTS = [
         "for _ in range(1):",
         "tests/test_geometry.py::test_short_triples_are_redrawn_after_the_batch_in_order",
     ),
+    Mutant(
+        "sub-block-bound",
+        "src/bellsim/geometry.py",
+        "hi = min(lo + _SUB_BLOCK_ROWS, n)",
+        "hi = min(lo + _SUB_BLOCK_ROWS - 1, n)",
+        "tests/test_acceptance.py::test_criterion_3_perfect_anticorrelation",
+    ),
+    Mutant(
+        "redraw-offset",
+        "src/bellsim/geometry.py",
+        "keys[redo], offset + _DRAWS_PER_ATTEMPT,",
+        "keys[redo], offset + _DRAWS_PER_ATTEMPT + 1,",
+        "tests/test_experiment.py::test_generation_kernel_matches_the_row_wise_oracle",
+    ),
+    # the one put of visited columns into trial order (DistributionSpec._sample_rows)
+    Mutant(
+        "column-put-reversed",
+        "src/bellsim/experiment.py",
+        "columns[:, where] = cols",
+        "columns[:, where] = cols[:, ::-1]",
+        "tests/test_cli.py::test_streamed_chsh_matches_the_database_composition[policy1-1]",
+    ),
     # a mixture's positions, composed through its picks (experiment.Mixture._visit_columns)
     Mutant(
         "composed-position",
