@@ -374,10 +374,11 @@ def _tile_numerators(spins: np.ndarray, quads: np.ndarray, incumbent=None):
 def _table_numerators(spins: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, index):
     """Exact numerators of the quads (a_dirs[i1], a_dirs[i2], b_dirs[j1], b_dirs[j2]), one
     per row (i1, i2, j1, j2) of ``index``, read from one table of all (a, b) pair tallies:
-    each direction's signs are measured once per tile of rows.
+    each direction's signs are measured once per tile of rows. Both groups hold at
+    least one direction.
     """
     n = len(spins)
-    step = _BLOCK_ROWS // max(1, len(a_dirs), len(b_dirs))
+    step = _BLOCK_ROWS // max(len(a_dirs), len(b_dirs))
     disagree = np.zeros((len(a_dirs), len(b_dirs)), dtype=np.int64)
     for m in range(0, n, step):
         s = spins[m : m + step].T
@@ -497,10 +498,11 @@ def search_max_chsh(
     quads = np.concatenate([first, directions[lattice], randoms])
     if mode == "reuse":
         # the lattice quads share g directions, so one pair table gives all their numerators
-        values = np.concatenate([
-            _tile_numerators(db.spins, first)[0],
-            _table_numerators(db.spins, directions, directions, lattice),
-        ])
+        # below g = 2 there is no lattice, so no table is measured
+        table = np.empty(0, dtype=np.int64)
+        if len(lattice):
+            table = _table_numerators(db.spins, directions, directions, lattice)
+        values = np.concatenate([_tile_numerators(db.spins, first)[0], table])
         i = _best(values, quads[: len(values)])
         tail, read = _tile_numerators(db.spins, randoms, (values[i], quads[i]))
         values, reads = np.concatenate([values, tail]), [read]

@@ -477,13 +477,25 @@ def station_readings(s: np.ndarray, a_dirs: np.ndarray, b_dirs: np.ndarray, dots
     s . b <= 0, so sign(0) := +1 at both. The dots are elementwise, never BLAS, whose
     kernel can depend on operand size, so a trial's dot has the same bits in any block.
     ``dots``, (2, ka + kb, t) scratch if given, keeps da and then db in ``dots[0]``.
+
+    Each group's dots sum, in x, y, z order, the products of only the coordinates
+    that are nonzero in at least one of its directions; every group holds a
+    direction, and each direction a nonzero coordinate. A coordinate that is 0.0
+    or -0.0 in every direction of the group adds only a signed zero, since spins
+    are finite, and adding a zero to the other terms changes at most the sign of
+    a zero sum. So the dots equal ``s0*dx + s1*dy + s2*dz`` as values, and the
+    masks (>= 0, <= 0) and ties (== 0), which cannot see a zero's sign, are
+    the same bits. So a setting in the x-z plane, as ``direction_at_angle`` gives
+    it, pays two products and an axis one, where a general direction pays three.
     """
     k, readings = len(a_dirs), []
     for directions, rows in ((a_dirs, slice(None, k)), (b_dirs, slice(k, None))):
         d, term = (None, None) if dots is None else dots[:, rows]
-        d = np.multiply(s[0], directions[:, 0, None], out=d)
-        d += np.multiply(s[1], directions[:, 1, None], out=term)
-        d += np.multiply(s[2], directions[:, 2, None], out=term)
+        # in Python on the tiny (k, 3) array: three ndarray.any calls cost more
+        first, *rest = (c for c, column in enumerate(zip(*directions.tolist())) if any(column))
+        d = np.multiply(s[first], directions[:, first, None], out=d)
+        for c in rest:
+            d += np.multiply(s[c], directions[:, c, None], out=term)
         readings.append(d)
     da, db = readings
     return np.greater_equal(da, 0.0), np.less_equal(db, 0.0), da, db

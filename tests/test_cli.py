@@ -20,6 +20,7 @@ from bellsim import (
     chsh_statistic,
     cli,
     correlation,
+    experiment,
     generate_database,
     parallel,
     parse_distribution,
@@ -403,6 +404,61 @@ def test_fresh_mode_artifacts_match_their_recorded_digests(tmp_path, command, wo
     argv = [*argv, "--mode", "fresh", "--seed", "0", "--dist", _MIXTURE, "--workers", workers]
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+# sha256 of reuse searches on either side of the lattice's first size, g = 2 at budget
+# 49, the bytes bellsim wrote when it still measured a pair table of no directions
+_SMALL_SEARCH_DIGESTS = {
+    1: "e6601339f4584497d580ac69cc52076424007c5187d95f28e5948f77e8d665fb",
+    48: "b3cccf3d3348081004df6c2d1e4045dafc5e24e156b79f9e8150f2e52c02e388",
+    49: "482bb4475878bb98d2f953962e3cf628a5126068db6e903ab238041eda324e49",
+}
+
+
+@pytest.mark.parametrize("budget", list(_SMALL_SEARCH_DIGESTS))
+def test_a_search_measures_a_pair_table_only_for_a_lattice(tmp_path, monkeypatch, budget):
+    groups, tables = [], []
+    readings, table = chsh.experiment.station_readings, chsh._table_numerators
+    monkeypatch.setattr(
+        chsh.experiment, "station_readings",
+        lambda s, a, b, *dots: groups.append((len(a), len(b))) or readings(s, a, b, *dots),
+    )
+    monkeypatch.setattr(
+        chsh, "_table_numerators", lambda spins, a, *rest: tables.append(len(a)) or table(spins, a, *rest)
+    )
+    out = tmp_path / "search.json"
+    argv = ["search", "--seed", "8", "--n", "2000", "--budget", str(budget), "--dist", _MIXTURE]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SMALL_SEARCH_DIGESTS[budget]
+    # the lattice's table over its g = 2 directions, if any, then the winner's check
+    assert tables == ([2, 2] if budget == 49 else [2])
+    assert min(min(sizes) for sizes in groups) >= 1
+
+
+# rows generated and generator calls (``experiment._trial_keys``) of each command at
+# one worker: a change of the work a command does shows here, whatever the host's speed
+_WORK = {
+    "sweep": (["sweep", "--n", "10000"], 10_000, 1),
+    "reuse-chsh": (["chsh", "--n", "10000", *_CANONICAL], 10_000, 1),
+    "from-database-chsh": (["chsh", "--n", "10000", "--policy", "from-database"], 10_004, 5),
+    "fresh-chsh": (["chsh", "--n", "10000", "--mode", "fresh", *_CANONICAL], 40_000, 4),
+    "reuse-search": (["search", "--n", "10000", "--budget", "1000"], 10_000, 1),
+    "fresh-search": (
+        ["search", "--n", "1000", "--budget", "1000", "--mode", "fresh"], 3_004_000, 3_004
+    ),
+    "gen-db": (["gen-db", "--n", "10000"], 10_000, 3),
+}
+
+
+@pytest.mark.parametrize("command", list(_WORK))
+def test_each_command_generates_its_pinned_rows_in_its_pinned_calls(tmp_path, monkeypatch, command):
+    argv, rows, calls = _WORK[command]
+    counts, trial_keys = [], experiment._trial_keys
+    monkeypatch.setattr(
+        experiment, "_trial_keys", lambda seed, lo, hi: counts.append(hi - lo) or trial_keys(seed, lo, hi)
+    )
+    assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path / "out")]) == 0
+    assert (sum(counts), len(counts)) == (rows, calls)
 
 
 # sha256 of the JSON sweep at seed 0, the bytes bellsim wrote when its CSV writer

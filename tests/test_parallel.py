@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from bellsim import parallel
+from bellsim import cli, parallel
 from bellsim.experiment import ConfigurationError, InvariantError
 
 
@@ -127,6 +127,38 @@ def test_the_commands_fork_their_workers_with_no_executor_module(tmp_path, comma
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 [{parallel._processes(2)}] []"
+
+
+# acceptance criterion 8's commands, each with the processes forked and the ranges
+# cut by each of its maps at --workers 8 on eight CPUs: gen-db maps nothing, and the
+# reuse search ignores --workers, re-evaluating its winner over one range
+_CRITERION_8 = {
+    "gen-db": (["gen-db", "--seed", "11", "--n", "20000"], ([], [])),
+    "sweep": (["sweep", "--seed", "11", "--n", "20000", "--steps", "19"], ([8], [32])),
+    "chsh": (
+        ["chsh", "--seed", "11", "--n", "20000", "--a1", "0", "--a2", "90", "--b1", "135", "--b2", "45"],
+        ([8], [32]),
+    ),
+    "search": (["search", "--seed", "11", "--n", "2000", "--budget", "200"], ([], [1])),
+}
+
+
+@pytest.mark.parametrize("command", list(_CRITERION_8))
+def test_eight_workers_fork_eight_children_over_32_ranges_and_write_one_worker_bytes(
+    tmp_path, monkeypatch, fork_recorder, command
+):
+    # criterion 8 itself forks no more children than the host has CPUs
+    argv, maps = _CRITERION_8[command]
+    assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert fork_recorder.processes == []
+    _usable_cpus(monkeypatch, 8)
+    parts, chunk_ranges = [], parallel.chunk_ranges
+    monkeypatch.setattr(
+        parallel, "chunk_ranges", lambda n, p: parts.append(len(chunk_ranges(n, p))) or chunk_ranges(n, p)
+    )
+    assert cli.main([*argv, "--workers", "8", "--out", str(tmp_path / "w8")]) == 0
+    assert (tmp_path / "w1").read_bytes() == (tmp_path / "w8").read_bytes()
+    assert (fork_recorder.processes, parts) == maps
 
 
 def _fail_in(failures, lo, hi):

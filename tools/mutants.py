@@ -77,6 +77,14 @@ MUTANTS = [
         "keys[redo], offset + _DRAWS_PER_ATTEMPT + 1,",
         "tests/test_experiment.py::test_generation_kernel_matches_the_row_wise_oracle",
     ),
+    # the uniforms' shift off zero (rng._to_open_unit)
+    Mutant(
+        "open-unit-shift",
+        "src/bellsim/rng.py",
+        "out += 0.5",
+        "out += 0.0",
+        "tests/test_cli.py::test_benchmark_workload_matches_its_recorded_digest[gendb-1]",
+    ),
     # the one put of visited columns into trial order (DistributionSpec._sample_rows)
     Mutant(
         "column-put-reversed",
@@ -108,6 +116,13 @@ MUTANTS = [
         "tests/test_cli.py::test_gen_db_writes_loadable_database",
     ),
     Mutant(
+        "row-kernel-exponent-redo",
+        "src/bellsim/experiment.py",
+        "if redo.size:",
+        "if False:",
+        "tests/test_experiment.py::test_row_kernel_matches_the_row_format_on_any_finite_floats",
+    ),
+    Mutant(
         "round-half-even",
         "src/bellsim/experiment.py",
         "((floor & _U1) == _U1)",
@@ -127,6 +142,21 @@ MUTANTS = [
         'if hasattr(os, "sched_getaffinity"):',
         "if False:",
         "tests/test_cli.py::test_auto_workers_count_the_cpus_this_process_may_use",
+    ),
+    # the coordinates a setting group's dots use: those nonzero in some direction
+    Mutant(
+        "group-coordinates-all",
+        "src/bellsim/experiment.py",
+        "if any(column))",
+        "if all(column))",
+        "tests/test_acceptance.py::test_criterion_7_fresh_mode_concentration",
+    ),
+    Mutant(
+        "group-coordinates-tolerance",
+        "src/bellsim/experiment.py",
+        "if any(column))",
+        "if any(abs(v) > 1e-12 for v in column))",
+        "tests/test_chsh.py::test_packed_search_evaluator_matches_chsh_statistic",
     ),
     # the stations' rule, which every sign reads: an exact zero dot reads +1
     Mutant(
