@@ -24,10 +24,8 @@ expectation and S may exceed 2 only by sampling noise.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
@@ -90,87 +88,58 @@ class ChshResult:
 # per-trial terms and the statistic
 
 
-class QuadTallies(NamedTuple):
-    """What a statistic keeps of a run of trials; runs merge by addition and min/max.
-
-    ``pos`` and ``ties`` are ordered (a1,b1), (a1,b2), (a2,b1), (a2,b2).
-    ``term_sum`` and ``term_pm2`` (the count of terms equal to +-2) exist
-    so that the per-trial identity can be checked without the terms.
-    """
-
-    n: int
-    pos: tuple[int, int, int, int]
-    ties: tuple[int, int, int, int]
-    term_min: int
-    term_max: int
-    term_sum: int
-    term_pm2: int
-
-    def merge(self, other: "QuadTallies") -> "QuadTallies":
-        return QuadTallies(
-            n=self.n + other.n,
-            pos=tuple(map(operator.add, self.pos, other.pos)),
-            ties=tuple(map(operator.add, self.ties, other.ties)),
-            term_min=min(self.term_min, other.term_min),
-            term_max=max(self.term_max, other.term_max),
-            term_sum=self.term_sum + other.term_sum,
-            term_pm2=self.term_pm2 + other.term_pm2,
-        )
+# A statistic's tallies of a run of trials: one int64 vector of counts, which add. N trials,
+# then POS and TIES of the pairs (a1,b1), (a1,b2), (a2,b1), (a2,b2), then TERM_SUM and
+# TERM_PM2, the count of terms equal to +-2, so the identity is checked without the terms.
+N, POS, TIES, TERM_SUM, TERM_PM2 = 0, slice(1, 5), slice(5, 9), 9, 10
+TALLY_SIZE = 11
 
 
-def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> QuadTallies:
+def _quad_tallies(s: np.ndarray, quad: np.ndarray, dots: np.ndarray) -> np.ndarray:
     """Tallies of the spin columns ``s`` (3, m) at the quad rows ``quad`` (4, 3), a1, a2,
     b1, b2, with ``dots`` (2, 4, >= m) as scratch for ``_station_bits``, the search's kernel.
 
     Ties are the dots' exact zeros, and a pair's ``pos`` is m less the trials
-    whose signs differ. On packed bits every term is +-2 by construction, so
-    ``term_pm2`` is m. The +2 terms are counted from ``_plus_bits``, so the
-    term sum and the numerator from ``pos`` are computed apart: that pair is
-    what the identity check compares.
+    whose signs differ; both count the 2x2 table of pairs (a_i, b_j) row by row.
+    On packed bits every term is +-2 by construction, so ``TERM_PM2`` is m. The
+    +2 terms are counted from ``_plus_bits``, so the term sum and the numerator
+    from ``POS`` are computed apart: that pair is what the identity check compares.
     """
     m = s.shape[1]
     d = dots[:, :, :m]
     x, y = _station_bits(s, quad[:2], quad[2:], d)
     tie = np.packbits(d[0] == 0.0, axis=1)
-    i, j = [0, 0, 1, 1], [0, 1, 0, 1]  # the pairs (a1,b1), (a1,b2), (a2,b1), (a2,b2)
-    differ = np.bitwise_count(x[i] ^ y[j]).sum(axis=1, dtype=np.int64)
-    tied = np.bitwise_count(tie[i] | tie[2:][j]).sum(axis=1, dtype=np.int64)
+    differ = np.bitwise_count(x[:, None] ^ y).sum(axis=2, dtype=np.int64).ravel()
+    tied = np.bitwise_count(tie[:2, None] | tie[2:]).sum(axis=2, dtype=np.int64).ravel()
     plus = int(np.bitwise_count(_plus_bits(*x, *y)).sum(dtype=np.int64))
-    return QuadTallies(
-        n=m,
-        pos=tuple((m - differ).tolist()),
-        ties=tuple(tied.tolist()),
-        term_min=2 if plus == m else -2,
-        term_max=-2 if plus == 0 else 2,
-        term_sum=4 * plus - 2 * m,
-        term_pm2=m,
-    )
+    return np.array([m, *(m - differ), *tied, 4 * plus - 2 * m, m], dtype=np.int64)
 
 
-def _range_tallies(sets, quad: SettingQuad, lo: int, hi: int) -> list[QuadTallies]:
-    """Tallies of trials [lo, hi) of each TrialDatabase or GeneratedTrials of ``sets``.
+def _range_tallies(sets, quad: SettingQuad, lo: int, hi: int) -> np.ndarray:
+    """Tallies of trials [lo, hi) of each TrialDatabase or GeneratedTrials of ``sets``,
+    one row per set.
 
     The trials are visited one block of rows at a time as the (3, m)
     columns that ``visit_columns`` gives, in any order, so of generated
     trials no more than one block ever exists and none is put in trial
-    order. The dots scratch serves every visit of the range, in every set.
+    order. Each visit's tallies are added to its set's row in place. The
+    dots scratch serves every visit of the range, in every set.
     """
     row = _quad_rows([quad])[0]
-    dots = np.empty((2, 4, min(hi - lo, _BLOCK_ROWS, geometry._SUB_BLOCK_ROWS)))
-    tallies = []
-    for source in sets:
-        parts = []
+    dots = np.empty((2, 4, min(hi - lo, geometry._SUB_BLOCK_ROWS)))
+    tallies = np.zeros((len(sets), TALLY_SIZE), dtype=np.int64)
+    for source, total in zip(sets, tallies):
         for b in range(lo, hi, _BLOCK_ROWS):
             source.visit_columns(
-                b, min(b + _BLOCK_ROWS, hi), lambda s, _: parts.append(_quad_tallies(s, row, dots))
+                b, min(b + _BLOCK_ROWS, hi),
+                lambda s, _: np.add(total, _quad_tallies(s, row, dots), out=total),
             )
-        tallies.append(functools.reduce(QuadTallies.merge, parts))
     return tallies
 
 
-def streamed_tallies(sets, quad: SettingQuad, workers: int = 1) -> list[QuadTallies]:
-    """Tallies of all trials of each set (all of one size), merged over the row ranges
-    of one ``parallel.map_ranges``.
+def streamed_tallies(sets, quad: SettingQuad, workers: int = 1) -> np.ndarray:
+    """Tallies of all trials of each set (all of one size), one row per set, summed
+    over the row ranges of one ``parallel.map_ranges``.
 
     Each range reads its rows block by block, so generated trials are
     tallied as they are generated. With more than one worker the ranges
@@ -178,8 +147,7 @@ def streamed_tallies(sets, quad: SettingQuad, workers: int = 1) -> list[QuadTall
     ``GeneratedTrials`` no database is built, shipped or returned, in
     this process or any other.
     """
-    partials = parallel.map_ranges(_range_tallies, sets[0].n, workers, sets, quad)
-    return [functools.reduce(QuadTallies.merge, ranges) for ranges in zip(*partials)]
+    return sum(parallel.map_ranges(_range_tallies, sets[0].n, workers, sets, quad))
 
 
 def per_trial_terms(db: TrialDatabase, quad: SettingQuad) -> np.ndarray:
@@ -198,29 +166,31 @@ def _numerator(n: int, pos11: int, pos12: int, pos21: int, pos22: int) -> int:
     return 2 * (pos11 - pos12 - pos22 - pos21) + 2 * n
 
 
-def result_from_tallies(tallies: QuadTallies) -> ChshResult:
-    """The reuse-mode result of (merged) tallies that keep the per-trial +-2 identity.
+def result_from_tallies(tallies: np.ndarray) -> ChshResult:
+    """The reuse-mode result of (summed) tallies that keep the per-trial +-2 identity.
 
     Every term is +-2, so all n of them count as such, their sum equals
     the numerator formed from the pair tallies, and |numerator| <= 2n.
-    Tallies that break this raise ``InvariantError``.
+    Tallies that break this raise ``InvariantError``. So the least term is
+    +2 exactly when the sum is 2n, and the greatest -2 exactly when it is -2n.
     """
-    n = tallies.n
-    numerator = _numerator(n, *tallies.pos)
-    all_pm2 = tallies.term_pm2 == n
-    if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):
+    t = tallies.tolist()
+    n, term_sum = t[N], t[TERM_SUM]
+    numerator = _numerator(n, *t[POS])
+    all_pm2 = t[TERM_PM2] == n
+    if not (all_pm2 and term_sum == numerator and abs(numerator) <= 2 * n):
         raise InvariantError(
             "per-trial identity violated "
-            f"(all terms +-2: {all_pm2}, sum {tallies.term_sum}, tallies {numerator})"
+            f"(all terms +-2: {all_pm2}, sum {term_sum}, tallies {numerator})"
         )
     return ChshResult(
         # e11, e12, e21, e22, the pairs' order in the tallies
-        *(CorrelationEstimate.from_tallies(n, *pt) for pt in zip(tallies.pos, tallies.ties)),
+        *(CorrelationEstimate.from_tallies(n, *pt) for pt in zip(t[POS], t[TIES])),
         statistic=numerator / n,  # one division: exactly the per-trial term mean
         mode="reuse",
         n=n,
-        per_trial_min=tallies.term_min,
-        per_trial_max=tallies.term_max,
+        per_trial_min=2 if term_sum == 2 * n else -2,
+        per_trial_max=-2 if term_sum == -2 * n else 2,
     )
 
 
@@ -236,7 +206,7 @@ def chsh_statistic(
     Reuse mode computes all four correlations on the same trials, so
     the per-trial +-2 identity applies and |S| <= 2 holds exactly. It
     is one pass over the rows, whose ranges are spread over ``workers``
-    (``streamed_tallies``); if the merged tallies break the identity,
+    (``streamed_tallies``); if the summed tallies break the identity,
     which only a defect in the program can do, it raises
     ``InvariantError``. Fresh mode consumes three seeds from ``stream``
     for three more sets of trials of the same size and distribution,

@@ -66,11 +66,15 @@ def _parse_direction(text: str, flag: str) -> UnitVector:
 
 
 def _atomic_write(path: str, write):
-    """Return ``write(handle)`` of a temp file beside ``path``, renamed into place after it."""
+    """Return ``write(handle)`` of a temp file beside ``path``, renamed into place after it,
+    with the mode ``open`` gives a new file: 0o666 less the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # the only way to read it: set it and put it back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(prefix=".bellsim-tmp-", dir=directory)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.chmod(tmp, 0o666 & ~umask)
             result = write(handle)
         os.replace(tmp, path)
         return result

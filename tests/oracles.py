@@ -27,7 +27,7 @@ from bellsim import (
     measure_sign,
     sample_uniform_directions,
 )
-from bellsim.chsh import QuadTallies
+from bellsim.chsh import N, POS, TALLY_SIZE, TERM_PM2, TERM_SUM, TIES
 from bellsim.geometry import orthonormal_basis
 from bellsim.rng import _GOLDEN, _MASK, CounterStream, mix64_array
 
@@ -118,23 +118,21 @@ def pair_count(spins: np.ndarray, a: UnitVector, b: UnitVector) -> tuple[int, in
     return int(np.count_nonzero(products == 1)), int(np.count_nonzero(tie_a | tie_b))
 
 
-def quad_tallies(rows: np.ndarray, quad) -> QuadTallies:
-    """Reuse-mode tallies of the spin rows (n, 3), from int8 +-1 station signs
+def quad_tallies(rows: np.ndarray, quad) -> np.ndarray:
+    """Reuse-mode tally vector of the spin rows (n, 3), from int8 +-1 station signs
     (``station_products``) and the int64 terms x1*(y1 - y2) - x2*(y2 + y1)."""
     x1, y1, ta1, tb1 = station_products(rows, quad.a1, quad.b1)
     x2, y2, ta2, tb2 = station_products(rows, quad.a2, quad.b2)
     terms = x1 * (y1 - y2).astype(np.int64) - x2 * (y2 + y1).astype(np.int64)
-    return QuadTallies(
-        n=len(terms),
-        pos=tuple(int(np.count_nonzero(x == y)) for x, y in ((x1, y1), (x1, y2), (x2, y1), (x2, y2))),
-        ties=tuple(
-            int(np.count_nonzero(ta | tb)) for ta, tb in ((ta1, tb1), (ta1, tb2), (ta2, tb1), (ta2, tb2))
-        ),
-        term_min=int(terms.min()),
-        term_max=int(terms.max()),
-        term_sum=int(terms.sum()),
-        term_pm2=int(np.count_nonzero(np.abs(terms) == 2)),
-    )
+    tallies = np.zeros(TALLY_SIZE, dtype=np.int64)
+    tallies[N] = len(terms)
+    tallies[POS] = [np.count_nonzero(x == y) for x, y in ((x1, y1), (x1, y2), (x2, y1), (x2, y2))]
+    tallies[TIES] = [
+        np.count_nonzero(ta | tb) for ta, tb in ((ta1, tb1), (ta1, tb2), (ta2, tb1), (ta2, tb2))
+    ]
+    tallies[TERM_SUM] = terms.sum()
+    tallies[TERM_PM2] = np.count_nonzero(np.abs(terms) == 2)
+    return tallies
 
 
 def random_unit(rng: np.random.Generator) -> UnitVector:

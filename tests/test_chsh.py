@@ -1,6 +1,5 @@
 """CHSH statistic, per-trial identity, strategy enumeration, search."""
 
-import functools
 import math
 from unittest.mock import patch
 
@@ -37,7 +36,12 @@ from bellsim import (
 )
 from bellsim import chsh, cli, correlation, geometry, parallel
 from bellsim.chsh import (
-    QuadTallies,
+    N,
+    POS,
+    TALLY_SIZE,
+    TERM_PM2,
+    TERM_SUM,
+    TIES,
     _best,
     _perturbed_quads,
     _quad_rows,
@@ -122,6 +126,19 @@ def test_identical_settings_quad_saturates_positive_bound():
     assert r.per_trial_min == r.per_trial_max == 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spins_orthogonal_to_every_setting_pin_every_trial_at_minus_two(fork_recorder, workers):
+    # spins on +y against settings in the x-z plane: every dot is 0 and reads +1, so
+    # every term x1*(y1 - y2) - x2*(y2 + y1) is -2, the only case of a greatest term -2
+    n = 2 * parallel.MIN_PARALLEL_TRIALS  # enough trials for the forked map at 2 workers
+    quad = SettingQuad.from_plane_angles(0.0, math.pi / 2, 0.0, math.pi / 2)
+    r = chsh_statistic(GeneratedTrials(6, FixedAxis(Y_AXIS), n), quad, workers=workers)
+    assert r.statistic == -2.0
+    assert r.per_trial_min == r.per_trial_max == -2
+    assert all(e.tie_count == n for e in (r.e11, r.e12, r.e21, r.e22))
+    assert fork_recorder.processes == ([] if workers == 1 else [parallel._processes(2)])
+
+
 def test_canonical_quad_pins_every_trial_at_plus_two():
     # this quad makes the per-trial term identically +2, so S = 2 exactly
     db = generate_database(53, UniformSphere(), 100_000)
@@ -148,11 +165,19 @@ def test_reuse_worker_invariance():
     )
 
 
+def _replaced(tallies, *changes):
+    """A copy of the tally vector with each (field constant, value) of ``changes`` set."""
+    tallies = tallies.copy()
+    for field, value in changes:
+        tallies[field] = value
+    return tallies
+
+
 _DEFECTS = {
     # one +2 term reported as 0, which no four signs can produce
-    "zero-term": lambda t: t._replace(term_min=0, term_sum=t.term_sum - 2, term_pm2=t.term_pm2 - 1),
+    "zero-term": lambda t: _replaced(t, (TERM_SUM, t[TERM_SUM] - 2), (TERM_PM2, t[TERM_PM2] - 1)),
     # one term counted as not +-2 while the sum still matches the tallies
-    "count-only": lambda t: t._replace(term_pm2=t.term_pm2 - 1),
+    "count-only": lambda t: _replaced(t, (TERM_PM2, t[TERM_PM2] - 1)),
 }
 
 
@@ -183,16 +208,18 @@ def test_reuse_statistic_raises_when_the_tallies_break_the_identity(
 
 
 # one trial whose term is +2: T11 = T12 = +1, T21 = T22 = -1
-_ONE_TRIAL = QuadTallies(1, (1, 1, 0, 0), (0, 0, 0, 0), 2, 2, term_sum=2, term_pm2=1)
+_ONE_TRIAL = _replaced(
+    np.zeros(TALLY_SIZE, dtype=np.int64), (N, 1), (POS, (1, 1, 0, 0)), (TERM_SUM, 2), (TERM_PM2, 1)
+)
 
 
 @pytest.mark.parametrize(
     "broken",
     [
-        _ONE_TRIAL._replace(term_pm2=0),  # the term counted as not +-2
-        _ONE_TRIAL._replace(term_sum=-2),  # a +-2 term whose sum is not the tallies'
+        _replaced(_ONE_TRIAL, (TERM_PM2, 0)),  # the term counted as not +-2
+        _replaced(_ONE_TRIAL, (TERM_SUM, -2)),  # a +-2 term whose sum is not the tallies'
         # tallies and sum agree at 4 > 2n, though the one term counts as +-2
-        _ONE_TRIAL._replace(pos=(1, 0, 0, 0), term_sum=4),
+        _replaced(_ONE_TRIAL, (POS, (1, 0, 0, 0)), (TERM_SUM, 4)),
     ],
     ids=["not-pm2", "sum-off-the-tallies", "beyond-2n"],
 )
@@ -485,9 +512,9 @@ def test_streamed_tallies_match_the_database_path(seed, dist, n, workers, block_
     for estimate, (a, b) in zip((result.e11, result.e12, result.e21, result.e22), pairs):
         assert estimate == estimate_correlation(db, a, b)
     terms = per_trial_terms(db, quad)
-    assert tallies.n == n == tallies.term_pm2
-    assert (tallies.term_min, tallies.term_max) == (int(terms.min()), int(terms.max()))
-    assert tallies.term_sum == int(terms.sum())
+    assert tallies[N] == n == tallies[TERM_PM2]
+    assert (result.per_trial_min, result.per_trial_max) == (int(terms.min()), int(terms.max()))
+    assert tallies[TERM_SUM] == int(terms.sum())
     assert result.statistic == int(terms.sum()) / n
 
 
@@ -519,7 +546,7 @@ _unit_rows = st.lists(_units, min_size=1, max_size=40).map(
 def test_pm2_identity_holds_on_any_finite_unit_rows(rows, quad):
     cols, dots = np.ascontiguousarray(rows.T), np.empty((2, 4, len(rows)))
     tallies = _quad_tallies(cols, _quad_rows([quad])[0], dots)
-    assert tallies.n == len(rows)
+    assert tallies[N] == len(rows)
     result_from_tallies(tallies)  # raises InvariantError if the identity fails
 
 
@@ -570,8 +597,8 @@ def test_column_tallies_equal_the_int8_oracle_on_the_same_rows(
     ):
         (tallies,) = _range_tallies([source], quad, lo, hi)
     expected = oracles.quad_tallies(source.rows(lo, hi), quad)
-    for field in QuadTallies._fields:
-        assert getattr(tallies, field) == getattr(expected, field), field
+    for field in (N, POS, TIES, TERM_SUM, TERM_PM2):
+        assert tallies[field].tolist() == expected[field].tolist(), field
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,7 +626,7 @@ def test_tallies_merge_to_the_whole_range_over_any_cut_points(
     ):
         parts = [_range_tallies([source], quad, lo, hi)[0] for lo, hi in ranges]
         (whole,) = _range_tallies([source], quad, 0, n)
-        assert functools.reduce(QuadTallies.merge, parts) == whole
+        assert sum(parts).tolist() == whole.tolist()
         for pair_source, pairs in pair_sources:
             pair_parts = [
                 correlation._range_pair_tallies(pair_source, pairs, lo, hi) for lo, hi in ranges

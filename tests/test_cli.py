@@ -7,6 +7,7 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,17 @@ def test_chsh_reuse_json_and_identity_banner(tmp_path):
     assert {"e11", "e12", "e21", "e22", "quad", "seed", "version"} <= set(doc)
 
 
+def test_chsh_artifact_reports_every_term_at_minus_two(tmp_path):
+    # spins on +y against settings in the x-z plane: every dot is 0, every term -2
+    out = tmp_path / "chsh.json"
+    argv = ["chsh", "--n", "5000", "--dist", "fixed-axis(0,1,0)"]
+    argv += ["--a1", "0", "--a2", "90", "--b1", "0", "--b2", "90", "--out", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["statistic"] == -2.0
+    assert doc["per_trial_min"] == doc["per_trial_max"] == -2
+
+
 def test_chsh_identical_settings(tmp_path):
     out = tmp_path / "same.json"
     proc = run_cli(
@@ -206,11 +218,20 @@ def test_gen_db_opens_no_pool_at_one_or_two_workers(tmp_path, fork_recorder):
     assert (tmp_path / "1").read_bytes() == (tmp_path / "2").read_bytes()
 
 
+def _replaced(tallies, *changes):
+    """A copy of the tally vector with each (field constant, value) of ``changes`` set."""
+    tallies = tallies.copy()
+    for field, value in changes:
+        tallies[field] = value
+    return tallies
+
+
+_SUM, _PM2 = chsh.TERM_SUM, chsh.TERM_PM2
 _DEFECTS = {
     # one +2 term reported as 0, which no four signs can produce
-    "zero-term": lambda t: t._replace(term_min=0, term_sum=t.term_sum - 2, term_pm2=t.term_pm2 - 1),
+    "zero-term": lambda t: _replaced(t, (_SUM, t[_SUM] - 2), (_PM2, t[_PM2] - 1)),
     # one term counted as not +-2 while the sum still matches the tallies
-    "count-only": lambda t: t._replace(term_pm2=t.term_pm2 - 1),
+    "count-only": lambda t: _replaced(t, (_PM2, t[_PM2] - 1)),
 }
 
 
@@ -666,6 +687,26 @@ def test_directions_with_overflowing_squares_are_normalized_and_non_finite_ones_
         assert needle in proc.stderr and "non-finite" in proc.stderr
         assert "(0.0, 0.0, 0.0)" not in proc.stderr
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+@pytest.mark.parametrize("command", ["gen-db", "chsh"])
+def test_an_artifact_gets_the_mode_of_a_new_file_under_the_umask(
+    tmp_path, command, umask, mode, existing
+):
+    # the temp file it is renamed from is made 0600, whatever the umask
+    out = tmp_path / "artifact"
+    if existing:
+        out.write_text("old\n")
+        out.chmod(0o640)
+    settings = _CANONICAL if command == "chsh" else []
+    previous = os.umask(umask)
+    try:
+        assert cli.main([command, "--n", "100", *settings, "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 def test_unwritable_output_leaves_no_partial_file(tmp_path):

@@ -2,7 +2,9 @@
 
 Each mutant is one textual edit (old text, new text) of one source file.
 For each, the checkout is copied to a temporary directory, the edit is
-applied there, and tier-1 runs on the copy with ``-x`` under a time limit.
+applied there, and tier-1 runs on the copy with ``-x`` under a time limit,
+less ``tests/test_mutants.py``: that file checks that each mutant's old text
+is in the checkout, which the mutated copy lacks by design.
 A mutant is killed when a test fails (the first failing test is named) or
 the run exceeds the limit, and survives when every test passes. A survivor
 shows a missing test, unless it changes no behaviour a test could observe;
@@ -156,7 +158,7 @@ MUTANTS = [
         "src/bellsim/experiment.py",
         "if any(column))",
         "if any(abs(v) > 1e-12 for v in column))",
-        "tests/test_chsh.py::test_packed_search_evaluator_matches_chsh_statistic",
+        "tests/test_chsh.py::test_column_tallies_equal_the_int8_oracle_on_the_same_rows",
     ),
     # the stations' rule, which every sign reads: an exact zero dot reads +1
     Mutant(
@@ -184,8 +186,8 @@ MUTANTS = [
     Mutant(
         "b-tie-mask",
         "src/bellsim/chsh.py",
-        "tied = np.bitwise_count(tie[i] | tie[2:][j])",
-        "tied = np.bitwise_count(tie[i] | tie[i])",
+        "tied = np.bitwise_count(tie[:2, None] | tie[2:])",
+        "tied = np.bitwise_count(tie[:2, None] | tie[:2])",
         "tests/test_chsh.py::test_fresh_statistic_matches_the_database_composition[5-dist1]",
     ),
     Mutant(
@@ -200,6 +202,13 @@ MUTANTS = [
         "src/bellsim/chsh.py",
         "live = live[(bound > bar) | ((bound == bar) & greater[live])]",
         "live = live[(bound >= bar) | ((bound == bar) & greater[live])]",
+        "tests/test_chsh.py::test_tile_evaluator_drops_a_candidate_at_its_first_losing_bound",
+    ),
+    Mutant(
+        "tile-doubling-off",
+        "src/bellsim/chsh.py",
+        "m, tile = m + t, min(2 * tile, _BLOCK_ROWS // 4)",
+        "m, tile = m + t, min(tile, _BLOCK_ROWS // 4)",
         "tests/test_chsh.py::test_tile_evaluator_drops_a_candidate_at_its_first_losing_bound",
     ),
     Mutant(
@@ -264,30 +273,45 @@ MUTANTS = [
     Mutant(
         "identity-check-off",
         "src/bellsim/chsh.py",
-        "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
+        "if not (all_pm2 and term_sum == numerator and abs(numerator) <= 2 * n):",
         "if False:",
         "tests/test_chsh.py::test_reuse_statistic_raises_when_the_tallies_break_the_identity[False-zero-term]",
     ),
     Mutant(
         "identity-check-no-pm2-count",
         "src/bellsim/chsh.py",
-        "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
-        "if not (tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
+        "if not (all_pm2 and term_sum == numerator and abs(numerator) <= 2 * n):",
+        "if not (term_sum == numerator and abs(numerator) <= 2 * n):",
         "tests/test_chsh.py::test_reuse_statistic_raises_when_the_tallies_break_the_identity[False-count-only]",
     ),
     Mutant(
         "identity-check-no-sum",
         "src/bellsim/chsh.py",
-        "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
+        "if not (all_pm2 and term_sum == numerator and abs(numerator) <= 2 * n):",
         "if not (all_pm2 and abs(numerator) <= 2 * n):",
         "tests/test_chsh.py::test_each_clause_of_the_identity_check_rejects_tallies_on_its_own[sum-off-the-tallies]",
     ),
     Mutant(
         "identity-check-no-range",
         "src/bellsim/chsh.py",
-        "if not (all_pm2 and tallies.term_sum == numerator and abs(numerator) <= 2 * n):",
-        "if not (all_pm2 and tallies.term_sum == numerator):",
+        "if not (all_pm2 and term_sum == numerator and abs(numerator) <= 2 * n):",
+        "if not (all_pm2 and term_sum == numerator):",
         "tests/test_chsh.py::test_each_clause_of_the_identity_check_rejects_tallies_on_its_own[beyond-2n]",
+    ),
+    # the per-trial range, derived from the term sum of the checked tallies
+    Mutant(
+        "per-trial-min-derived",
+        "src/bellsim/chsh.py",
+        "per_trial_min=2 if term_sum == 2 * n else -2",
+        "per_trial_min=2 if term_sum > 0 else -2",
+        "tests/test_chsh.py::test_terms_match_oracle_and_mean_equals_statistic",
+    ),
+    Mutant(
+        "per-trial-max-derived",
+        "src/bellsim/chsh.py",
+        "per_trial_max=-2 if term_sum == -2 * n else 2",
+        "per_trial_max=-2 if term_sum < 0 else 2",
+        "tests/test_chsh.py::test_terms_match_oracle_and_mean_equals_statistic",
     ),
     Mutant(
         "sweep-equal-settings-check",
@@ -342,7 +366,7 @@ def run_mutant(mutant: Mutant) -> tuple[str, str, float]:
             if first is None or first.returncode == 1:
                 detail = f"timed out after {_TIMEOUT:g} s" if first is None else _first_failure(first.stdout)
                 return "killed", f"{detail} (last killer)", time.perf_counter() - start
-        proc = _pytest(copy, env)
+        proc = _pytest(copy, env, "--ignore=tests/test_mutants.py")
         seconds = time.perf_counter() - start
         if proc is None:
             return "killed", f"timed out after {_TIMEOUT:g} s", seconds
