@@ -119,21 +119,19 @@ def _range_tallies(sets, quad: SettingQuad, lo: int, hi: int) -> np.ndarray:
     """Tallies of trials [lo, hi) of each TrialDatabase or GeneratedTrials of ``sets``,
     one row per set.
 
-    The trials are visited one block of rows at a time as the (3, m)
-    columns that ``visit_columns`` gives, in any order, so of generated
-    trials no more than one block ever exists and none is put in trial
-    order. Each visit's tallies are added to its set's row in place. The
-    dots scratch serves every visit of the range, in every set.
+    Each set's trials are visited in one ``visit_columns`` call, as the
+    (3, m) columns it gives, in any order: generated trials are made one
+    block at a time in buffers that every block reuses, and none is put in
+    trial order. Each visit's tallies are added to its set's row in place.
+    The dots scratch serves every visit of the range, in every set.
     """
     row = _quad_rows([quad])[0]
     dots = np.empty((2, 4, min(hi - lo, geometry._SUB_BLOCK_ROWS)))
     tallies = np.zeros((len(sets), TALLY_SIZE), dtype=np.int64)
     for source, total in zip(sets, tallies):
-        for b in range(lo, hi, _BLOCK_ROWS):
-            source.visit_columns(
-                b, min(b + _BLOCK_ROWS, hi),
-                lambda s, _: np.add(total, _quad_tallies(s, row, dots), out=total),
-            )
+        source.visit_columns(
+            lo, hi, lambda s, _: np.add(total, _quad_tallies(s, row, dots), out=total)
+        )
     return tallies
 
 

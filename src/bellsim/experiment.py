@@ -26,6 +26,7 @@ from .geometry import (
     NORM_TOLERANCE,
     UnitVector,
     _column_blocks,
+    _KernelScratch,
     _normalize_columns,
     _unit_columns,
     orthonormal_basis,
@@ -36,9 +37,9 @@ from .rng import (
     CounterStream,
     _uniform_column_into,
     child_keys,
-    key_uniform_column,
     root_key,
 )
+from .parallel import _BLOCK_ROWS
 
 _WEIGHT_TOLERANCE = 1e-12
 _MAX_NESTING = 32  # mixtures in a spec; far deeper ones would exhaust Python's recursion limit
@@ -93,32 +94,81 @@ class DistributionSpec:
     def tag(self) -> str:
         raise NotImplementedError
 
-    def _visit_columns(self, keys: np.ndarray, offset: int, visit) -> None:
+    def _visit_columns(self, keys: np.ndarray, offset: int, visit, scratch, base: int = 0) -> None:
         """``visit(cols, positions)`` for the spins of the uint64 stream ``keys``, drawn from
-        ``offset`` on, in (3, m) column sub-blocks (``geometry._column_blocks``).
+        ``offset`` on, in (3, m) column sub-blocks (``geometry._column_blocks``), with the
+        buffers of ``scratch`` (a ``_Scratch`` for at least len(keys) keys).
 
         Spin i depends on keys[i] and ``offset`` alone. ``positions`` locate
-        ``cols`` among the keys: a slice, or an index array where a mixture
-        picked them. A consumer that ignores them never orders the spins.
+        ``cols`` among the keys, counted from ``base``: a slice, or an index array
+        where a mixture picked them. Both are views of buffers that the next visit
+        overwrites. A consumer that ignores the positions never orders the spins.
         """
         raise NotImplementedError
 
+    def _mixture_depth(self) -> int:
+        # how many mixtures nest here, so how many _MixtureScratch a visit needs
+        return 0
+
     def _sample_rows(self, keys: np.ndarray, offset: int) -> np.ndarray:
-        """One spin row per stream key (an integer array, read as uint64), consuming draws
-        from ``offset``: the one consumer that puts the column visits in order.
-
-        The rows are the (m, 3) view of C-contiguous (3, m) columns: each
-        visited sub-block is written once at its positions, never transposed,
-        so ``rows.T`` reads unit-stride columns.
-        """
+        """One spin row per stream key (an integer array, read as uint64), consuming
+        draws from ``offset``, all in one visit (``_put_columns``)."""
         keys = np.asarray(keys, dtype=np.uint64)
-        columns = np.empty((3, keys.shape[0]))
+        scratch = _Scratch.of(keys.shape[0], self)
+        return _put_columns(keys.shape[0], lambda put: self._visit_columns(keys, offset, put, scratch))
 
-        def put(cols, where):
-            columns[:, where] = cols
 
-        self._visit_columns(keys, offset, put)
-        return columns.T
+def _put_columns(m: int, walk) -> np.ndarray:
+    """The rows that ``walk(put)`` visits at positions 0 .. m - 1: the one consumer that
+    puts column visits in order.
+
+    The rows are the (m, 3) view of C-contiguous (3, m) columns: each
+    visited sub-block is written once at its positions, never transposed,
+    so ``rows.T`` reads unit-stride columns.
+    """
+    columns = np.empty((3, m))
+
+    def put(cols, where):
+        columns[:, where] = cols
+
+    walk(put)
+    return columns.T
+
+
+class _MixtureScratch(NamedTuple):
+    """The buffers of one mixture level for at most m keys (``Mixture._visit_columns``)."""
+
+    selector: np.ndarray  # (m,) float64: each key's component draw
+    masks: np.ndarray  # (2, m) bool: a component's keys, and a comparison
+    keys: np.ndarray  # (m,) uint64: the selector's raw draws, then a component's keys
+    positions: np.ndarray  # (m,) intp: a nested mixture's positions, taken through the picks
+
+    @classmethod
+    def of(cls, m: int) -> "_MixtureScratch":
+        return cls(
+            np.empty(m), np.empty((2, m), dtype=bool), np.empty(m, dtype=np.uint64),
+            np.empty(m, dtype=np.intp),
+        )
+
+
+class _Scratch(NamedTuple):
+    """Every buffer that generating the spins of at most m keys at a time writes: made
+    once per call of ``GeneratedTrials.visit_columns`` and reused by each block and
+    sub-block, so a long range faults in its generation memory once."""
+
+    keys: np.ndarray  # (m,) uint64: a block's trial keys
+    shift: np.ndarray  # (m,) uint64: the mix's shift temporary, for keys, selectors and kernels
+    kernel: _KernelScratch  # the column kernels' sub-block buffers
+    levels: tuple  # a _MixtureScratch per nesting level, outermost first
+
+    @classmethod
+    def of(cls, m: int, spec: DistributionSpec) -> "_Scratch":
+        shift = np.empty(m, dtype=np.uint64)
+        return cls(
+            np.empty(m, dtype=np.uint64), shift,
+            _KernelScratch.of(min(m, geometry._SUB_BLOCK_ROWS), shift),
+            tuple(_MixtureScratch.of(m) for _ in range(spec._mixture_depth())),
+        )
 
 
 @dataclass(frozen=True)
@@ -126,9 +176,10 @@ class UniformSphere(DistributionSpec):
     def tag(self) -> str:
         return "uniform-sphere"
 
-    def _visit_columns(self, keys, offset, visit):
+    def _visit_columns(self, keys, offset, visit, scratch, base=0):
         _column_blocks(
-            keys.shape[0], lambda lo, hi, out: _unit_columns(keys[lo:hi], offset, out), visit
+            keys.shape[0], lambda lo, hi, part: _unit_columns(keys[lo:hi], offset, part), visit,
+            scratch.kernel, base,
         )
 
 
@@ -142,9 +193,12 @@ class FixedAxis(DistributionSpec):
         a = self.axis
         return f"fixed-axis({','.join(map(format_g17, (a.x, a.y, a.z)))})"
 
-    def _visit_columns(self, keys, offset, visit):
+    def _visit_columns(self, keys, offset, visit, scratch, base=0):
         axis = self.axis.as_array()[:, None]
-        _column_blocks(keys.shape[0], lambda lo, hi, out: np.copyto(out, axis), visit)
+        _column_blocks(
+            keys.shape[0], lambda lo, hi, part: np.copyto(part.columns, axis), visit,
+            scratch.kernel, base,
+        )
 
 
 @dataclass(frozen=True)
@@ -164,17 +218,17 @@ class Cap(DistributionSpec):
         a = self.axis
         return f"cap({','.join(map(format_g17, (a.x, a.y, a.z, self.half_angle)))})"
 
-    def _visit_columns(self, keys, offset, visit):
+    def _visit_columns(self, keys, offset, visit, scratch, base=0):
         # cos(alpha) uniform on [cos(half_angle), 1] gives the uniform cap.
         depth = 1.0 - math.cos(self.half_angle)
         axis = self.axis.as_array()
         e1, e2 = orthonormal_basis(axis)
 
-        def fill(lo, hi, out):
-            cos_a, beta, sin_a, term, norm = np.empty((5, hi - lo))
-            raw = np.empty(hi - lo, dtype=np.uint64)
-            _uniform_column_into(keys[lo:hi], offset, cos_a, raw)
-            _uniform_column_into(keys[lo:hi], offset + 1, beta, raw)
+        def fill(lo, hi, part):
+            cos_a, beta, sin_a, term, norm = part.floats
+            out = part.columns
+            _uniform_column_into(keys[lo:hi], offset, cos_a, part.raw, part.shift)
+            _uniform_column_into(keys[lo:hi], offset + 1, beta, part.raw, part.shift)
             cos_a *= depth
             np.subtract(1.0, cos_a, out=cos_a)
             np.multiply(cos_a, cos_a, out=sin_a)
@@ -198,7 +252,7 @@ class Cap(DistributionSpec):
                 out[j] += term
             _normalize_columns(out, norm, term)
 
-        _column_blocks(keys.shape[0], fill, visit)
+        _column_blocks(keys.shape[0], fill, visit, scratch.kernel, base)
 
 
 @dataclass(frozen=True)
@@ -220,20 +274,36 @@ class Mixture(DistributionSpec):
         parts = ";".join(f"{format_g17(w)}:{spec.tag()}" for w, spec in self.components)
         return f"mixture({parts})"
 
-    def _visit_columns(self, keys, offset, visit):
+    def _mixture_depth(self) -> int:
+        return 1 + max(spec._mixture_depth() for _, spec in self.components)
+
+    def _visit_columns(self, keys, offset, visit, scratch, base=0):
         # draw at `offset` selects the component; components draw from offset+1.
         # The component is the count of cumulative weights <= u, capped at the
-        # last: the count over all but the last weight, which is never larger
-        u = key_uniform_column(keys, offset)
-        idx = np.zeros(u.shape, dtype=np.intp)
-        for bound in np.cumsum([w for w, _ in self.components])[:-1]:
-            idx += u >= bound
-        for i, (_, spec) in enumerate(self.components):
-            picked = np.flatnonzero(idx == i)
-            if picked.size:  # the component's positions, taken through the picks
-                spec._visit_columns(
-                    keys[picked], offset + 1, lambda cols, at, p=picked: visit(cols, p[at])
-                )
+        # last: the count over all but the last weight, which is never larger.
+        # The bounds never decrease, so component i holds low_i <= u < high_i: the keys
+        # below high_i xor those below low_i, all of which are below high_i too
+        m = keys.shape[0]
+        level, inner = scratch.levels[0], scratch._replace(levels=scratch.levels[1:])
+        u, (mask, below) = level.selector[:m], level.masks[:, :m]
+        _uniform_column_into(keys, offset, u, level.keys[:m], scratch.shift[:m])
+        bounds = np.cumsum([w for w, _ in self.components])[:-1].tolist()
+        for (_, spec), low, high in zip(self.components, [-math.inf, *bounds], [*bounds, math.inf]):
+            np.less(u, high, out=mask)
+            mask ^= np.less(u, low, out=below)
+            picks = np.flatnonzero(mask)
+            if not picks.size:
+                continue
+            # every pick is in range; "clip" writes to out directly, "raise" through a copy
+            picked = np.take(keys, picks, out=level.keys[: picks.size], mode="clip")
+            picks += base  # the component's positions, taken through the picks
+
+            def through(cols, at, p=picks):
+                if isinstance(at, slice):
+                    return visit(cols, p[at])
+                return visit(cols, np.take(p, at, out=level.positions[: at.shape[0]], mode="clip"))
+
+            spec._visit_columns(picked, offset + 1, through, inner)
 
 
 def _unit_from_components(x: float, y: float, z: float) -> UnitVector:
@@ -353,9 +423,17 @@ class TrialDatabase:
             raise ConfigurationError(
                 f"database needs spins shaped ({self.n}, 3), got {self.spins.shape}"
             )
-        x, y, z = self.spins.T
-        if not np.abs(x * x + y * y + z * z - 1.0).max() <= NORM_TOLERANCE:  # NaN fails too
-            raise ConfigurationError("database contains non-unit spin rows")
+        # |x*x + y*y + z*z - 1| block by block, in two buffers that every block reuses
+        columns, err, square = self.spins.T, *np.empty((2, min(self.n, _BLOCK_ROWS)))
+        for lo in range(0, self.n, _BLOCK_ROWS):
+            x, y, z = columns[:, lo : lo + _BLOCK_ROWS]
+            e, sq = err[: x.shape[0]], square[: x.shape[0]]
+            np.multiply(x, x, out=e)
+            e += np.multiply(y, y, out=sq)
+            e += np.multiply(z, z, out=sq)
+            e -= 1.0
+            if not np.abs(e, out=e).max() <= NORM_TOLERANCE:  # NaN fails too
+                raise ConfigurationError("database contains non-unit spin rows")
 
     def spin(self, k: int) -> UnitVector:
         if not 0 <= k < self.n:
@@ -382,8 +460,12 @@ def _check_range(lo: int, hi: int, n: int) -> None:
         raise IndexError(f"trials [{lo}, {hi}) outside [0, {n})")
 
 
-def _trial_keys(seed: int, lo: int, hi: int) -> np.ndarray:
-    return child_keys(root_key(seed, DOMAIN_TRIALS), lo, hi)
+def _trial_keys(seed: int, lo: int, hi: int, scratch: _Scratch) -> np.ndarray:
+    # the trial keys of [lo, hi), written into the call's keys buffer
+    m = hi - lo
+    return child_keys(
+        root_key(seed, DOMAIN_TRIALS), lo, hi, scratch.keys[:m], scratch.shift[:m]
+    )
 
 
 @dataclass(frozen=True)
@@ -410,16 +492,25 @@ class GeneratedTrials:
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The spin rows of trials [lo, hi): the (m, 3) view of new C-contiguous (3, m)
-        columns (``DistributionSpec._sample_rows``)."""
+        columns, filled block by block as ``visit_columns`` generates them
+        (``_put_columns``)."""
         _check_range(lo, hi, self.n)
-        return self.distribution._sample_rows(_trial_keys(self.seed, lo, hi), 0)
+        return _put_columns(hi - lo, functools.partial(self.visit_columns, lo, hi))
 
     def visit_columns(self, lo: int, hi: int, visit) -> None:
         """Calls ``visit(cols, positions)`` with the spins of trials [lo, hi) as they are
         generated, (3, m) columns whose positions count from lo
-        (``DistributionSpec._visit_columns``); they are never put in trial order."""
+        (``DistributionSpec._visit_columns``); they are never put in trial order.
+
+        The range is walked ``_BLOCK_ROWS`` keys at a time, with one key call
+        per block and one ``_Scratch`` for the whole call, so at most one block
+        of keys exists, and every block reuses the memory of the last.
+        """
         _check_range(lo, hi, self.n)
-        self.distribution._visit_columns(_trial_keys(self.seed, lo, hi), 0, visit)
+        scratch = _Scratch.of(min(hi - lo, _BLOCK_ROWS), self.distribution)
+        for b in range(lo, hi, _BLOCK_ROWS):
+            keys = _trial_keys(self.seed, b, min(b + _BLOCK_ROWS, hi), scratch)
+            self.distribution._visit_columns(keys, 0, visit, scratch, b - lo)
 
 
 def generate_database(seed: int, distribution: DistributionSpec, n: int) -> TrialDatabase:

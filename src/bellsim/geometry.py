@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,17 +120,35 @@ def _gaussian_triples(stream: CounterStream, count: int) -> np.ndarray:
     return _gaussian_columns(u, np.empty((3, count)))
 
 
-def _column_blocks(n: int, fill, visit) -> None:
-    """``fill(lo, hi, cols)``, then ``visit(cols, slice(lo, hi))``, for each sub-block
-    [lo, hi) of at most ``_SUB_BLOCK_ROWS`` of n rows, in order. ``cols`` is a
-    (3, hi - lo) view of one scratch array that every sub-block reuses.
+class _KernelScratch(NamedTuple):
+    """The column kernels' buffers for sub-blocks of at most m keys. One set serves every
+    sub-block of a generation call, each overwriting what the last one wrote."""
+
+    columns: np.ndarray  # (3, m): the columns a sub-block's visit reads
+    floats: np.ndarray  # (5, m): the uniform kernel's four uniforms, the cap kernel's five temporaries
+    raw: np.ndarray  # (m,) uint64: a uniform column's raw draws
+    shift: np.ndarray  # (m,) uint64: the shift temporary of ``rng._mix64_inplace``
+
+    @classmethod
+    def of(cls, m: int, shift: np.ndarray | None = None) -> "_KernelScratch":
+        shift = np.empty(m, dtype=np.uint64) if shift is None else shift[:m]
+        return cls(np.empty((3, m)), np.empty((5, m)), np.empty(m, dtype=np.uint64), shift)
+
+    def head(self, m: int) -> "_KernelScratch":
+        """The buffers of a sub-block of m keys."""
+        return _KernelScratch(self.columns[:, :m], self.floats[:, :m], self.raw[:m], self.shift[:m])
+
+
+def _column_blocks(n: int, fill, visit, scratch: _KernelScratch, base: int = 0) -> None:
+    """``fill(lo, hi, part)``, then ``visit(part.columns, slice(base + lo, base + hi))``, for
+    each sub-block [lo, hi) of at most ``_SUB_BLOCK_ROWS`` of n rows, in order. ``part`` is
+    ``scratch.head(hi - lo)``, so every sub-block reuses the same buffers.
     """
-    columns = np.empty((3, min(n, _SUB_BLOCK_ROWS)))
     for lo in range(0, n, _SUB_BLOCK_ROWS):
         hi = min(lo + _SUB_BLOCK_ROWS, n)
-        cols = columns[:, : hi - lo]
-        fill(lo, hi, cols)
-        visit(cols, slice(lo, hi))
+        part = scratch.head(hi - lo)
+        fill(lo, hi, part)
+        visit(part.columns, slice(base + lo, base + hi))
 
 
 def _normalize_columns(out: np.ndarray, norm: np.ndarray, square: np.ndarray) -> np.ndarray:
@@ -144,27 +163,27 @@ def _normalize_columns(out: np.ndarray, norm: np.ndarray, square: np.ndarray) ->
     return norm
 
 
-def _unit_columns(keys: np.ndarray, offset: int, out: np.ndarray) -> np.ndarray:
-    """Uniform sphere directions, one per uint64 stream key, into the (3, m) ``out``.
+def _unit_columns(keys: np.ndarray, offset: int, scratch: _KernelScratch) -> np.ndarray:
+    """Uniform sphere directions, one per uint64 stream key, into the (3, m)
+    ``scratch.columns``, which it returns.
 
     Column i consumes draws offset, offset+1, ... of stream keys[i] only,
     so the result is independent of how the keys are partitioned. The four
-    uniform columns are drawn in place, and Box-Muller (``_gaussian_columns``)
-    and the normalization run on (3, m) columns with ``out=`` ufuncs. A
-    column whose gaussian triple is shorter than ``_REJECT_NORM`` is redrawn
-    from the next four draws of its stream, as often as it takes.
+    uniform columns are drawn in place in ``scratch.floats``, and Box-Muller
+    (``_gaussian_columns``) and the normalization run on (3, m) columns with
+    ``out=`` ufuncs. A column whose gaussian triple is shorter than
+    ``_REJECT_NORM`` is redrawn from the next four draws of its stream, as
+    often as it takes.
     """
-    m = keys.shape[0]
-    u = np.empty((4, m))
-    raw = np.empty(m, dtype=np.uint64)
+    u, out = scratch.floats[:4], scratch.columns
     for j, row in enumerate(u):
-        _uniform_column_into(keys, offset + j, row, raw)
+        _uniform_column_into(keys, offset + j, row, scratch.raw, scratch.shift)
     _gaussian_columns(u, out)
     norm = _normalize_columns(out, u[1], u[3])  # u is free once the deviates are out
     redo = np.flatnonzero(norm < _REJECT_NORM)
     if redo.size:  # the next attempt draws from the next four positions
         out[:, redo] = _unit_columns(
-            keys[redo], offset + _DRAWS_PER_ATTEMPT, np.empty((3, redo.size))
+            keys[redo], offset + _DRAWS_PER_ATTEMPT, _KernelScratch.of(redo.size)
         )
     return out
 

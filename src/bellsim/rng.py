@@ -53,13 +53,15 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return _mix64_inplace(z.astype(np.uint64, copy=True))
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    # mix64_array on a uint64 temporary the caller owns, overwriting it
-    z ^= z >> np.uint64(30)
+def _mix64_inplace(z: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    # mix64_array on a uint64 temporary the caller owns, overwriting it; the
+    # uint64 ``shift``, shaped like z, holds each shifted copy (made if not given)
+    shift = np.empty_like(z) if shift is None else shift
+    z ^= np.right_shift(z, np.uint64(30), out=shift)
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shift)
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shift)
     return z
 
 
@@ -85,11 +87,18 @@ def child_key(key: int, index: int) -> int:
     return mix64(((key ^ _DERIVE_SALT) + (index + 1) * _GOLDEN) & _MASK)
 
 
-def child_keys(key: int, start: int, stop: int) -> np.ndarray:
-    """Vectorized :func:`child_key` for indices ``start..stop-1``."""
-    idx = np.arange(start, stop, dtype=np.uint64)
-    base = np.uint64((key ^ _DERIVE_SALT) & _MASK)
-    return _mix64_inplace(base + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
+def child_keys(key: int, start: int, stop: int, out=None, shift=None) -> np.ndarray:
+    """Vectorized :func:`child_key` for indices ``start..stop-1``.
+
+    Written into the uint64 ``out`` if given, with the uint64 ``shift`` as
+    the mix's scratch; each is made if not given. Index start + j is j
+    golden-ratio steps past start, in wrapping uint64 arithmetic.
+    """
+    m = stop - start
+    out = np.empty(m, dtype=np.uint64) if out is None else out
+    np.multiply(np.arange(m, dtype=np.uint64), np.uint64(_GOLDEN), out=out)
+    out += np.uint64(((key ^ _DERIVE_SALT) + (start + 1) * _GOLDEN) & _MASK)
+    return _mix64_inplace(out, shift)
 
 
 def key_uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
@@ -105,12 +114,12 @@ def key_uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
 
 
 def _uniform_column_into(
-    keys: np.ndarray, position: int, out: np.ndarray, raw: np.ndarray
+    keys: np.ndarray, position: int, out: np.ndarray, raw: np.ndarray, shift=None
 ) -> np.ndarray:
     # key_uniform_column of uint64 ``keys`` written into ``out``, with the
-    # uint64 ``raw``, shaped like keys, as scratch
+    # uint64 ``raw`` and ``shift``, shaped like keys, as scratch
     np.add(keys, np.uint64(((position + 1) * _GOLDEN) & _MASK), out=raw)
-    return _to_open_unit(_mix64_inplace(raw), out)
+    return _to_open_unit(_mix64_inplace(raw, shift), out)
 
 
 @dataclass

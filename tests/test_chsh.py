@@ -13,7 +13,6 @@ from bellsim import (
     Cap,
     ChshResult,
     ConfigurationError,
-    DistributionSpec,
     FixedAxis,
     GeneratedTrials,
     InvariantError,
@@ -34,7 +33,7 @@ from bellsim import (
     search_max_chsh,
     standard_combination,
 )
-from bellsim import chsh, cli, correlation, geometry, parallel
+from bellsim import chsh, cli, correlation, experiment, geometry, parallel
 from bellsim.chsh import (
     N,
     POS,
@@ -390,6 +389,13 @@ _distributions = st.one_of(
     quads=st.lists(st.builds(SettingQuad, _units, _units, _units, _units), min_size=1, max_size=40),
 )
 @example(seed=0, dist=FixedAxis(X_AXIS), n=13, quads=[SettingQuad(Z_AXIS, X_AXIS, Z_AXIS, Y_AXIS)])
+@example(  # x below 1e-12 in both of the first quad's a directions: s . a = -1e-13 reads -1
+    seed=0, dist=FixedAxis(X_AXIS), n=13,
+    quads=[
+        SettingQuad(UnitVector(-1e-13, 0.0, 1.0), UnitVector(-1e-13, 1.0, 0.0), Z_AXIS, Y_AXIS),
+        SettingQuad(X_AXIS, Z_AXIS, Z_AXIS, Y_AXIS),  # whose a1 puts x in the table's a group
+    ],
+)
 def test_packed_search_evaluator_matches_chsh_statistic(seed, dist, n, quads):
     db = generate_database(seed, dist, n)
     expected = [chsh_statistic(db, q, "reuse").statistic for q in quads]
@@ -502,7 +508,7 @@ def test_streamed_tallies_match_the_database_path(seed, dist, n, workers, block_
     # a small block size puts n on both sides of it; the pool needs more
     # trials than n, so the worker ranges run in this process
     trials = GeneratedTrials(seed, dist, n)
-    with patch.object(chsh, "_BLOCK_ROWS", block_rows):
+    with patch.object(experiment, "_BLOCK_ROWS", block_rows):
         (tallies,) = streamed_tallies([trials], quad, workers)
         streamed = chsh_statistic(trials, quad, "reuse", workers=workers)
     db = generate_database(seed, dist, n)
@@ -526,7 +532,7 @@ def test_reuse_tallies_never_put_generated_trials_in_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("rows put in trial order")
 
-    monkeypatch.setattr(DistributionSpec, "_sample_rows", refuse)
+    monkeypatch.setattr(experiment, "_put_columns", refuse)
     assert chsh_statistic(GeneratedTrials(4, dist, 70_000), CANONICAL_QUAD) == expected
     with pytest.raises(AssertionError, match="rows put in trial order"):
         GeneratedTrials(4, dist, 70_000).rows(0, 1)
@@ -592,7 +598,7 @@ def test_column_tallies_equal_the_int8_oracle_on_the_same_rows(
     lo = start % n
     hi = min(n, lo + length)
     source = generate_database(seed, dist, n) if stored else GeneratedTrials(seed, dist, n)
-    with patch.object(chsh, "_BLOCK_ROWS", block_rows), patch.object(
+    with patch.object(experiment, "_BLOCK_ROWS", block_rows), patch.object(
         geometry, "_SUB_BLOCK_ROWS", sub_block_rows
     ):
         (tallies,) = _range_tallies([source], quad, lo, hi)
@@ -621,7 +627,7 @@ def test_tallies_merge_to_the_whole_range_over_any_cut_points(
         (source, [(quad.a1, quad.b1), (quad.a2, quad.b2)]),
         (GeneratedTrials(seed ^ 1, dist, n), [(quad.a1, quad.b2)]),
     ]
-    with patch.object(chsh, "_BLOCK_ROWS", block_rows), patch.object(
+    with patch.object(experiment, "_BLOCK_ROWS", block_rows), patch.object(
         correlation, "_BLOCK_ROWS", block_rows
     ):
         parts = [_range_tallies([source], quad, lo, hi)[0] for lo, hi in ranges]

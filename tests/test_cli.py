@@ -457,28 +457,39 @@ def test_a_search_measures_a_pair_table_only_for_a_lattice(tmp_path, monkeypatch
 
 
 # rows generated and generator calls (``experiment._trial_keys``) of each command at
-# one worker: a change of the work a command does shows here, whatever the host's speed
+# its worker count: a change of the work a command does shows here, whatever the
+# host's speed. A range is generated _BLOCK_ROWS keys per call, so the search's
+# 200 000 trials take 4 calls; at 2 workers each of chsh's 8 ranges takes one
 _WORK = {
-    "sweep": (["sweep", "--n", "10000"], 10_000, 1),
-    "reuse-chsh": (["chsh", "--n", "10000", *_CANONICAL], 10_000, 1),
-    "from-database-chsh": (["chsh", "--n", "10000", "--policy", "from-database"], 10_004, 5),
-    "fresh-chsh": (["chsh", "--n", "10000", "--mode", "fresh", *_CANONICAL], 40_000, 4),
-    "reuse-search": (["search", "--n", "10000", "--budget", "1000"], 10_000, 1),
+    "sweep": (["sweep", "--n", "10000"], 1, 10_000, 1),
+    "reuse-chsh": (["chsh", "--n", "10000", *_CANONICAL], 1, 10_000, 1),
+    "reuse-chsh-2-workers": (["chsh", "--n", "10000", *_CANONICAL], 2, 10_000, 8),
+    "from-database-chsh": (["chsh", "--n", "10000", "--policy", "from-database"], 1, 10_004, 5),
+    "fresh-chsh": (["chsh", "--n", "10000", "--mode", "fresh", *_CANONICAL], 1, 40_000, 4),
+    "reuse-search": (["search", "--n", "10000", "--budget", "1000"], 1, 10_000, 1),
+    "long-reuse-search": (["search", "--n", "200000", "--budget", "16"], 1, 200_000, 4),
     "fresh-search": (
-        ["search", "--n", "1000", "--budget", "1000", "--mode", "fresh"], 3_004_000, 3_004
+        ["search", "--n", "1000", "--budget", "1000", "--mode", "fresh"], 1, 3_004_000, 3_004
     ),
-    "gen-db": (["gen-db", "--n", "10000"], 10_000, 3),
+    "gen-db": (["gen-db", "--n", "10000"], 1, 10_000, 3),
 }
 
 
 @pytest.mark.parametrize("command", list(_WORK))
 def test_each_command_generates_its_pinned_rows_in_its_pinned_calls(tmp_path, monkeypatch, command):
-    argv, rows, calls = _WORK[command]
-    counts, trial_keys = [], experiment._trial_keys
-    monkeypatch.setattr(
-        experiment, "_trial_keys", lambda seed, lo, hi: counts.append(hi - lo) or trial_keys(seed, lo, hi)
-    )
-    assert cli.main([*argv, "--workers", "1", "--out", str(tmp_path / "out")]) == 0
+    argv, workers, rows, calls = _WORK[command]
+    # every process, forked workers included, appends each call's row count to one file
+    log, trial_keys = tmp_path / "calls.txt", experiment._trial_keys
+
+    def counted(seed, lo, hi, *scratch):
+        with open(log, "a") as f:
+            f.write(f"{hi - lo}\n")
+        return trial_keys(seed, lo, hi, *scratch)
+
+    monkeypatch.setattr(experiment, "_trial_keys", counted)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli.main([*argv, "--workers", str(workers), "--out", str(tmp_path / "out")]) == 0
+    counts = [int(line) for line in log.read_text().split()]
     assert (sum(counts), len(counts)) == (rows, calls)
 
 

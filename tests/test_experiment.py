@@ -31,16 +31,17 @@ from bellsim import (
     select_settings,
     write_database,
 )
-from bellsim import geometry
+from bellsim import experiment, geometry
 from bellsim.experiment import (
     _DB_ROW,
     _MAX_NESTING,
     _WRITE_BLOCK_ROWS,
+    _Scratch,
     _format_block,
     _kernel_tables,
 )
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
-from bellsim.rng import DOMAIN_TRIALS, child_keys, root_key, root_stream
+from bellsim.rng import DOMAIN_TRIALS, child_keys, key_uniform_column, root_key, root_stream
 
 import oracles
 from oracles import first_line_difference, random_unit, write_database_per_row
@@ -316,7 +317,7 @@ def test_column_visits_hold_the_oracle_rows_at_their_positions(
     oracle_rows = oracles.sample_rows(spec, keys, 0)
     db = generate_database(seed, spec, n)
     runs = [
-        (lambda visit: spec._visit_columns(keys, offset, visit), oracles.sample_rows(spec, keys, offset)),
+        (lambda visit: spec._visit_columns(keys, offset, visit, _Scratch.of(n, spec)), oracles.sample_rows(spec, keys, offset)),
         (lambda visit: GeneratedTrials(seed, spec, n).visit_columns(lo, hi, visit), oracle_rows[lo:hi]),
         (lambda visit: db.visit_columns(lo, hi, visit), oracle_rows[lo:hi]),
     ]
@@ -331,6 +332,50 @@ def test_column_visits_hold_the_oracle_rows_at_their_positions(
         with mock.patch.object(geometry, "_SUB_BLOCK_ROWS", sub_block_rows):
             run(visit)
         assert seen.tolist() == [1] * len(rows)
+
+
+# the block walk of GeneratedTrials with blocks of 7 keys and sub-blocks of 3, over 40
+# trials: ranges that start and end inside, on and across block and sub-block bounds,
+# one that ends in a short last block, and one inside a sub-block
+_WALK_N, _WALK_BLOCK, _WALK_SUB = 40, 7, 3
+_WALK_RANGES = [(0, 40), (3, 4), (5, 9), (7, 14), (6, 22), (13, 40), (20, 21), (1, 36)]
+_RARE_CAP = Cap(Z_AXIS, 0.3)
+_WALK_SPECS = {
+    "uniform": UniformSphere(),
+    "cap": Cap(UnitVector(0.6, 0.0, 0.8), 0.7),
+    "fixed-axis": FixedAxis(X_AXIS.negated()),
+    "rare-component": Mixture(((0.9, UniformSphere()), (0.1, _RARE_CAP))),
+    "nested": Mixture(
+        ((0.4, Mixture(((0.5, FixedAxis(Y_AXIS)), (0.5, UniformSphere())))), (0.6, Cap(X_AXIS, 1.2)))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_WALK_SPECS))
+def test_the_block_walk_equals_the_oracle_across_block_and_sub_block_bounds(monkeypatch, name):
+    spec, seed = _WALK_SPECS[name], 2
+    keys = child_keys(root_key(seed, DOMAIN_TRIALS), 0, _WALK_N)
+    oracle = oracles.sample_rows(spec, keys, 0)
+    if name == "rare-component":  # the cap's keys: in some blocks of 7, none
+        picked = (key_uniform_column(keys, 0) >= 0.9).tolist()
+        counts = {sum(picked[b : b + _WALK_BLOCK]) for b in range(0, _WALK_N, _WALK_BLOCK)}
+        assert 0 in counts and len(counts) > 1
+    monkeypatch.setattr(experiment, "_BLOCK_ROWS", _WALK_BLOCK)
+    monkeypatch.setattr(geometry, "_SUB_BLOCK_ROWS", _WALK_SUB)
+    trials = GeneratedTrials(seed, spec, _WALK_N)
+    for lo, hi in _WALK_RANGES:
+        rows = trials.rows(lo, hi)
+        assert rows.T.flags.c_contiguous and rows.tobytes() == oracle[lo:hi].tobytes()
+        seen = np.zeros(hi - lo, dtype=np.int64)
+
+        def visit(cols, where):
+            # the positions count from lo, across blocks
+            assert cols.shape[1] <= _WALK_SUB
+            assert np.ascontiguousarray(cols.T).tobytes() == oracle[lo:hi][where].tobytes()
+            np.add.at(seen, where, 1)
+
+        trials.visit_columns(lo, hi, visit)
+        assert seen.tolist() == [1] * (hi - lo)
 
 
 @pytest.mark.parametrize("lo,hi", [(0, 15), (-2, 3), (-1, 0), (5, 3), (11, 11), (10, 11)])
@@ -490,6 +535,18 @@ def test_every_database_rejects_non_finite_and_non_unit_rows(row):
     text = _database_lines(2)[0] + "\n" + "".join(_DB_ROW % (k, *r) for k, r in enumerate(spins))
     with pytest.raises(ConfigurationError, match="^database contains non-unit spin rows$"):
         read_database(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad", [0, 6, 7, 13, 19])
+def test_the_norm_check_reads_every_block(monkeypatch, bad):
+    # blocks of 7 rows over 20: a bad row first, last or alone in a full block, or last
+    # in the short last block, is found; the good rows pass in any block
+    monkeypatch.setattr(experiment, "_BLOCK_ROWS", 7)
+    spins = np.array(GeneratedTrials(4, UniformSphere(), 20).rows(0, 20))
+    TrialDatabase(seed=4, distribution=UniformSphere(), n=20, spins=spins)
+    spins[bad] *= 1.0 + 1e-9
+    with pytest.raises(ConfigurationError, match="^database contains non-unit spin rows$"):
+        TrialDatabase(seed=4, distribution=UniformSphere(), n=20, spins=spins)
 
 
 def test_database_text_rejects_lines_after_last_trial():

@@ -99,16 +99,38 @@ MUTANTS = [
     Mutant(
         "composed-position",
         "src/bellsim/experiment.py",
-        "lambda cols, at, p=picked: visit(cols, p[at])",
-        "lambda cols, at, p=picked: visit(cols, at)",
+        "return visit(cols, p[at])",
+        "return visit(cols, at)",
         "tests/test_acceptance.py::test_criterion_2_per_trial_identity",
     ),
     Mutant(
         "mixture-component-offset",
         "src/bellsim/experiment.py",
-        "offset + 1, lambda cols, at, p=picked",
-        "offset, lambda cols, at, p=picked",
+        "spec._visit_columns(picked, offset + 1, through, inner)",
+        "spec._visit_columns(picked, offset, through, inner)",
         "tests/test_cli.py::test_benchmark_workload_matches_its_recorded_digest[chsh-1]",
+    ),
+    # the block walk of generated trials (experiment.GeneratedTrials.visit_columns)
+    Mutant(
+        "block-keys-from-next",
+        "src/bellsim/experiment.py",
+        "keys = _trial_keys(self.seed, b, min(b + _BLOCK_ROWS, hi), scratch)",
+        "keys = _trial_keys(self.seed, b + 1, min(b + _BLOCK_ROWS, hi) + 1, scratch)",
+        "tests/test_experiment.py::test_the_block_walk_equals_the_oracle_across_block_and_sub_block_bounds[uniform]",
+    ),
+    Mutant(
+        "block-one-column-late",
+        "src/bellsim/experiment.py",
+        "self.distribution._visit_columns(keys, 0, visit, scratch, b - lo)",
+        "self.distribution._visit_columns(keys, 0, visit, scratch, b - lo + 1)",
+        "tests/test_experiment.py::test_the_block_walk_equals_the_oracle_across_block_and_sub_block_bounds[uniform]",
+    ),
+    Mutant(
+        "keys-buffer-unsliced",
+        "src/bellsim/experiment.py",
+        "m = hi - lo\n    return child_keys(",
+        "m = scratch.keys.shape[0]\n    return child_keys(",
+        "tests/test_experiment.py::test_the_block_walk_equals_the_oracle_across_block_and_sub_block_bounds[uniform]",
     ),
     Mutant(
         "row-kernel-trailing-zeros",
@@ -158,7 +180,7 @@ MUTANTS = [
         "src/bellsim/experiment.py",
         "if any(column))",
         "if any(abs(v) > 1e-12 for v in column))",
-        "tests/test_chsh.py::test_column_tallies_equal_the_int8_oracle_on_the_same_rows",
+        "tests/test_chsh.py::test_packed_search_evaluator_matches_chsh_statistic",
     ),
     # the stations' rule, which every sign reads: an exact zero dot reads +1
     Mutant(
