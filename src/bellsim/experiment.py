@@ -37,6 +37,7 @@ from .rng import (
     CounterStream,
     _uniform_column_into,
     child_keys,
+    key_uniform_column,
     root_key,
 )
 from .parallel import _BLOCK_ROWS
@@ -101,7 +102,7 @@ class DistributionSpec:
 
         Spin i depends on keys[i] and ``offset`` alone. ``positions`` locate
         ``cols`` among the keys, counted from ``base``: a slice, or an index array
-        where a mixture picked them. Both are views of buffers that the next visit
+        where a mixture picked them. ``cols`` is a view of a buffer that the next visit
         overwrites. A consumer that ignores the positions never orders the spins.
         """
         raise NotImplementedError
@@ -109,13 +110,6 @@ class DistributionSpec:
     def _mixture_depth(self) -> int:
         # how many mixtures nest here, so how many _MixtureScratch a visit needs
         return 0
-
-    def _sample_rows(self, keys: np.ndarray, offset: int) -> np.ndarray:
-        """One spin row per stream key (an integer array, read as uint64), consuming
-        draws from ``offset``, all in one visit (``_put_columns``)."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        scratch = _Scratch.of(keys.shape[0], self)
-        return _put_columns(keys.shape[0], lambda put: self._visit_columns(keys, offset, put, scratch))
 
 
 def _put_columns(m: int, walk) -> np.ndarray:
@@ -141,7 +135,7 @@ class _MixtureScratch(NamedTuple):
     selector: np.ndarray  # (m,) float64: each key's component draw
     masks: np.ndarray  # (2, m) bool: a component's keys, and a comparison
     keys: np.ndarray  # (m,) uint64: the selector's raw draws, then a component's keys
-    positions: np.ndarray  # (m,) intp: a nested mixture's positions, taken through the picks
+    picks: np.ndarray  # (m,) intp: where a component's keys are among the level's
 
     @classmethod
     def of(cls, m: int) -> "_MixtureScratch":
@@ -151,13 +145,27 @@ class _MixtureScratch(NamedTuple):
         )
 
 
+def _flatnonzero_into(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # np.flatnonzero(mask), written into out a sub-block at a time. A block's index array
+    # is large enough for malloc to map it afresh and unmap it again, for every component
+    # of every block; a sub-block's stays on the heap
+    count = 0
+    for lo in range(0, mask.shape[0], geometry._SUB_BLOCK_ROWS):
+        part = np.flatnonzero(mask[lo : lo + geometry._SUB_BLOCK_ROWS])
+        np.add(part, lo, out=out[count : count + part.size])
+        count += part.size
+    return out[:count]
+
+
 class _Scratch(NamedTuple):
     """Every buffer that generating the spins of at most m keys at a time writes: made
     once per call of ``GeneratedTrials.visit_columns`` and reused by each block and
     sub-block, so a long range faults in its generation memory once."""
 
     keys: np.ndarray  # (m,) uint64: a block's trial keys
-    shift: np.ndarray  # (m,) uint64: the mix's shift temporary, for keys, selectors and kernels
+    # (m,) uint64: the mix's shift temporary for the keys and selectors, then the
+    # kernels' raw draws
+    shift: np.ndarray
     kernel: _KernelScratch  # the column kernels' sub-block buffers
     levels: tuple  # a _MixtureScratch per nesting level, outermost first
 
@@ -225,7 +233,7 @@ class Cap(DistributionSpec):
         e1, e2 = orthonormal_basis(axis)
 
         def fill(lo, hi, part):
-            cos_a, beta, sin_a, term, norm = part.floats
+            cos_a, beta, sin_a, term = part.floats
             out = part.columns
             _uniform_column_into(keys[lo:hi], offset, cos_a, part.raw, part.shift)
             _uniform_column_into(keys[lo:hi], offset + 1, beta, part.raw, part.shift)
@@ -250,7 +258,7 @@ class Cap(DistributionSpec):
                 out[j] += term
                 np.multiply(cos_a, axis[j], out=term)
                 out[j] += term
-            _normalize_columns(out, norm, term)
+            _normalize_columns(out, cos_a, term)  # cos_a is free once the sums are out
 
         _column_blocks(keys.shape[0], fill, visit, scratch.kernel, base)
 
@@ -286,12 +294,12 @@ class Mixture(DistributionSpec):
         m = keys.shape[0]
         level, inner = scratch.levels[0], scratch._replace(levels=scratch.levels[1:])
         u, (mask, below) = level.selector[:m], level.masks[:, :m]
-        _uniform_column_into(keys, offset, u, level.keys[:m], scratch.shift[:m])
+        key_uniform_column(keys, offset, u, level.keys[:m], scratch.shift[:m])
         bounds = np.cumsum([w for w, _ in self.components])[:-1].tolist()
         for (_, spec), low, high in zip(self.components, [-math.inf, *bounds], [*bounds, math.inf]):
             np.less(u, high, out=mask)
             mask ^= np.less(u, low, out=below)
-            picks = np.flatnonzero(mask)
+            picks = _flatnonzero_into(mask, level.picks)
             if not picks.size:
                 continue
             # every pick is in range; "clip" writes to out directly, "raise" through a copy
@@ -299,9 +307,7 @@ class Mixture(DistributionSpec):
             picks += base  # the component's positions, taken through the picks
 
             def through(cols, at, p=picks):
-                if isinstance(at, slice):
-                    return visit(cols, p[at])
-                return visit(cols, np.take(p, at, out=level.positions[: at.shape[0]], mode="clip"))
+                return visit(cols, p[at])
 
             spec._visit_columns(picked, offset + 1, through, inner)
 

@@ -125,14 +125,17 @@ class _KernelScratch(NamedTuple):
     sub-block of a generation call, each overwriting what the last one wrote."""
 
     columns: np.ndarray  # (3, m): the columns a sub-block's visit reads
-    floats: np.ndarray  # (5, m): the uniform kernel's four uniforms, the cap kernel's five temporaries
+    floats: np.ndarray  # (4, m): the uniform kernel's four uniforms, the cap kernel's temporaries
     raw: np.ndarray  # (m,) uint64: a uniform column's raw draws
-    shift: np.ndarray  # (m,) uint64: the shift temporary of ``rng._mix64_inplace``
+    # (m,) uint64: the shift temporary of ``rng._mix64_inplace``, the first column row
+    # read as uint64: no kernel writes its columns before it has drawn
+    shift: np.ndarray
 
     @classmethod
-    def of(cls, m: int, shift: np.ndarray | None = None) -> "_KernelScratch":
-        shift = np.empty(m, dtype=np.uint64) if shift is None else shift[:m]
-        return cls(np.empty((3, m)), np.empty((5, m)), np.empty(m, dtype=np.uint64), shift)
+    def of(cls, m: int, raw: np.ndarray | None = None) -> "_KernelScratch":
+        columns = np.empty((3, m))
+        raw = np.empty(m, dtype=np.uint64) if raw is None else raw[:m]
+        return cls(columns, np.empty((4, m)), raw, columns[0].view(np.uint64))
 
     def head(self, m: int) -> "_KernelScratch":
         """The buffers of a sub-block of m keys."""

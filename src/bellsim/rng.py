@@ -92,25 +92,37 @@ def child_keys(key: int, start: int, stop: int, out=None, shift=None) -> np.ndar
 
     Written into the uint64 ``out`` if given, with the uint64 ``shift`` as
     the mix's scratch; each is made if not given. Index start + j is j
-    golden-ratio steps past start, in wrapping uint64 arithmetic.
+    golden-ratio steps past start, in wrapping uint64 arithmetic: the counters
+    double in place, each copy k steps past the counters before it, so no
+    temporary is made and freed per call.
     """
     m = stop - start
     out = np.empty(m, dtype=np.uint64) if out is None else out
-    np.multiply(np.arange(m, dtype=np.uint64), np.uint64(_GOLDEN), out=out)
-    out += np.uint64(((key ^ _DERIVE_SALT) + (start + 1) * _GOLDEN) & _MASK)
+    if m:
+        out[0] = ((key ^ _DERIVE_SALT) + (start + 1) * _GOLDEN) & _MASK
+    k = 1
+    while k < m:
+        j = min(k, m - k)
+        np.add(out[:j], np.uint64((k * _GOLDEN) & _MASK), out=out[k : k + j])
+        k += j
     return _mix64_inplace(out, shift)
 
 
-def key_uniform_column(keys: np.ndarray, position: int) -> np.ndarray:
+def key_uniform_column(
+    keys: np.ndarray, position: int, out=None, raw=None, shift=None
+) -> np.ndarray:
     """Draw number ``position`` from each stream in ``keys``, as floats in (0, 1].
 
     Equals ``CounterStream(k, counter=position).uniform()`` for every key k.
-    Every step runs in place, in one uint64 buffer and the result; the
-    generation kernel repeats the same steps per column in buffers it
-    reuses (``_uniform_column_into``).
+    Every step runs in place: written into the float64 ``out``, with the uint64
+    ``raw`` and ``shift``, shaped like keys, as scratch; each is made if not
+    given. The generation kernel repeats the same steps per column in buffers
+    it reuses (``_uniform_column_into``).
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    return _uniform_column_into(keys, position, np.empty(keys.shape), np.empty_like(keys))
+    out = np.empty(keys.shape) if out is None else out
+    raw = np.empty_like(keys) if raw is None else raw
+    return _uniform_column_into(keys, position, out, raw, shift)
 
 
 def _uniform_column_into(

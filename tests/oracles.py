@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way (per
 trial loops over measure_sign, 1-D quadrature, one object per search
 candidate, whole-array temporaries for generation) and shares no code
 with the vectorized implementation beyond the public building blocks
-it calls.
+it calls; ``kernel_rows`` alone runs the implementation, as the thing the
+oracles are compared with.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from bellsim import (
     sample_uniform_directions,
 )
 from bellsim.chsh import N, POS, TALLY_SIZE, TERM_PM2, TERM_SUM, TIES
+from bellsim.experiment import _put_columns, _Scratch
 from bellsim.geometry import orthonormal_basis
 from bellsim.rng import _GOLDEN, _MASK, CounterStream, mix64_array
 
@@ -317,8 +319,15 @@ def unit_rows_for_keys(keys, offset: int = 0) -> np.ndarray:
     return out
 
 
+def kernel_rows(spec, keys: np.ndarray, offset: int = 0) -> np.ndarray:
+    """The implementation's rows of the uint64 ``keys``, drawn from ``offset`` on: one
+    ``_visit_columns`` pass put in key order, as ``GeneratedTrials.rows`` puts a block."""
+    m = keys.shape[0]
+    return _put_columns(m, lambda put: spec._visit_columns(keys, offset, put, _Scratch.of(m, spec)))
+
+
 def sample_rows(spec, keys, offset: int = 0) -> np.ndarray:
-    """``spec._sample_rows(keys, offset)``, computed with (n, 3) temporaries."""
+    """``kernel_rows(spec, keys, offset)``, computed with (n, 3) temporaries."""
     keys = np.asarray(keys, dtype=np.uint64)
     if isinstance(spec, UniformSphere):
         return unit_rows_for_keys(keys, offset)

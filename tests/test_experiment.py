@@ -177,7 +177,7 @@ def test_mixtures_nest_at_most_the_limit_in_a_spec_and_a_database_header():
     at_limit = parse_distribution(_nested(_MAX_NESTING))
     assert at_limit.tag() == _nested(_MAX_NESTING)
     keys = child_keys(root_key(3, DOMAIN_TRIALS), 0, 50)
-    assert at_limit._sample_rows(keys, 0).tobytes() == oracles.sample_rows(at_limit, keys, 0).tobytes()
+    assert oracles.kernel_rows(at_limit, keys, 0).tobytes() == oracles.sample_rows(at_limit, keys, 0).tobytes()
     for depth in (_MAX_NESTING + 1, 340):
         with pytest.raises(ConfigurationError, match=f"nests mixtures more than {_MAX_NESTING} deep"):
             parse_distribution(_nested(depth))
@@ -271,7 +271,7 @@ def test_generation_kernel_matches_the_row_wise_oracle(spec, seed, count, offset
     # a rejection norm of 0.5 redraws about 3% of the triples, some of them twice
     keys = child_keys(root_key(seed, DOMAIN_TRIALS), 0, count)
     with mock.patch.object(geometry, "_REJECT_NORM", reject):
-        rows = spec._sample_rows(keys, offset)
+        rows = oracles.kernel_rows(spec, keys, offset)
         expected = oracles.sample_rows(spec, keys, offset)
     assert rows.shape == (count, 3) and rows.dtype == np.float64 and rows.T.flags.c_contiguous
     assert rows.tobytes() == expected.tobytes()

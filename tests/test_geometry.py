@@ -18,7 +18,7 @@ from bellsim import (
 from bellsim.geometry import Z_AXIS, orthonormal_basis, sample_uniform_directions
 from bellsim.rng import CounterStream, child_keys, root_key, root_stream
 
-from oracles import random_unit
+from oracles import kernel_rows, random_unit
 
 
 def test_unit_vector_accepts_unit_and_rejects_other():
@@ -74,7 +74,7 @@ def test_sampling_is_deterministic_in_stream_state():
 
 def test_scalar_and_batched_key_sampling_agree():
     keys = child_keys(root_key(77, 1), 0, 25)
-    rows = UniformSphere()._sample_rows(keys, 0)
+    rows = kernel_rows(UniformSphere(), keys, 0)
     for i, k in enumerate(keys):
         v = sample_uniform_direction(CounterStream(int(k)))
         assert rows[i].tolist() == [v.x, v.y, v.z]

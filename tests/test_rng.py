@@ -18,6 +18,8 @@ from bellsim.rng import (
     root_stream,
 )
 
+from oracles import kernel_rows
+
 
 def test_scalar_and_vector_mix_agree():
     rng = np.random.default_rng(11)
@@ -33,7 +35,7 @@ def test_mixing_leaves_the_callers_keys_as_they_are():
     kept = keys.copy()
     mix64_array(keys)
     key_uniform_column(keys, 4)
-    UniformSphere()._sample_rows(keys, 8)
+    kernel_rows(UniformSphere(), keys, 8)
     assert keys.tobytes() == kept.tobytes()
 
 
@@ -42,8 +44,6 @@ def test_key_draws_take_any_integer_key_array_as_uint64():
     signed = keys.view(np.int64)  # keys past 2**63 read as negative
     assert (signed < 0).any()
     assert key_uniform_column(signed, 2).tobytes() == key_uniform_column(keys, 2).tobytes()
-    uniform = UniformSphere()
-    assert uniform._sample_rows(signed, 2).tobytes() == uniform._sample_rows(keys, 2).tobytes()
 
 
 def test_uniforms_match_scalar_draws():
@@ -70,6 +70,15 @@ def test_child_keys_match_scalar_derivation():
     assert vec.tolist() == sca
     stream_children = [CounterStream(base).derive(i).key for i in range(10, 50)]
     assert stream_children == sca
+    # the counters double in place: lengths around powers of two, and none
+    start = 2**64 - 70  # the counters wrap past 2**64
+    for m in (0, 1, 2, 3, 4, 5, 63, 64, 65, 129):
+        assert child_keys(base, start, start + m).tolist() == [
+            child_key(base, i) for i in range(start, start + m)
+        ]
+    out, shift = np.empty(65, dtype=np.uint64), np.empty(65, dtype=np.uint64)
+    assert child_keys(base, 3, 68, out, shift) is out
+    assert out.tolist() == [child_key(base, i) for i in range(3, 68)]
 
 
 def test_same_state_same_values():

@@ -87,7 +87,7 @@ MUTANTS = [
         "out += 0.0",
         "tests/test_cli.py::test_benchmark_workload_matches_its_recorded_digest[gendb-1]",
     ),
-    # the one put of visited columns into trial order (DistributionSpec._sample_rows)
+    # the one put of visited columns into trial order (experiment._put_columns)
     Mutant(
         "column-put-reversed",
         "src/bellsim/experiment.py",
@@ -124,6 +124,14 @@ MUTANTS = [
         "self.distribution._visit_columns(keys, 0, visit, scratch, b - lo)",
         "self.distribution._visit_columns(keys, 0, visit, scratch, b - lo + 1)",
         "tests/test_experiment.py::test_the_block_walk_equals_the_oracle_across_block_and_sub_block_bounds[uniform]",
+    ),
+    # a mixture's picks, found a sub-block at a time (experiment._flatnonzero_into)
+    Mutant(
+        "picks-sub-block-offset",
+        "src/bellsim/experiment.py",
+        "np.add(part, lo, out=out[count : count + part.size])",
+        "np.add(part, 0, out=out[count : count + part.size])",
+        "tests/test_experiment.py::test_the_block_walk_equals_the_oracle_across_block_and_sub_block_bounds[rare-component]",
     ),
     Mutant(
         "keys-buffer-unsliced",
