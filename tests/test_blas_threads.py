@@ -7,6 +7,14 @@ environment already sets them. That is only free because no module of
 the package makes a BLAS call: every station sign comes from the
 elementwise dot expression of ``bellsim.experiment.station_readings``,
 and the scan below keeps it that way.
+
+The entry also imports ``bellsim.cli`` with the garbage collector off, then
+calls ``gc.freeze()`` and turns the collector back on, so no later
+collection walks numpy's and bellsim's start-up objects again: not during
+the command, not in its forked workers, not at exit. ``cli.main``, which
+tests and library callers run in their own process, freezes nothing.
+Every entry case runs in a fresh interpreter, since both the threads and a
+freeze last for the life of the process.
 """
 
 import ast
@@ -113,11 +121,8 @@ def test_importing_the_package_loads_no_numpy_and_sets_no_variable():
 
 
 _THREADS = "print([l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')][0])"
-_QUIET = "import contextlib, io, os, runpy, sys; quiet = contextlib.redirect_stdout(io.StringIO())\n"
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize(
+_QUIET = "import contextlib, gc, io, os, runpy, sys; quiet = contextlib.redirect_stdout(io.StringIO())\n"
+_ENTRIES = pytest.mark.parametrize(
     "entry",
     [
         # the console script's target
@@ -129,8 +134,40 @@ _QUIET = "import contextlib, io, os, runpy, sys; quiet = contextlib.redirect_std
     ],
     ids=["entry-function", "python-m"],
 )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@_ENTRIES
 def test_the_command_runs_with_one_blas_thread(entry):
     assert _python(_QUIET + entry + "import numpy\n" + _THREADS, _env()) == "1\n"
+
+
+_COLLECTOR = "print(gc.isenabled(), gc.get_freeze_count(), len(gc.get_objects()))\n"
+
+
+@_ENTRIES
+def test_the_command_freezes_its_start_up_heap_and_collects_the_rest(entry):
+    enabled, frozen, tracked = _python(_QUIET + entry + _COLLECTOR, _env()).split()
+    # numpy's import alone leaves some 30 000 objects; the command's own are few
+    assert enabled == "True"
+    assert int(frozen) >= 20_000
+    assert int(tracked) < int(frozen) / 4
+
+
+def test_the_command_line_function_freezes_nothing():
+    code = "from bellsim.cli import main\nwith quiet: assert main(['enumerate']) == 0\n"
+    assert _python(_QUIET + code + _COLLECTOR, _env()).split()[:2] == ["True", "0"]
+
+
+def test_a_failed_import_leaves_the_collector_on():
+    code = (
+        "sys.modules['bellsim.cli'] = None\n"
+        "from bellsim.__main__ import main\n"
+        "try:\n    main(['enumerate'])\nexcept ImportError:\n    pass\n"
+        "else:\n    raise AssertionError('the entry ran without bellsim.cli')\n"
+        "print(gc.isenabled())\n"
+    )
+    assert _python(_QUIET + code, _env()) == "True\n"
 
 
 def test_the_command_keeps_an_explicit_blas_thread_count():

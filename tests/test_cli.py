@@ -493,6 +493,30 @@ def test_each_command_generates_its_pinned_rows_in_its_pinned_calls(tmp_path, mo
     assert (sum(counts), len(counts)) == (rows, calls)
 
 
+# bytes each forked worker pickles back at 2 workers: its four ranges' int64 count
+# vectors (chsh's tallies, the sweep's per-point counts) and nothing else
+_PAYLOADS = {
+    "chsh": (["chsh", "--n", "10000", *_CANONICAL], [569, 569]),
+    "sweep": (["sweep", "--n", "10000", "--steps", "19"], [1433, 1433]),
+}
+
+
+@pytest.mark.parametrize("command", list(_PAYLOADS))
+def test_each_worker_pickles_back_its_pinned_bytes(tmp_path, monkeypatch, command):
+    argv, lengths = _PAYLOADS[command]
+    forks, fork_workers = [], parallel._fork_workers
+
+    def recorded(processes, work):
+        payloads = fork_workers(processes, work)
+        forks.append([len(data) for data in payloads])
+        return payloads
+
+    monkeypatch.setattr(parallel, "_fork_workers", recorded)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli.main([*argv, "--workers", "2", "--out", str(tmp_path / "out")]) == 0
+    assert forks == [lengths]
+
+
 # sha256 of the JSON sweep at seed 0, the bytes bellsim wrote when its CSV writer
 # and its JSON summary each spelled out the nine columns
 _SWEEP_JSON_DIGEST = "721c80c4b6c467385440e51ccdb40bb7827f22c8360cf724b4a8eb48216b56b8"

@@ -284,6 +284,35 @@ MUTANTS = [
         "        return pickle.dumps((done, None), pickle.HIGHEST_PROTOCOL)\n",
         "tests/test_parallel.py::test_an_exception_in_a_child_reaches_the_caller_with_its_type[first]",
     ),
+    Mutant(
+        "stand-in-unchecked",
+        "src/bellsim/parallel.py",
+        "        pickle.loads(data)  # an exception class can pickle and still not rebuild\n",
+        "",
+        "tests/test_parallel.py::test_an_exception_that_cannot_travel_arrives_as_a_runtime_error",
+    ),
+    Mutant(
+        "stand-in-unnamed",
+        "src/bellsim/parallel.py",
+        'stand_in = RuntimeError(f"{type(failed).__name__}: {failed}")',
+        "stand_in = RuntimeError(str(failed))",
+        "tests/test_parallel.py::test_an_exception_that_cannot_travel_arrives_as_a_runtime_error",
+    ),
+    # the entry's collector: the start-up heap frozen after the imports, the collector on
+    Mutant(
+        "collector-left-off",
+        "src/bellsim/__main__.py",
+        "        gc.freeze()\n        gc.enable()\n",
+        "        gc.freeze()\n",
+        "tests/test_blas_threads.py::test_the_command_freezes_its_start_up_heap_and_collects_the_rest[entry-function]",
+    ),
+    Mutant(
+        "freeze-before-imports",
+        "src/bellsim/__main__.py",
+        "    try:\n        from .cli import main as cli_main\n    finally:\n        gc.freeze()\n",
+        "    gc.freeze()\n    try:\n        from .cli import main as cli_main\n    finally:\n",
+        "tests/test_blas_threads.py::test_the_command_freezes_its_start_up_heap_and_collects_the_rest[entry-function]",
+    ),
     # the import graph: each command loads only the layers it runs
     Mutant(
         "cli-imports-every-layer",
@@ -342,6 +371,21 @@ MUTANTS = [
         "per_trial_max=-2 if term_sum == -2 * n else 2",
         "per_trial_max=-2 if term_sum < 0 else 2",
         "tests/test_chsh.py::test_terms_match_oracle_and_mean_equals_statistic",
+    ),
+    # a database's norm check (TrialDatabase._check): NaN and short rows fail it too
+    Mutant(
+        "norm-check-nan-passes",
+        "src/bellsim/experiment.py",
+        "if not np.abs(e, out=e).max() <= NORM_TOLERANCE:",
+        "if np.abs(e, out=e).max() > NORM_TOLERANCE:",
+        "tests/test_experiment.py::test_every_database_rejects_non_finite_and_non_unit_rows[row0]",
+    ),
+    Mutant(
+        "norm-check-unsigned",
+        "src/bellsim/experiment.py",
+        "if not np.abs(e, out=e).max() <= NORM_TOLERANCE:",
+        "if not e.max() <= NORM_TOLERANCE:",
+        "tests/test_experiment.py::test_every_database_rejects_non_finite_and_non_unit_rows[row2]",
     ),
     Mutant(
         "sweep-equal-settings-check",
