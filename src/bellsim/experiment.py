@@ -74,8 +74,8 @@ def format_g17(v: float) -> str:
     """The package's one float formatter: 17 significant digits, a bit-exact round trip.
 
     The database writer's ``%.17g`` row format is the same CPython conversion,
-    signed zero (``-0``) included, and its row kernel (``_format_block``) is a
-    vectorized equal of that conversion, byte for byte.
+    signed zero (``-0``) included, and its row kernel (``rowtext._format_columns``)
+    is a vectorized equal of that conversion, byte for byte.
     """
     return format(float(v), ".17g")
 
@@ -112,15 +112,15 @@ class DistributionSpec:
         return 0
 
 
-def _put_columns(m: int, walk) -> np.ndarray:
+def _put_columns(m: int, walk, out: np.ndarray | None = None) -> np.ndarray:
     """The rows that ``walk(put)`` visits at positions 0 .. m - 1: the one consumer that
     puts column visits in order.
 
-    The rows are the (m, 3) view of C-contiguous (3, m) columns: each
-    visited sub-block is written once at its positions, never transposed,
-    so ``rows.T`` reads unit-stride columns.
+    The rows are the (m, 3) view of (3, m) columns, new and C-contiguous, or
+    the first m columns of ``out``: each visited sub-block is written once at
+    its positions, never transposed, so ``rows.T`` reads unit-stride columns.
     """
-    columns = np.empty((3, m))
+    columns = np.empty((3, m)) if out is None else out[:, :m]
 
     def put(cols, where):
         columns[:, where] = cols
@@ -503,17 +503,18 @@ class GeneratedTrials:
         _check_range(lo, hi, self.n)
         return _put_columns(hi - lo, functools.partial(self.visit_columns, lo, hi))
 
-    def visit_columns(self, lo: int, hi: int, visit) -> None:
+    def visit_columns(self, lo: int, hi: int, visit, scratch: _Scratch | None = None) -> None:
         """Calls ``visit(cols, positions)`` with the spins of trials [lo, hi) as they are
         generated, (3, m) columns whose positions count from lo
         (``DistributionSpec._visit_columns``); they are never put in trial order.
 
         The range is walked ``_BLOCK_ROWS`` keys at a time, with one key call
-        per block and one ``_Scratch`` for the whole call, so at most one block
-        of keys exists, and every block reuses the memory of the last.
+        per block and one ``_Scratch`` for the whole call (``scratch`` if given,
+        for at least min(hi - lo, _BLOCK_ROWS) keys of this distribution), so at
+        most one block of keys exists, and every block reuses the memory of the last.
         """
         _check_range(lo, hi, self.n)
-        scratch = _Scratch.of(min(hi - lo, _BLOCK_ROWS), self.distribution)
+        scratch = scratch or _Scratch.of(min(hi - lo, _BLOCK_ROWS), self.distribution)
         for b in range(lo, hi, _BLOCK_ROWS):
             keys = _trial_keys(self.seed, b, min(b + _BLOCK_ROWS, hi), scratch)
             self.distribution._visit_columns(keys, 0, visit, scratch, b - lo)
@@ -625,160 +626,50 @@ def select_settings(
 # text serialization (line-oriented, bit-exact round trip)
 
 _DB_HEADER_PREFIX = "bellsim-db v1"
-_DB_ROW = "%d %.17g %.17g %.17g\n"  # per value, the same text as format_g17
 _WRITE_BLOCK_ROWS = 4096
 # ``key=<decimal>`` as the writer emits it; 20 digits hold any unsigned 64-bit
 # value, and the cap keeps int() away from its limit on very long digit strings
 _CANONICAL_FIELD = re.compile(r"([a-z]+)=(0|[1-9][0-9]{0,19})")
 
-# The row kernel lays each row out as uint32 words from tables, NUL in every byte
-# ``_DB_ROW`` would not write, then drops the NULs: the index in 4-digit words, then
-# per component two words of prefix (" ", a "-" if negative, "0." and the zeros after
-# the point) and leading digit and four of the other 16 digits, then a "\n" word.
-_WORD = 10_000  # the values of one 4-digit word
 
+def _in_order(trials: GeneratedTrials):
+    """(b, cols) for each block of trials from b: their (3, m) columns in trial order,
+    generated by one ``visit_columns`` call each with one ``_Scratch`` for all, and put
+    into one column buffer, which the next block overwrites.
 
-class _KernelTables(NamedTuple):
-    lead: np.ndarray  # two words (8 bytes) at 10 * (5 * negative - X) + leading digit
-    index: np.ndarray  # the word of w in 0 .. 9999 at w, leading zeros as NUL; at 10^4 + w, whole
-    trail: np.ndarray  # the word of w at w, trailing zeros as NUL; at 10^4 + w, whole
-    pow5: np.ndarray  # 5^(16 - X) for X = 0, -1, ..., -4
-
-
-@functools.cache
-def _kernel_tables() -> _KernelTables:
-    """The row kernel's tables, built on its first call (only ``gen-db`` needs
-    them), and read-only, since every caller shares them."""
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()  # row w: w's digits
-    text = digits + np.uint8(ord("0"))
-
-    def words(keep):
-        return np.concatenate([np.where(keep, text, 0), text]).view(np.uint32).ravel()
-
-    prefixes = [" ", " 0.", " 0.0", " 0.00", " 0.000", " -", " -0.", " -0.0", " -0.00", " -0.000"]
-    lead = np.empty((10, 10, 8), dtype=np.uint8)  # each prefix, right-aligned, and each digit
-    lead[..., :7] = np.array([list(p.rjust(7, "\0").encode()) for p in prefixes])[:, None]
-    lead[..., 7] = text[:10, 3]
-    tables = _KernelTables(
-        lead=lead.view("V8").ravel(),
-        index=words(np.logical_or.accumulate(digits != 0, axis=1)),
-        trail=words(np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]),
-        pow5=5 ** np.arange(16, 21, dtype=np.uint64),
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-_TEN8, _TEN16, _TEN17 = np.uint64(10**8), np.uint64(10**16), np.uint64(10**17)
-_U1, _U32, _U64, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(64), np.uint64(0xFFFFFFFF)
-
-
-def _divmod(values: np.ndarray, unit, dtype) -> tuple[np.ndarray, np.ndarray]:
-    high = values // unit  # floor division by a scalar is far faster than np.divmod
-    return high, (values - high * unit).astype(dtype)
-
-
-def _scaled(mant: np.ndarray, exp2: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor and round-half-even of v * 10^(16 - x), for v = mant * 2^(exp2 - 53) and
-    -4 <= x <= 0, exactly in integers.
-
-    With k = 16 - x this is mant * 5^k shifted right by t = 53 - exp2 - k.
-    mant < 2^53 and 5^k < 2^47, so the product is formed from 32-bit halves
-    in two 64-bit limbs; for 1e-4 <= v <= 1, t lies in [33, 50].
+    A block is one generation sub-block (``_SUB_BLOCK_ROWS``), so the walk's buffers
+    are no larger than the kernels' own: 65 536-key blocks faulted in 2 MB more, and
+    more pages than the whole write saved.
     """
-    pow5 = _kernel_tables().pow5[-x]
-    shift = (37 - exp2 + x).astype(np.uint64)
-    m_hi, m_lo = mant >> _U32, mant & _LOW32
-    p_hi, p_lo = pow5 >> _U32, pow5 & _LOW32
-    low = m_lo * p_lo
-    mid = m_hi * p_lo + m_lo * p_hi
-    lo = low + ((mid & _LOW32) << _U32)  # wraps modulo 2^64; the carry goes to hi
-    hi = m_hi * p_hi + (mid >> _U32) + (lo < low)
-    floor = (hi << (_U64 - shift)) | (lo >> shift)
-    rem = lo & ((_U1 << shift) - _U1)
-    half = _U1 << (shift - _U1)
-    return floor, floor + ((rem > half) | ((rem == half) & ((floor & _U1) == _U1)))
-
-
-def _format_block(rows: np.ndarray, lo: int) -> tuple[str, int]:
-    """``_DB_ROW`` of trials lo, lo + 1, ... with spin rows ``rows``, equal to it bit for
-    bit, and how many of its rows went through ``_DB_ROW`` itself.
-
-    A component v with 1e-4 <= |v| <= 1, whose ``%.17g`` text is in fixed
-    notation "0.<zeros><17 digits>" with trailing zeros cut (or "1"), is
-    formatted here, as is a signed zero; its decimal exponent X is
-    floor(log10 |v|), corrected where the floor of v * 10^(16 - X) leaves
-    [10^16, 10^17). Rounding never carries into an 18th digit: that needs
-    v within 5e-18 (relative) below a power of ten, and the nearest double
-    below 1, 0.1, 0.01 or 0.001 is at least 8e-17 away. A row with any other
-    component (0 < |v| < 1e-4, |v| > 1, a subnormal, or non-finite) goes
-    through ``_DB_ROW`` itself, spliced in between the kernel's stretches.
-    """
-    tables = _kernel_tables()
-    m = rows.shape[0]
-    v = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
-    mag = np.abs(v)
-    zero = mag == 0.0
-    fixed = (mag >= 1e-4) & (mag <= 1.0)  # NaN-safe: NaN fails both
-    fallback = np.flatnonzero(~(fixed | zero).reshape(m, 3).all(axis=1))
-    # every other value is swapped for 0.5, so the integer path stays in range
-    mag = np.where(fixed, mag, 0.5)
-    frac, exp2 = np.frexp(mag)
-    mant = np.ldexp(frac, 53).astype(np.uint64)
-    x = np.clip(np.floor(np.log10(mag)), -4, 0).astype(np.int64)
-    floor, sig = _scaled(mant, exp2, x)
-    redo = np.flatnonzero((floor < _TEN16) | (floor >= _TEN17))
-    if redo.size:
-        x[redo] += np.where(floor[redo] < _TEN16, -1, 1)
-        sig[redo] = _scaled(mant[redo], exp2[redo], x[redo])[1]
-    sig[zero] = 0
-    x[zero] = 0
-
-    width = -(-len(str(lo + m - 1)) // 4)  # the index words of the block's last index
-    slot = np.empty((m, width + 19), dtype=np.uint32)
-    index = np.arange(m, dtype=np.uint64) + np.uint64(lo)
-    for j in range(width):
-        head = index // np.uint64(_WORD ** (width - 1 - j))  # the index without its later words
-        slot[:, j] = tables.index.take(np.where(head < _WORD, head, head % _WORD + _WORD))
-    if lo == 0:
-        slot[0, width - 1] = ord("0")  # index 0 keeps its one digit
-    lead, rest = _divmod(sig, _TEN16, np.uint64)
-    fields = slot[:, width:-1].reshape(m, 3, 6, copy=False)
-    prefix = (5 * np.signbit(v) - x) * 10 + lead.astype(np.int64)
-    fields[..., :2].view("V8")[..., 0] = tables.lead.take(prefix).reshape(m, 3)  # 2 words each
-    high, low = _divmod(rest, _TEN8, np.uint32)
-    unit = np.uint32(_WORD)
-    words = [w for part in (high.astype(np.uint32), low) for w in _divmod(part, unit, np.intp)]
-    later = np.zeros(3 * m, dtype=bool)  # a nonzero word after this one
-    for j in (3, 2, 1, 0):
-        fields[..., 2 + j] = tables.trail.take(words[j] + _WORD * later).reshape(m, 3)
-        later |= words[j] != 0
-    slot[:, -1] = ord("\n")
-    slot[fallback] = 0  # a row outside the domain is all NUL, and its ``_DB_ROW`` text follows
-    pieces = [b""] * (2 * fallback.size + 1)
-    pieces[::2] = (part.tobytes().translate(None, b"\0") for part in np.split(slot, fallback))
-    pieces[1::2] = ((_DB_ROW % (lo + r, *rows[r].tolist())).encode() for r in fallback.tolist())
-    return b"".join(pieces).decode("ascii"), fallback.size
+    m = min(trials.n, geometry._SUB_BLOCK_ROWS)
+    columns, scratch = np.empty((3, m)), _Scratch.of(m, trials.distribution)
+    for b in range(0, trials.n, m):
+        walk = functools.partial(trials.visit_columns, b, min(b + m, trials.n), scratch=scratch)
+        yield b, _put_columns(min(m, trials.n - b), walk, columns).T
 
 
 def write_database(source: TrialDatabase | GeneratedTrials, fileobj) -> int:
     """Write the line-oriented text format; floats carry 17 significant digits.
 
-    ``source`` is a database or generated trials: anything with ``n``,
-    ``seed``, ``distribution`` and ``rows(lo, hi)``. Rows are read, formatted
-    by ``_format_block`` and written one block at a time, one ``write`` per
-    block, so neither the rows nor their text are ever held whole. Returns how
-    many rows went through the ``%`` row format rather than the kernel.
+    A database's stored columns are formatted where they lie; generated trials
+    are walked once, a block at a time (``_in_order``). The row kernel
+    (``rowtext._format_columns``) formats
+    ``_WRITE_BLOCK_ROWS`` columns at a time with one set of buffers, one
+    ``write`` each, so neither the rows nor their text are ever held whole.
+    Returns how many rows went through the ``%`` row format rather than the kernel.
     """
-    fileobj.write(
-        f"{_DB_HEADER_PREFIX} seed={source.seed} dist={source.distribution.tag()} n={source.n}\n"
-    )
+    from .rowtext import _format_columns, _FormatScratch  # only gen-db compiles the kernel
+
+    n = source.n
+    fileobj.write(f"{_DB_HEADER_PREFIX} seed={source.seed} dist={source.distribution.tag()} n={n}\n")
+    scratch = _FormatScratch.of(min(n, _WRITE_BLOCK_ROWS), -(-len(str(n - 1)) // 4))
+    blocks = [(0, source.rows(0, n).T)] if isinstance(source, TrialDatabase) else _in_order(source)
     spliced = 0
-    for lo in range(0, source.n, _WRITE_BLOCK_ROWS):
-        text, count = _format_block(source.rows(lo, min(lo + _WRITE_BLOCK_ROWS, source.n)), lo)
-        fileobj.write(text)
-        spliced += count
+    for b, cols in blocks:
+        for a in range(0, cols.shape[1], _WRITE_BLOCK_ROWS):
+            text, count = _format_columns(cols[:, a : a + _WRITE_BLOCK_ROWS], b + a, scratch)
+            fileobj.write(text)
+            spliced += count
     return spliced
 
 

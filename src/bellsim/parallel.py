@@ -29,6 +29,9 @@ MIN_PARALLEL_TRIALS = 4096
 RANGES_PER_WORKER = 4
 # rows a range task reads at once; bounds what it holds
 _BLOCK_ROWS = 1 << 16
+# the largest worker count a caller may ask for; far more than any host's CPUs, which
+# cap the processes anyway, so a larger count is a mistake, not a plan
+MAX_WORKERS = 1024
 
 
 def _usable_cpus() -> int:
@@ -168,12 +171,13 @@ def _ending(status: int) -> str:
 
 
 def resolve_workers(workers) -> int:
-    """Turn a worker request ('auto', int, or numeric string) into a count."""
+    """Turn a worker request ('auto', int, or numeric string) into a count from 1 to
+    ``MAX_WORKERS``; 'auto' is the CPUs this process may use."""
     if workers == "auto" or workers is None:
         return _usable_cpus()
     count = int(workers)
-    if count < 1:
-        raise ValueError("workers must be a positive integer or 'auto'")
+    if not 1 <= count <= MAX_WORKERS:
+        raise ValueError(f"workers must be an integer from 1 to {MAX_WORKERS} or 'auto', got {count}")
     return count
 
 

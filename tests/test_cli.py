@@ -28,9 +28,11 @@ from bellsim import (
     read_database,
     result_summary,
 )
-from bellsim.experiment import _WRITE_BLOCK_ROWS, InvariantError
+from bellsim.experiment import _WRITE_BLOCK_ROWS, ConfigurationError, InvariantError
 
 from oracles import first_line_difference, write_database_per_row
+
+_TOO_MANY = str(parallel.MAX_WORKERS + 1)  # one worker beyond the bound
 
 
 def run_cli(*args, cwd=None):
@@ -471,7 +473,9 @@ _WORK = {
     "fresh-search": (
         ["search", "--n", "1000", "--budget", "1000", "--mode", "fresh"], 1, 3_004_000, 3_004
     ),
-    "gen-db": (["gen-db", "--n", "10000"], 1, 10_000, 3),
+    # one walk of 16 384-row blocks, one key call each
+    "gen-db": (["gen-db", "--n", "10000"], 1, 10_000, 1),
+    "long-gen-db": (["gen-db", "--n", "40000"], 1, 40_000, 3),
 }
 
 
@@ -615,6 +619,7 @@ def test_enumerate_output():
         (["sweep", "--theta-start", "20", "--theta-stop", "10"], "--theta-stop"),
         (["sweep", "--dist", "donut(1)"], "distribution"),
         (["sweep", "--workers", "0"], "--workers"),
+        (["chsh", "--workers", _TOO_MANY], "--workers"),
         (["chsh", "--policy", "fixed"], "--a1"),
         (["chsh", "--policy", "from-database", "--a1", "10"], "policy"),
         (["search", "--budget", "0"], "--budget"),
@@ -638,6 +643,32 @@ def test_a_mixture_nested_too_deep_is_one_error_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", _TOO_MANY, "99999999999999999999"])
+def test_worker_counts_outside_the_bound_are_configuration_errors(workers):
+    # rejected while the arguments are read, before any work: no test starts that many
+    args = cli.build_parser().parse_args(["sweep", "--workers", workers])
+    bound = f"--workers: workers must be an integer from 1 to {parallel.MAX_WORKERS} or 'auto'"
+    with pytest.raises(ConfigurationError, match=bound):
+        cli._config_from_args(args, default_out="sweep.csv")
+
+
+def test_an_absurd_worker_count_is_one_error_line_and_no_artifact(tmp_path, capsys, fork_recorder):
+    out = tmp_path / "db.txt"
+    fork_recorder.refuse = True
+    assert cli.main(["gen-db", "--n", "10", "--workers", "99999999999999999999", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --workers: workers must be an integer from 1 to {parallel.MAX_WORKERS} or 'auto', "
+        "got 99999999999999999999"
+    ]
+    assert not out.exists()
+
+
+def test_every_worker_count_up_to_the_bound_is_accepted(monkeypatch):
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = ["1", "8", 8, str(parallel.MAX_WORKERS), "auto"]
+    assert [parallel.resolve_workers(c) for c in counts] == [1, 8, 8, parallel.MAX_WORKERS, 2]
+
+
 def test_auto_workers_count_the_cpus_this_process_may_use(tmp_path, monkeypatch, fork_recorder):
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parallel.resolve_workers("auto") == 1
@@ -653,7 +684,7 @@ def test_auto_workers_count_the_cpus_this_process_may_use(tmp_path, monkeypatch,
 _TABLES_PROBE = """
 import json, sys
 from bellsim import cli
-from bellsim.experiment import _kernel_tables
+from bellsim.rowtext import _kernel_tables
 built = []
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv

@@ -32,14 +32,8 @@ from bellsim import (
     write_database,
 )
 from bellsim import experiment, geometry
-from bellsim.experiment import (
-    _DB_ROW,
-    _MAX_NESTING,
-    _WRITE_BLOCK_ROWS,
-    _Scratch,
-    _format_block,
-    _kernel_tables,
-)
+from bellsim.experiment import _MAX_NESTING, _WRITE_BLOCK_ROWS, _Scratch
+from bellsim.rowtext import _DB_ROW, _format_columns, _kernel_tables, _scaled
 from bellsim.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from bellsim.rng import DOMAIN_TRIALS, child_keys, key_uniform_column, root_key, root_stream
 
@@ -750,6 +744,79 @@ def test_block_writer_matches_per_row_writer(n, dist):
         assert fast.getvalue().splitlines()[-1].endswith(" -0 -1 -0")
 
 
+# the writer's walk of generated trials: one generation sub-block at a time
+_WALK = geometry._SUB_BLOCK_ROWS
+_BENCH_MIXTURE = "mixture(0.5:uniform-sphere;0.5:cap(0,0,1,0.8))"  # the benchmark chsh's spins
+
+
+# each n crosses a walk block, slices of _B and the index word added at 10^4, which lies
+# inside the slice [2 * _B, 3 * _B)
+@pytest.mark.parametrize("n", [_WALK + _B + 7, 2 * _WALK + 1])
+@pytest.mark.parametrize(
+    "dist", ["uniform-sphere", _BENCH_MIXTURE, "cap(0,0,1,0.5)", "fixed-axis(1e-5,0,1)"]
+)
+def test_writer_equals_the_per_row_oracle_for_generated_trials_and_their_database(n, dist):
+    trials = GeneratedTrials(8, parse_distribution(dist), n)
+    db = generate_database(8, trials.distribution, n)
+    expected = io.StringIO()
+    write_database_per_row(db, expected)
+    for source in (trials, db):
+        out = io.StringIO()
+        spliced = write_database(source, out)
+        assert first_line_difference(out.getvalue(), expected.getvalue()) is None
+        assert spliced == (n if dist.startswith("fixed-axis") else _outside_kernel(db.spins))
+
+
+# rows the row format writes in exponent form, as integers or as "-0", placed at the first
+# and last column of slices, beside the index word added at 10^4 and at the ends
+_ODD_ROWS = [
+    (1e-5, 0.0, math.sqrt(1.0 - 1e-10)),
+    (-0.0, -1.0, 0.0),
+    (5e-324, 1.0, -0.0),
+    (0.6, -0.0, -0.8),
+    (-1e-4, math.sqrt(1.0 - 1e-8), 0.0),
+]
+_AT = [0, 1, _B - 1, _B, 2 * _B - 1, 9_999, 10_000, 10_001, 3 * _B - 1, 3 * _B]
+
+
+@pytest.mark.parametrize("n", [10_002, 3 * _B + 1, _WALK + 1])
+def test_writer_equals_the_per_row_oracle_for_a_database_of_arbitrary_rows(n):
+    rng = np.random.default_rng(n)
+    spins = rng.normal(size=(n, 3))
+    spins /= np.sqrt((spins * spins).sum(axis=1))[:, None]
+    for j, k in enumerate(k for k in _AT if k < n):
+        spins[k] = _ODD_ROWS[j % len(_ODD_ROWS)]
+    spins[n - 1] = _ODD_ROWS[0]
+    db = TrialDatabase(seed=2, distribution=UniformSphere(), n=n, spins=spins)
+    fast, slow = io.StringIO(), io.StringIO()
+    assert write_database(db, fast) == _outside_kernel(spins)
+    write_database_per_row(db, slow)
+    assert first_line_difference(fast.getvalue(), slow.getvalue()) is None
+
+
+def _scaled_oracle(v: float, xi: int) -> tuple[int, int]:
+    # floor and round-half-even of v * 10^(16 + xi), in Python's integers
+    num, den = v.as_integer_ratio()
+    floor, rem = divmod(num * 10 ** (16 + xi), den)
+    return floor, floor + (2 * rem > den or (2 * rem == den and floor % 2 == 1))
+
+
+def test_scaled_is_exact_at_each_exponent_and_its_neighbours():
+    # the exponent the kernel tries first is floor(log10 |v|) or one off it, and the
+    # redo takes the true one; _scaled is exact at all three
+    rng = np.random.default_rng(5)
+    edges = [np.nextafter(10.0**-p, d) for p in range(5) for d in (0.0, 2.0)]
+    ties = [0.5 + (2 * j + 1) * 2.0**-18 for j in range(8)]  # each a tie at 17 digits
+    mag = np.concatenate([10 ** rng.uniform(-4, 0, 2000), [10.0**-p for p in range(5)], edges, ties])
+    mag = mag[(mag >= 1e-4) & (mag <= 1.0)]
+    exponent = -np.floor(np.log10(mag)).astype(np.intp)
+    for shift in (-1, 0, 1):
+        xi = np.clip(exponent + shift, 0, 4)
+        floor, sig = _scaled(mag, xi)
+        expected = [_scaled_oracle(v, x) for v, x in zip(mag.tolist(), xi.tolist())]
+        assert list(zip(floor.tolist(), sig.tolist())) == expected
+
+
 _AXES = [X_AXIS, Y_AXIS, Z_AXIS, UnitVector(-0.0, -1.0, -0.0), UnitVector(-0.0, -0.0, 1.0)]
 _unit_rows = st.one_of(
     st.sampled_from([(v.x, v.y, v.z) for v in _AXES]),
@@ -782,6 +849,11 @@ def _rows_oracle(rows, lo: int) -> str:
     return "".join(_DB_ROW % (k, *row) for k, row in enumerate(np.asarray(rows).tolist(), lo))
 
 
+def _format_rows(rows, lo: int):
+    # the column kernel on the (3, m) columns of the (m, 3) rows
+    return _format_columns(np.asarray(rows, dtype=np.float64).T, lo)
+
+
 # the boundaries of the kernel's domain and of each decimal exponent in it
 _EDGES = [
     v
@@ -807,14 +879,14 @@ _any_finite = st.one_of(
     ),
 )
 def test_row_kernel_matches_the_row_format_on_any_finite_floats(rows, lo):
-    assert _format_block(np.array(rows, dtype=np.float64), lo)[0] == _rows_oracle(rows, lo)
+    assert _format_rows(np.array(rows, dtype=np.float64), lo)[0] == _rows_oracle(rows, lo)
 
 
 def test_row_kernel_rounds_ties_to_even():
     # each is a tie at 17 digits; the even neighbour wins
     row = np.array([[0.5 + 2**-18, 0.5 + 3 * 2**-18, -(0.5 + 2**-18)]])
     text = "0 0.50000381469726562 0.50001144409179688 -0.50000381469726562\n"
-    assert _format_block(row, 0)[0] == text
+    assert _format_rows(row, 0)[0] == text
 
 
 def test_row_kernel_corrects_the_log10_exponent_near_powers_of_ten():
@@ -823,7 +895,7 @@ def test_row_kernel_corrects_the_log10_exponent_near_powers_of_ten():
     below = [np.nextafter(10.0**-p, 0.0) for p in range(4)]
     above = [np.nextafter(10.0**-p, 1.0) for p in range(1, 5)]
     rows = np.array([below[:3], [below[3], *above[:2]], [*above[2:], 1e-4]])
-    text = _format_block(rows, 0)[0]
+    text = _format_rows(rows, 0)[0]
     assert text == _rows_oracle(rows, 0)
     assert text.startswith("0 0.99999999999999989 0.099999999999999992 0.0099999999999999985\n")
 
@@ -831,7 +903,7 @@ def test_row_kernel_corrects_the_log10_exponent_near_powers_of_ten():
 @pytest.mark.parametrize("lo", [10**p - 2 for p in range(1, 20)] + [2**64 - 4])
 def test_row_kernel_writes_every_index_width(lo):
     rows = np.tile([0.25, -0.5, 1.0], (4, 1))
-    text = _format_block(rows, lo)[0]
+    text = _format_rows(rows, lo)[0]
     assert text == _rows_oracle(rows, lo)
     assert text.splitlines()[-1].startswith(f"{lo + 3} ")
 
@@ -842,9 +914,19 @@ def test_row_kernel_sends_rows_outside_its_domain_to_the_row_format():
     # no numpy warning or error: out-of-domain values never reach the integer path
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = _format_block(rows, 7)[0]
+        text = _format_rows(rows, 7)[0]
     assert text == _rows_oracle(rows, 7)
     assert "1.0000000000000001e-05" in text and " -2 " in text and " nan " in text
+
+
+@pytest.mark.parametrize("lo", [0, 9_999, 10**8 - 1, 2**64 - 1])
+def test_row_format_rows_of_the_greatest_length_fill_their_words(lo):
+    # a row outside the domain is written into its own 4 * (w + 19) bytes: an index of
+    # 4 * w digits and three components of the longest %.17g text fill them exactly
+    rows = np.array([[-2.2250738585072014e-308, -4.9406564584124654e-324, -1.7976931348623157e308]])
+    text = _format_rows(rows, lo)[0]
+    assert text == _rows_oracle(rows, lo)
+    assert len(text) == len(str(lo)) + 3 * 25 + 1
 
 
 @pytest.mark.parametrize(
@@ -926,7 +1008,7 @@ def test_rows_outside_the_kernel_are_spliced_in_without_nul(at):
 @pytest.mark.parametrize("lo", [0, 1] + [10 ** (4 * k) + d for k in range(1, 5) for d in (-3, 0)])
 def test_row_kernel_text_holds_no_nul_at_any_index_width(lo):
     rows = np.array([[0.5, -0.25, 1.0], _TINY, [-0.0, 0.0, -1.0], [0.1, 0.2, 0.3]])
-    text = _format_block(rows, lo)[0]
+    text = _format_rows(rows, lo)[0]
     assert text == _rows_oracle(rows, lo)
     assert "\0" not in text
 
@@ -954,7 +1036,7 @@ _PINNED = [
 
 def test_row_kernel_writes_pinned_significands_with_zero_words():
     rows = np.array([[v, -v, v] for v, _ in _PINNED])
-    text = _format_block(rows, 9_998)[0]
+    text = _format_rows(rows, 9_998)[0]
     assert text == _rows_oracle(rows, 9_998)
     expected = [(t, t[1:] if t[0] == "-" else "-" + t) for _, t in _PINNED]
     assert text.splitlines() == [f"{k} {t} {neg} {t}" for k, (t, neg) in enumerate(expected, 9_998)]

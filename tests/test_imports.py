@@ -24,13 +24,14 @@ _COMMANDS = {
     "search": ["search", *_TINY, "--budget", "8"],
     "enumerate": ["enumerate"],
 }
-# modules of the package that each command must not load
+# modules of the package that each command must not load; only gen-db writes a
+# database, so only it loads the row kernel (``bellsim.rowtext``)
 _NOT_LOADED = {
     "gen-db": {"bellsim.chsh", "bellsim.correlation", "bellsim.stats"},
-    "sweep": {"bellsim.chsh"},
-    "chsh": {"bellsim.correlation"},
-    "search": {"bellsim.correlation"},
-    "enumerate": {"bellsim.correlation"},
+    "sweep": {"bellsim.chsh", "bellsim.rowtext"},
+    "chsh": {"bellsim.correlation", "bellsim.rowtext"},
+    "search": {"bellsim.correlation", "bellsim.rowtext"},
+    "enumerate": {"bellsim.correlation", "bellsim.rowtext"},
 }
 _REPORT = (
     "import contextlib, io, sys\n"

@@ -126,6 +126,19 @@ def test_the_top_raw_draws_give_a_uniform_of_exactly_one():
     assert np.sqrt((out * out).sum()) < geometry._REJECT_NORM
 
 
+def test_key_uniforms_are_the_scalar_formula_on_pinned_keys():
+    # ((raw >> 11) + 0.5) * 2**-53, written out here rather than taken from CounterStream,
+    # so no recorded digest, and no numpy dispatch path, decides it
+    low = (_unmix64(5) - 3 * _GOLDEN) & _MASK  # its draw at position 2 is raw 5 < 2**11
+    keys = [low, 0, 1, _GOLDEN, _MASK, 0x123456789ABCDEF, root_key(0, 1)]
+    for position in (0, 2):
+        raws = [mix64((k + (position + 1) * _GOLDEN) & _MASK) for k in keys]
+        expected = [((r >> 11) + 0.5) * 2.0**-53 for r in raws]
+        column = key_uniform_column(np.array(keys, dtype=np.uint64), position)
+        assert column.tolist() == expected
+    assert raws[0] == 5 and column[0] == 2.0**-54  # the shift off zero, and nothing else
+
+
 def test_domains_and_seeds_separate_streams():
     assert root_key(1, 1) != root_key(1, 2)
     assert root_key(1, 1) != root_key(2, 1)

@@ -85,7 +85,7 @@ MUTANTS = [
         "src/bellsim/rng.py",
         "out += 0.5",
         "out += 0.0",
-        "tests/test_cli.py::test_benchmark_workload_matches_its_recorded_digest[gendb-1]",
+        "tests/test_rng.py::test_key_uniforms_are_the_scalar_formula_on_pinned_keys",
     ),
     # the one put of visited columns into trial order (experiment._put_columns)
     Mutant(
@@ -140,26 +140,49 @@ MUTANTS = [
         "m = scratch.keys.shape[0]\n    return child_keys(",
         "tests/test_experiment.py::test_the_block_walk_equals_the_oracle_across_block_and_sub_block_bounds[uniform]",
     ),
+    # the row kernel of the database text (rowtext._format_columns, _scaled) and the
+    # writer's slices of a walk block (experiment.write_database)
     Mutant(
         "row-kernel-trailing-zeros",
-        "src/bellsim/experiment.py",
-        "later |= words[j] != 0",
-        "later |= words[j] == 0",
+        "src/bellsim/rowtext.py",
+        "np.not_equal(words[j + 1], 0, out=flags)",
+        "np.equal(words[j + 1], 0, out=flags)",
         "tests/test_cli.py::test_gen_db_writes_loadable_database",
     ),
     Mutant(
         "row-kernel-exponent-redo",
-        "src/bellsim/experiment.py",
+        "src/bellsim/rowtext.py",
         "if redo.size:",
         "if False:",
         "tests/test_experiment.py::test_row_kernel_matches_the_row_format_on_any_finite_floats",
     ),
     Mutant(
         "round-half-even",
-        "src/bellsim/experiment.py",
-        "((floor & _U1) == _U1)",
-        "((floor & _U1) == 0)",
+        "src/bellsim/rowtext.py",
+        "tmp += np.bitwise_and(floor, _U1, out=rem)",
+        "tmp += np.bitwise_and(~floor, _U1, out=rem)",
         "tests/test_experiment.py::test_row_kernel_rounds_ties_to_even",
+    ),
+    Mutant(
+        "float-estimate-margin",
+        "src/bellsim/rowtext.py",
+        "f0 -= np.add(np.right_shift(f0, _U52, out=rem), _U1, out=rem)",
+        "f0 -= np.right_shift(f0, _U52, out=rem)",
+        "tests/test_experiment.py::test_scaled_is_exact_at_each_exponent_and_its_neighbours",
+    ),
+    Mutant(
+        "index-run-one-row-short",
+        "src/bellsim/rowtext.py",
+        "split = min(m, _WORD - lo % _WORD)",
+        "split = min(m, _WORD - lo % _WORD - 1)",
+        "tests/test_experiment.py::test_row_kernel_writes_every_index_width[9998]",
+    ),
+    Mutant(
+        "slice-one-column-late",
+        "src/bellsim/experiment.py",
+        "_format_columns(cols[:, a : a + _WRITE_BLOCK_ROWS], b + a, scratch)",
+        "_format_columns(cols[:, a + 1 : a + 1 + _WRITE_BLOCK_ROWS], b + a, scratch)",
+        "tests/test_experiment.py::test_block_writer_matches_per_row_writer[uniform-sphere-1]",
     ),
     Mutant(
         "nesting-limit",
@@ -167,6 +190,14 @@ MUTANTS = [
         "if depth == _MAX_NESTING:",
         "if depth == _MAX_NESTING + 1:",
         "tests/test_experiment.py::test_mixtures_nest_at_most_the_limit_in_a_spec_and_a_database_header",
+    ),
+    # the bound on a worker request (parallel.resolve_workers)
+    Mutant(
+        "worker-bound-off-by-one",
+        "src/bellsim/parallel.py",
+        "if not 1 <= count <= MAX_WORKERS:",
+        "if not 1 <= count <= MAX_WORKERS + 1:",
+        "tests/test_cli.py::test_worker_counts_outside_the_bound_are_configuration_errors[1025]",
     ),
     Mutant(
         "usable-cpus",
